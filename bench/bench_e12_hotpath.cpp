@@ -1,10 +1,10 @@
 // E12 — hot-path throughput: requests/second of the single-machine
-// ReservationScheduler on steady-state insert/delete churn, optimized
-// (incremental fulfillment caching + flat containers + occupancy index)
-// versus the seed-equivalent --legacy-fulfillment path, in the same binary
-// and on the same trace. The paper bounds *reallocations*; this experiment
-// tracks what the bookkeeping costs in wall-clock terms so every future
-// scaling PR has a machine-readable baseline (BENCH_hotpath.json).
+// ReservationScheduler (incremental fulfillment caching + flat containers +
+// occupancy index) on steady-state insert/delete churn. The paper bounds
+// *reallocations*; this experiment tracks what the bookkeeping costs in
+// wall-clock terms so every future scaling PR has a machine-readable
+// baseline (BENCH_hotpath.json). Absolute ops/sec is hardware dependent
+// (EXPERIMENTS.md §E12).
 //
 // Protocol (EXPERIMENTS.md §E12): per configuration one scheduler is warmed
 // to n active jobs audit-free, then three consecutive churn segments are
@@ -46,26 +46,22 @@ std::vector<Request> trace_for(std::size_t n, WindowPlacement placement,
   return make_churn_trace(params);
 }
 
-struct ModeResult {
+struct RunResult {
   SegmentResult churn;  // best of kChurnReps
   SegmentResult audited;
 };
 
-ModeResult run_mode(const std::vector<Request>& trace, std::size_t warmup,
-                    std::size_t churn, std::size_t audit_churn, bool legacy,
-                    bool legacy_rehash = false) {
+RunResult run_trace(const std::vector<Request>& trace, std::size_t warmup,
+                    std::size_t churn, std::size_t audit_churn) {
   SchedulerOptions options;
   options.overflow = OverflowPolicy::kBestEffort;
-  options.legacy_fulfillment = legacy;
-  options.legacy_rehash = legacy_rehash;
   ReservationScheduler scheduler(options);
 
   std::size_t i = 0;
   const auto serve = [&](SegmentResult* out) {
     const Request& request = trace[i++];
     // Two clock reads per request (~tens of ns) ride inside the timed
-    // segment; both modes pay them identically so the gated in-binary
-    // speedup ratio is unaffected.
+    // segment.
     const std::uint64_t start = out != nullptr ? telemetry::now_ns() : 0;
     const RequestStats stats = request.kind == RequestKind::kInsert
                                    ? scheduler.insert(request.job, request.window)
@@ -91,7 +87,7 @@ ModeResult run_mode(const std::vector<Request>& trace, std::size_t warmup,
 
   while (i < trace.size() && i < warmup) serve(nullptr);
 
-  ModeResult result;
+  RunResult result;
   for (std::size_t rep = 0; rep < kChurnReps; ++rep) {
     const SegmentResult segment = timed_segment(churn);
     if (segment.ops_per_sec > result.churn.ops_per_sec) result.churn = segment;
@@ -110,42 +106,26 @@ int run(int argc, char** argv) {
   const std::size_t churn = args.quick ? 3'000 : 100'000;
 
   Table table("E12 hot-path throughput (insert/delete churn)");
-  table.set_header({"n", "placement", "audit", "mode", "requests", "seconds", "ops/sec",
-                    "speedup"});
+  table.set_header({"n", "placement", "audit", "requests", "seconds", "ops/sec"});
   JsonRows json("e12_hotpath");
 
-  // vs_legacy_rehash is the E12 mean-throughput gate's metric (ROADMAP
-  // item 2): optimized ops/sec over the SAME binary's
-  // optimized+legacy_rehash posture — i.e. incremental two-table rehash
-  // plus group probing versus the pre-PR-5 stop-the-world layout with the
-  // same fulfillment path. >= 1.0 means the group-probe work has paid back
-  // the two-table machinery's steady-state cost. In-binary and
-  // machine-speed-independent, so bench_compare gates it absolutely.
-  // Emitted on audit-off optimized rows only (the audited segments are too
-  // short for the ratio to be stable). 0 = not applicable.
   const auto emit_row = [&](std::size_t n, const char* placement, bool audit,
-                            const char* mode, const SegmentResult& segment,
-                            double speedup, double vs_legacy_rehash = 0) {
+                            const SegmentResult& segment) {
     char seconds[32];
     char ops[32];
-    char speedup_str[32];
     std::snprintf(seconds, sizeof(seconds), "%.3f", segment.seconds);
     std::snprintf(ops, sizeof(ops), "%.0f", segment.ops_per_sec);
-    std::snprintf(speedup_str, sizeof(speedup_str), "%.2fx", speedup);
-    table.add_row({std::to_string(n), placement, audit ? "on" : "off", mode,
-                   std::to_string(segment.requests), seconds, ops, speedup_str});
+    table.add_row({std::to_string(n), placement, audit ? "on" : "off",
+                   std::to_string(segment.requests), seconds, ops});
     auto& row = json.row()
                     .field("n", n)
                     .field("placement", placement)
                     .field("audit", audit)
-                    .field("mode", mode)
                     .field("requests", segment.requests)
                     .field("seconds", segment.seconds)
                     .field("ops_per_sec", segment.ops_per_sec)
                     .field("reallocations", segment.reallocations)
-                    .field("degraded", segment.degraded)
-                    .field("speedup_vs_legacy", speedup);
-    if (vs_legacy_rehash > 0) row.field("vs_legacy_rehash", vs_legacy_rehash);
+                    .field("degraded", segment.degraded);
     latency_fields(row, segment.latency);
   };
 
@@ -159,24 +139,9 @@ int run(int argc, char** argv) {
          {std::pair{WindowPlacement::kUniform, "uniform"},
           std::pair{WindowPlacement::kNestedHotspots, "hotspot"}}) {
       const auto trace = trace_for(n, placement, churn, audit_churn);
-      const ModeResult optimized = run_mode(trace, n, churn, audit_churn, false);
-      const ModeResult legacy = run_mode(trace, n, churn, audit_churn, true);
-      // Third posture: optimized fulfillment on the pre-PR-5 stop-the-world
-      // rehash layout — the denominator of the gated vs_legacy_rehash ratio.
-      const ModeResult legacy_rehash =
-          run_mode(trace, n, churn, audit_churn, false, /*legacy_rehash=*/true);
-      const auto ratio = [](const SegmentResult& a, const SegmentResult& b) {
-        return b.ops_per_sec > 0 ? a.ops_per_sec / b.ops_per_sec : 0;
-      };
-      emit_row(n, label, false, "optimized", optimized.churn,
-               ratio(optimized.churn, legacy.churn),
-               ratio(optimized.churn, legacy_rehash.churn));
-      emit_row(n, label, false, "legacy", legacy.churn, 1.0);
-      emit_row(n, label, false, "legacy-rehash", legacy_rehash.churn,
-               ratio(legacy_rehash.churn, legacy.churn));
-      emit_row(n, label, true, "optimized", optimized.audited,
-               ratio(optimized.audited, legacy.audited));
-      emit_row(n, label, true, "legacy", legacy.audited, 1.0);
+      const RunResult result = run_trace(trace, n, churn, audit_churn);
+      emit_row(n, label, false, result.churn);
+      emit_row(n, label, true, result.audited);
     }
   }
 

@@ -1,9 +1,10 @@
 // E14 — rebuild-boundary latency: per-request wall-clock latency of the
 // single-machine ReservationScheduler across n* doubling/halving
 // boundaries, partitioned rebuild (default) versus the seed's
-// stop-the-world path (--legacy-rebuild), in the same binary and on the
-// same trace. The paper's amortized O(1) reallocation bound hides a Θ(n)
-// wall-clock cliff on the rebuild request; this experiment records the
+// stop-the-world path (rebuild_batch = SIZE_MAX, reported as mode
+// "legacy"), in the same binary and on the same trace. The paper's
+// amortized O(1) reallocation bound hides a Θ(n) wall-clock cliff on the
+// rebuild request; this experiment records the
 // latency distribution (p50/p99/p99.9/max) that the partitioned
 // shadow-generation migration flattens (EXPERIMENTS.md §E14 — protocol,
 // acceptance bar, and the recorded BENCH_rebuild.json baseline).
@@ -14,17 +15,18 @@
 // differential suite (tests/partitioned_rebuild_test.cpp) asserts it — so
 // the comparison is purely about *when* the rebuild work is done.
 //
+// Flat-hash growth is the incremental two-table rehash, so the partitioned
+// rows' max reflects the rebuild machinery alone (the hash-tier cliff is
+// measured by bench_e16).
+//
 // Flags: common ones (--csv, --json[=path], --quick) plus --legacy-rebuild
 // to run ONLY the stop-the-world mode (manual A/B; by default both modes
-// run and the speedup column compares them), and --legacy-rehash to run
-// the trace with stop-the-world flat-hash growth (the pre-E16 behavior;
-// the default is the incremental two-table rehash, so the partitioned
-// rows' max now reflects the rebuild machinery alone — the residual
-// hash-tier cliff this bench used to absorb is measured by bench_e16).
+// run and the speedup column compares them).
 #include <algorithm>
 #include <chrono>
 #include <cstdio>
 #include <cstring>
+#include <limits>
 #include <unordered_map>
 #include <vector>
 
@@ -58,13 +60,13 @@ std::vector<Request> trace_for(std::size_t n, std::size_t churn) {
   return make_churn_trace(params);
 }
 
-LatencyResult run_mode(const std::vector<Request>& trace, bool legacy,
-                       bool legacy_rehash) {
+LatencyResult run_mode(const std::vector<Request>& trace, bool stop_the_world) {
   using Clock = std::chrono::steady_clock;
   SchedulerOptions options;
   options.overflow = OverflowPolicy::kBestEffort;
-  options.legacy_rebuild = legacy;
-  options.legacy_rehash = legacy_rehash;
+  // rebuild_batch is also the synchronous-rebuild cutoff: at its maximum
+  // every n* change rebuilds inside the boundary request.
+  if (stop_the_world) options.rebuild_batch = std::numeric_limits<std::size_t>::max();
   ReservationScheduler scheduler(options);
 
   std::vector<double> lat;
@@ -130,10 +132,8 @@ LatencyResult run_mode(const std::vector<Request>& trace, bool legacy,
 int run(int argc, char** argv) {
   const Args args = parse_args(argc, argv);
   bool legacy_only = false;
-  bool legacy_rehash = false;
   for (int i = 1; i < argc; ++i) {
     if (std::strcmp(argv[i], "--legacy-rebuild") == 0) legacy_only = true;
-    if (std::strcmp(argv[i], "--legacy-rehash") == 0) legacy_rehash = true;
   }
 
   const std::vector<std::size_t> sizes =
@@ -159,7 +159,6 @@ int run(int argc, char** argv) {
     json.row()
         .field("n", n)
         .field("mode", mode)
-        .field("rehash", legacy_rehash ? "legacy" : "incremental")
         .field("requests", r.requests)
         .field("seconds", r.seconds)
         .field("p50_us", r.p50_us)
@@ -176,11 +175,11 @@ int run(int argc, char** argv) {
   for (const std::size_t n : sizes) {
     const auto trace = trace_for(n, /*churn=*/n / 2);
     if (legacy_only) {
-      emit_row(n, "legacy", run_mode(trace, true, legacy_rehash), 1.0);
+      emit_row(n, "legacy", run_mode(trace, true), 1.0);
       continue;
     }
-    const LatencyResult partitioned = run_mode(trace, false, legacy_rehash);
-    const LatencyResult legacy = run_mode(trace, true, legacy_rehash);
+    const LatencyResult partitioned = run_mode(trace, false);
+    const LatencyResult legacy = run_mode(trace, true);
     const double speedup =
         partitioned.max_ms > 0 ? legacy.max_ms / partitioned.max_ms : 0;
     emit_row(n, "partitioned", partitioned, speedup);

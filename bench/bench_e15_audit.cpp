@@ -184,7 +184,7 @@ std::uint64_t run_differential(std::size_t n) {
 
 /// Sharded differential: the striped ledger's per-stripe incremental audit
 /// agrees with the full sweep at every shard count, clean and corrupted.
-bool run_sharded_differential(unsigned shards) {
+bool sharded_audit_differential(unsigned shards) {
   ShardedScheduler::Options options;
   options.shards = shards;
   ShardedScheduler scheduler(
@@ -301,7 +301,7 @@ int run(int argc, char** argv) {
       .field("corruptions_rejected", true);
 
   for (const unsigned shards : {1u, 2u, 4u, 8u}) {
-    const bool ok = run_sharded_differential(shards);
+    const bool ok = sharded_audit_differential(shards);
     json.row()
         .field("mode", "sharded_differential")
         .field("shards", shards)

@@ -1,27 +1,24 @@
 // E16 — flat-hash growth latency: per-request wall-clock latency of the
 // single-machine ReservationScheduler across hash-table doubling
-// boundaries, incremental two-table rehash (default) versus the seed's
-// stop-the-world rehash (--legacy-rehash), in the same binary and on the
-// same trace. After PR 3 removed the n*-rebuild cliff, the worst
-// per-request latency at n = 10⁵ (~9 ms) was the occupancy/job-table
-// rehash when the map doubled — the same shape of cliff the paper
-// amortizes away, now spread across requests by util/flat_hash.hpp's
-// two-table migration (DESIGN.md §8, EXPERIMENTS.md §E16).
+// boundaries under the incremental two-table rehash. After PR 3 removed
+// the n*-rebuild cliff, the worst per-request latency at n = 10⁵ (~9 ms)
+// was the occupancy/job-table rehash when the map doubled — the same
+// shape of cliff the paper amortizes away, now spread across requests by
+// util/flat_hash.hpp's two-table migration (DESIGN.md §8, EXPERIMENTS.md
+// §E16).
 //
 // Trace shape: an insert ramp to n (crossing every table-doubling
-// boundary), then steady churn at n (tombstone accumulation; in-place
-// purges on the legacy path). Trimming is disabled so the rebuild
-// machinery stays quiet and the measured cliffs are exactly the hash
-// tier's — schedules are byte-identical on both paths regardless
-// (tests/rehash_differential_test.cpp).
+// boundary), then steady churn at n (tombstone accumulation). Trimming is
+// disabled so the rebuild machinery stays quiet and the measured cliffs
+// are exactly the hash tier's.
 //
 // Each row also records the max-latency *trajectory* — the per-chunk
 // maximum across kChunks equal slices of the run — so the cliff shape
-// itself (one spike per doubling vs a flat line) is visible in
-// BENCH_rehash.json, not just the global max.
+// itself (a spike per doubling would show; a flat line is the goal) is
+// visible in BENCH_rehash.json, not just the global max.
 //
 // Max latency is an extreme statistic, and shared hosts inject occasional
-// multi-ms scheduling/page-fault stalls at arbitrary requests. Each mode
+// multi-ms scheduling/page-fault stalls at arbitrary requests. Each size
 // therefore runs kTrials times over the IDENTICAL trace and combines the
 // trajectories element-wise by minimum: a deterministic cliff (a rehash
 // fires at the same table size, hence the same chunk, every trial)
@@ -30,14 +27,9 @@
 // combined trajectory — an estimator of the *deterministic* worst case,
 // which is exactly what the CI regression gate needs to be stable on.
 // Percentile fields come from the trial with the smallest raw max.
-//
-// Flags: common ones (--csv, --json[=path], --quick) plus --legacy-rehash
-// to run ONLY the stop-the-world mode (manual A/B; by default both modes
-// run and the speedup column compares them).
 #include <algorithm>
 #include <chrono>
 #include <cstdio>
-#include <cstring>
 #include <string>
 #include <vector>
 
@@ -73,12 +65,11 @@ std::vector<Request> trace_for(std::size_t n) {
   return make_churn_trace(params);
 }
 
-LatencyResult run_single(const std::vector<Request>& trace, bool legacy) {
+LatencyResult run_single(const std::vector<Request>& trace) {
   using Clock = std::chrono::steady_clock;
   SchedulerOptions options;
   options.overflow = OverflowPolicy::kBestEffort;
   options.trimming = false;  // no n*-rebuilds: isolate the hash-tier cliffs
-  options.legacy_rehash = legacy;
   ReservationScheduler scheduler(options);
 
   std::vector<double> lat;
@@ -115,11 +106,11 @@ LatencyResult run_single(const std::vector<Request>& trace, bool legacy) {
   return result;
 }
 
-LatencyResult run_mode(const std::vector<Request>& trace, bool legacy, int trials) {
-  LatencyResult best = run_single(trace, legacy);
+LatencyResult run_trials(const std::vector<Request>& trace, int trials) {
+  LatencyResult best = run_single(trace);
   std::vector<double> combined = best.chunk_max_us;
   for (int trial = 1; trial < trials; ++trial) {
-    LatencyResult next = run_single(trace, legacy);
+    LatencyResult next = run_single(trace);
     for (std::size_t i = 0; i < combined.size(); ++i) {
       combined[i] = std::min(combined[i], next.chunk_max_us[i]);
     }
@@ -144,35 +135,31 @@ std::string join_trajectory(const std::vector<double>& chunk_max_us) {
 
 int run(int argc, char** argv) {
   const Args args = parse_args(argc, argv);
-  bool legacy_only = false;
-  for (int i = 1; i < argc; ++i) {
-    if (std::strcmp(argv[i], "--legacy-rehash") == 0) legacy_only = true;
-  }
 
   // Quick mode keeps the LARGE size: the growth cliff this bench guards
   // scales with the table, and at 10⁴ a genuine regression (~0.2 ms) is
   // indistinguishable from scheduler jitter — the CI regression gate
-  // needs the 10⁵ signal (~3 ms legacy vs ~0.4 ms incremental), which two
-  // trials deliver in a few seconds.
+  // needs the 10⁵ signal (~3 ms stop-the-world vs ~0.1–0.2 ms
+  // incremental), which a few trials deliver in a few seconds.
   const std::vector<std::size_t> sizes =
       args.quick ? std::vector<std::size_t>{100'000}
                  : std::vector<std::size_t>{10'000, 100'000};
 
-  Table table("E16 flat-hash growth latency (incremental vs stop-the-world rehash)");
-  table.set_header(
-      {"n", "mode", "requests", "p50us", "p99us", "p999us", "max_ms", "speedup_max"});
+  Table table("E16 flat-hash growth latency (incremental two-table rehash)");
+  table.set_header({"n", "mode", "requests", "p50us", "p99us", "p999us", "max_ms"});
   JsonRows json("e16_rehash");
 
-  const auto emit_row = [&](std::size_t n, const char* mode, const LatencyResult& r,
-                            double speedup_max) {
-    char p50[32], p99[32], p999[32], mx[32], sp[32];
+  // The mode label stays in the rows so they keep matching the committed
+  // baseline's "incremental" rows (tools/bench_compare.py identity keys).
+  const auto emit_row = [&](std::size_t n, const LatencyResult& r) {
+    const char* mode = "incremental";
+    char p50[32], p99[32], p999[32], mx[32];
     std::snprintf(p50, sizeof(p50), "%.2f", r.p50_us);
     std::snprintf(p99, sizeof(p99), "%.1f", r.p99_us);
     std::snprintf(p999, sizeof(p999), "%.1f", r.p999_us);
     std::snprintf(mx, sizeof(mx), "%.3f", r.max_ms);
-    std::snprintf(sp, sizeof(sp), "%.2fx", speedup_max);
     table.add_row({std::to_string(n), mode, std::to_string(r.requests), p50, p99, p999,
-                   mx, sp});
+                   mx});
     json.row()
         .field("n", n)
         .field("mode", mode)
@@ -183,24 +170,11 @@ int run(int argc, char** argv) {
         .field("p99_us", r.p99_us)
         .field("p999_us", r.p999_us)
         .field("max_ms", r.max_ms)
-        .field("speedup_max_vs_legacy", speedup_max)
         .field("trajectory_max_us", join_trajectory(r.chunk_max_us));
   };
 
   const int trials = args.quick ? kTrialsQuick : kTrials;
-  for (const std::size_t n : sizes) {
-    const auto trace = trace_for(n);
-    if (legacy_only) {
-      emit_row(n, "legacy", run_mode(trace, true, trials), 1.0);
-      continue;
-    }
-    const LatencyResult incremental = run_mode(trace, false, trials);
-    const LatencyResult legacy = run_mode(trace, true, trials);
-    const double speedup =
-        incremental.max_ms > 0 ? legacy.max_ms / incremental.max_ms : 0;
-    emit_row(n, "incremental", incremental, speedup);
-    emit_row(n, "legacy", legacy, 1.0);
-  }
+  for (const std::size_t n : sizes) emit_row(n, run_trials(trace_for(n), trials));
 
   emit(table, args);
   json.emit(args, "BENCH_rehash.json");

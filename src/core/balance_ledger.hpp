@@ -21,10 +21,10 @@
 // operation history. The donor pick is the pool's most recently added job
 // (DenseHashSet::back(), O(1)) — the pools are insertion-ordered dense
 // sets, so the pick depends only on the per-window set's own insert/erase
-// sequence and NEVER on hash layout or rehash mode. Two ledgers fed the
-// same per-window sequences make identical choices — the property both
-// the sharded scheduler's byte-identical guarantee and the
-// legacy-vs-incremental rehash differential tests rest on.
+// sequence and NEVER on hash layout or migration state. Two ledgers fed
+// the same per-window sequences make identical choices — the property the
+// sharded scheduler's byte-identical guarantee and the golden digests
+// (tests/golden_digest_test.cpp) rest on.
 #pragma once
 
 #include <cstdint>
@@ -51,17 +51,6 @@ class BalanceLedger {
   /// `machines` is the total machine count m of the reduction (global even
   /// when the ledger instance holds only a stripe of the window space).
   explicit BalanceLedger(unsigned machines = 1) : machines_(machines) {}
-
-  /// Stop-the-world growth for the window map and every per-machine pool
-  /// (the legacy_rehash escape hatch; see util/flat_hash.hpp). Pools
-  /// created later inherit the mode.
-  void set_legacy_rehash(bool legacy) {
-    legacy_rehash_ = legacy;
-    windows_.set_legacy_rehash(legacy);
-    windows_.for_each([&](const Window&, BalanceState& balance) {
-      for (auto& pool : balance.per_machine) pool.set_legacy_rehash(legacy);
-    });
-  }
 
   /// The §3 rebalance migration triggered by an erase, if any.
   struct Migration {
@@ -250,18 +239,12 @@ class BalanceLedger {
     if (track_dirty_) dirty_.mark(w);
   }
 
-  /// Materializes a fresh window's per-machine pools in the ledger's
-  /// configured rehash mode.
+  /// Materializes a fresh window's per-machine pools.
   void ensure_pools(BalanceState& balance) {
-    if (!balance.per_machine.empty()) return;
-    balance.per_machine.resize(machines_);
-    if (legacy_rehash_) {
-      for (auto& pool : balance.per_machine) pool.set_legacy_rehash(true);
-    }
+    if (balance.per_machine.empty()) balance.per_machine.resize(machines_);
   }
 
   unsigned machines_ = 1;
-  bool legacy_rehash_ = false;
   FlatHashMap<Window, BalanceState> windows_;
   /// Dirty-window queue for audit_incremental; off until the first
   /// incremental call so the sequential front end pays nothing by default.

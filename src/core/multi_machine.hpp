@@ -39,15 +39,6 @@ class MultiMachineScheduler final : public IReallocScheduler {
   }
   [[nodiscard]] std::string name() const override;
 
-  /// Stop-the-world growth for the reduction's own tables — the balance
-  /// ledger and the job directory (the legacy_rehash escape hatch; see
-  /// util/flat_hash.hpp). The per-machine schedulers take the flag through
-  /// their own SchedulerOptions.
-  void set_legacy_rehash(bool legacy) {
-    ledger_.set_legacy_rehash(legacy);
-    jobs_.set_legacy_rehash(legacy);
-  }
-
   /// Balancing invariant check (Lemma 3); throws InternalError on violation.
   void audit_balance() const { ledger_.audit(); }
 

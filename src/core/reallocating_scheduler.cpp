@@ -9,11 +9,7 @@ namespace reasched {
 ReallocatingScheduler::ReallocatingScheduler(unsigned machines, SchedulerOptions options)
     : inner_(machines,
              [options] { return std::make_unique<ReservationScheduler>(options); }),
-      label_("reallocating-scheduler[m=" + std::to_string(machines) + "]") {
-  // The per-machine schedulers read the flag from their options; the
-  // reduction's own ledger/directory tables follow the same mode.
-  inner_.set_legacy_rehash(options.legacy_rehash);
-}
+      label_("reallocating-scheduler[m=" + std::to_string(machines) + "]") {}
 
 ReallocatingScheduler::ReallocatingScheduler(unsigned machines,
                                              const MultiMachineScheduler::Factory& factory,

@@ -55,20 +55,9 @@ ReservationScheduler::ReservationScheduler(SchedulerOptions options)
   telemetry::enable(options_.telemetry);
 #endif
   const unsigned count = options_.levels.level_count();
-  if (options_.legacy_rehash) {
-    // Escape hatch: every hot-path table grows stop-the-world (the seed
-    // behavior; bench E16's in-binary baseline). Per-window slot sets are
-    // switched at window creation (insert_impl).
-    jobs_.set_legacy_rehash(true);
-    occ_.set_legacy_rehash(true);
-  }
   levels_.resize(count);
   for (unsigned level = 0; level < count; ++level) {
     auto& ls = levels_[level];
-    if (options_.legacy_rehash) {
-      ls.intervals.set_legacy_rehash(true);
-      ls.windows.set_legacy_rehash(true);
-    }
     ls.max_span = options_.levels.max_span(level);
     ls.max_span_log = floor_log2(ls.max_span);
     if (level >= 1) {
@@ -324,40 +313,21 @@ void ReservationScheduler::reconcile(unsigned level, Time interval_base,
 
 void ReservationScheduler::reconcile_interval(unsigned level, Interval& interval,
                                               std::vector<JobId>& pending) {
-  const auto& ls = levels_[level];
   std::vector<JobId> to_move;
-  if (options_.legacy_fulfillment) {
-    // Seed-equivalent path: cold table, then a full per-slot scan to count
-    // concrete assignments, then another scan per over-assigned window.
-    const auto rows = compute_fulfillment(level, interval);
-    std::unordered_map<WindowKey, std::uint32_t> assigned;
-    for (std::size_t off = 0; off < ls.interval_size; ++off) {
-      const SlotInfo& info = interval.slots[off];
-      if (info.assigned) ++assigned[info.owner];
-    }
-    for (const auto& row : rows) {
-      // Virtual (inactive) windows hold no concrete slots, so a == 0 skips
-      // them implicitly.
-      const auto ait = assigned.find(row.key);
-      const std::uint32_t a = ait == assigned.end() ? 0 : ait->second;
-      if (a <= row.fulfilled) continue;  // lazy under-assignment is fine
-      release_over_assignment(level, interval, row.key, a - row.fulfilled, to_move);
-    }
-  } else {
-    // Cached table (refreshed only if an input changed) + incrementally
-    // tracked assignment counts: detecting over-assignment visits only the
-    // classes that hold assignments at all — no per-slot scan. Note the
-    // a <= f comparison must run even on a cache hit: acquire_slot may have
-    // refreshed the cache after the mutation that scheduled this reconcile,
-    // observing (but not releasing) an over-assignment.
-    const FulRow* rows = fulfillment(level, interval);
-    for (u64 mask = interval.assigned_class_mask; mask != 0; mask &= mask - 1) {
-      const unsigned cls = static_cast<unsigned>(std::countr_zero(mask));
-      const std::uint32_t a = interval.assigned_by_class[cls];
-      if (a <= rows[cls].fulfilled) continue;
-      release_over_assignment(level, interval, rows[cls].key, a - rows[cls].fulfilled,
-                              to_move);
-    }
+  // Cached table (refreshed only if an input changed) + incrementally
+  // tracked assignment counts: detecting over-assignment visits only the
+  // classes that hold assignments at all — no per-slot scan. Lazy
+  // under-assignment (a < f) is fine. Note the a <= f comparison must run
+  // even on a cache hit: acquire_slot may have refreshed the cache after
+  // the mutation that scheduled this reconcile, observing (but not
+  // releasing) an over-assignment.
+  const FulRow* rows = fulfillment(level, interval);
+  for (u64 mask = interval.assigned_class_mask; mask != 0; mask &= mask - 1) {
+    const unsigned cls = static_cast<unsigned>(std::countr_zero(mask));
+    const std::uint32_t a = interval.assigned_by_class[cls];
+    if (a <= rows[cls].fulfilled) continue;
+    release_over_assignment(level, interval, rows[cls].key, a - rows[cls].fulfilled,
+                            to_move);
   }
   for (const JobId job : to_move) move_job(job, pending);
 }
@@ -403,10 +373,10 @@ Time ReservationScheduler::acquire_slot(const WindowKey& w, unsigned level, Time
   // Fast path: an already-materialized free fulfilled slot. Prefer a truly
   // empty one among the first few probes (fewer displacements); any free
   // fulfilled slot is valid per Figure 1 line 15. The early-exit scan is
-  // cheap AND deterministic across rehash modes: free_assigned is a
-  // DenseHashSet, so iteration order is a pure function of the set's own
-  // insert/erase sequence — hash layout never leaks into the pick
-  // (tests/rehash_differential_test.cpp pins the byte-identity).
+  // cheap AND layout-independent: free_assigned is a DenseHashSet, so
+  // iteration order is a pure function of the set's own insert/erase
+  // sequence — hash layout never leaks into the pick
+  // (tests/golden_digest_test.cpp pins the schedules).
   Time empty_hit = kNoSlot;
   Time fallback = kNoSlot;
   int probes = 0;
@@ -434,46 +404,23 @@ Time ReservationScheduler::acquire_slot(const WindowKey& w, unsigned level, Time
     const Time base = nth_interval_base(w, level, idx);
     Interval& interval = get_or_create_interval(level, base);
 
-    std::uint32_t fulfilled = 0;
-    std::uint32_t assigned_here = 0;
-    Time free_any = kNoSlot;
-    Time free_empty = kNoSlot;
-    if (options_.legacy_fulfillment) {
-      // Seed-equivalent: cold table plus a full slot scan that both counts
-      // assignments and hunts for free slots.
-      const auto rows = compute_fulfillment(level, interval);
-      fulfilled = rows[cls].fulfilled;
+    // Cached table + incrementally tracked assignment count: the spare
+    // check costs O(1); slots are scanned only when a claim will succeed.
+    const FulRow* rows = fulfillment(level, interval);
+    RS_ASSERT(rows[cls].key == w, "acquire_slot: class row mismatch");
+    if (rows[cls].fulfilled > interval.assigned_by_class[cls]) {
+      Time free_any = kNoSlot;
+      Time free_empty = kNoSlot;
       for (std::size_t off = 0; off < ls.interval_size; ++off) {
         const SlotInfo& info = interval.slots[off];
         const Time slot = interval.base + static_cast<Time>(off);
-        if (info.assigned && info.owner == w) ++assigned_here;
-        if (!info.assigned && !info.lower_occupied && slot != avoid) {
-          if (free_any == kNoSlot) free_any = slot;
-          if (free_empty == kNoSlot && !occ_.occupied(slot)) free_empty = slot;
+        if (info.assigned || info.lower_occupied || slot == avoid) continue;
+        if (free_any == kNoSlot) free_any = slot;
+        if (!occ_.occupied(slot)) {
+          free_empty = slot;
+          break;  // first free slot already recorded; nothing better exists
         }
       }
-    } else {
-      // Cached table + incrementally tracked assignment count: the spare
-      // check costs O(1); slots are scanned only when a claim will succeed.
-      const FulRow* rows = fulfillment(level, interval);
-      RS_ASSERT(rows[cls].key == w, "acquire_slot: class row mismatch");
-      fulfilled = rows[cls].fulfilled;
-      assigned_here = interval.assigned_by_class[cls];
-      if (fulfilled > assigned_here) {
-        for (std::size_t off = 0; off < ls.interval_size; ++off) {
-          const SlotInfo& info = interval.slots[off];
-          const Time slot = interval.base + static_cast<Time>(off);
-          if (info.assigned || info.lower_occupied || slot == avoid) continue;
-          if (free_any == kNoSlot) free_any = slot;
-          if (!occ_.occupied(slot)) {
-            free_empty = slot;
-            break;  // first free slot already recorded; nothing better exists
-          }
-        }
-      }
-    }
-
-    if (fulfilled > assigned_here) {
       const Time slot = free_empty != kNoSlot ? free_empty : free_any;
       if (slot == kNoSlot) continue;  // only free slot was `avoid`; try elsewhere
       assign_slot(level, interval, slot, w);
@@ -839,13 +786,7 @@ void ReservationScheduler::insert_impl(JobId id, Window original) {
       const WindowKey w(trimmed);
       const auto [window_slot, activated] = ls.windows.try_emplace(w);
       ActiveWindow& window = *window_slot;
-      if (activated) {
-        note_window_activated(level, ls.class_of(w));
-        if (options_.legacy_rehash) {
-          window.assigned_slots.set_legacy_rehash(true);
-          window.free_assigned.set_legacy_rehash(true);
-        }
-      }
+      if (activated) note_window_activated(level, ls.class_of(w));
       const u64 x_old = window.jobs;
       window.jobs = x_old + 1;
       if (audit_engine_) audit_engine_->on_window_jobs(level, w, +1);
@@ -1037,7 +978,7 @@ void ReservationScheduler::recover_or_reject(JobId id, bool reject_outright,
 }
 
 // ---------------------------------------------------------------------------
-// n*-rebuilds: stop-the-world (legacy) and partitioned (default)
+// n*-rebuilds: stop-the-world (small sets) and partitioned
 // ---------------------------------------------------------------------------
 
 void ReservationScheduler::maybe_rebuild_on_insert() {
@@ -1056,10 +997,11 @@ void ReservationScheduler::rebuild(u64 new_n_star) {
   // sets, custom towers): finish the old generation first, synchronously —
   // the burst is bounded by that same tiny size.
   if (migration_ != nullptr) flush_migration();
-  if (options_.legacy_rebuild || jobs_.size() <= options_.rebuild_batch) {
+  if (jobs_.size() <= options_.rebuild_batch) {
     // Small sets: one request's migration budget covers the whole set, so
     // the stop-the-world path IS the partitioned path (and keeps the seed's
     // exact per-request behavior, which the small-n unit tests pin down).
+    // rebuild_batch = SIZE_MAX therefore makes every rebuild stop-the-world.
     rebuild_stop_the_world(new_n_star);
   } else {
     begin_partitioned_rebuild(new_n_star);
@@ -1114,10 +1056,10 @@ void ReservationScheduler::rebuild_stop_the_world(u64 new_n_star) {
 
 void ReservationScheduler::begin_partitioned_rebuild(u64 new_n_star) {
   // The boundary request only snapshots the reinsertion work list (sorted
-  // by JobId — the exact legacy reinsertion order) and flips n*; all actual
+  // by JobId — the stop-the-world reinsertion order) and flips n*; all actual
   // reinsertion happens in per-request batches (step_migration). n_star_
   // becomes the target immediately so trimming of interim inserts and the
-  // next trigger evaluation behave exactly as on the legacy path.
+  // next trigger evaluation behave exactly as on the stop-the-world path.
   n_star_ = new_n_star;
   RS_TELEM_COUNTER(kBegins, "rebuild.begins");
   RS_TELEM_ADD(kBegins, 1);
@@ -1131,13 +1073,12 @@ void ReservationScheduler::begin_partitioned_rebuild(u64 new_n_star) {
   // tracked so the dirty sets can follow the data across the swap) but
   // never audits autonomously — the parent's audit drives it (cadence 0).
   shadow_options.audit_policy.cadence = 0;
-  shadow_options.legacy_rebuild = true;  // a nested trigger during replay is
-                                         // served synchronously, exactly as
-                                         // the legacy path would at that
-                                         // request
+  // A nested trigger during replay is served synchronously, exactly as the
+  // stop-the-world path would at that request.
+  shadow_options.rebuild_batch = std::numeric_limits<std::size_t>::max();
   // Replay must not throw mid-migration (the original caller is long gone);
-  // best-effort parks instead. Divergence from a kThrow legacy run is only
-  // possible outside the underallocated regime — see DESIGN.md §6.
+  // best-effort parks instead. Divergence from a kThrow stop-the-world run
+  // is only possible outside the underallocated regime — see DESIGN.md §6.
   shadow_options.overflow = OverflowPolicy::kBestEffort;
   migration->shadow = std::make_unique<ReservationScheduler>(std::move(shadow_options));
   migration->shadow->n_star_ = new_n_star;
@@ -1155,7 +1096,8 @@ void ReservationScheduler::step_migration(std::size_t budget) {
 #endif
 
   // Phase 1: reinsert the boundary snapshot in JobId order — the same
-  // insert_impl-with-in_rebuild_ loop the legacy rebuild runs, just sliced.
+  // insert_impl-with-in_rebuild_ loop the stop-the-world rebuild runs, just
+  // sliced.
   while (budget > 0 && m.reinsert_next < m.reinsert.size()) {
     const auto& [id, original] = m.reinsert[m.reinsert_next++];
     shadow.in_rebuild_ = true;
@@ -1166,7 +1108,7 @@ void ReservationScheduler::step_migration(std::size_t budget) {
 
   // Phase 2: replay the interim requests in arrival order through the
   // shadow's full request path (trigger checks included), exactly as the
-  // legacy scheduler would have served them post-rebuild.
+  // stop-the-world scheduler would have served them post-rebuild.
   while (budget > 0 && m.replay_next < m.replay.size()) {
     const QueuedRequest q = m.replay[m.replay_next++];
     try {
@@ -1202,7 +1144,7 @@ void ReservationScheduler::complete_migration() {
            "partitioned rebuild: generation job sets diverged");
   RS_CHECK(shadow.n_star_ == n_star_, "partitioned rebuild: n* diverged");
 
-  // Honest reallocation accounting, same rule as the legacy rebuild: one
+  // Honest reallocation accounting, same rule as the stop-the-world rebuild: one
   // reallocation per job whose placement differs across the flip.
   u64 moved = 0;
   shadow.jobs_.for_each([&](const JobId& id, const JobState& shadow_job) {

@@ -31,8 +31,8 @@
 //    so only those two are invalidated. Together with per-class assignment
 //    counts this makes reconcile O(span classes) when nothing needs
 //    releasing, instead of the seed's cold recompute plus two O(interval)
-//    slot scans on every touch. SchedulerOptions::legacy_fulfillment
-//    preserves the seed path as an in-binary baseline.
+//    slot scans on every touch. verify_fulfillment_cache() and the audit
+//    hold the cache to a cold recomputation.
 //
 //  * Interval state is arena-backed (DESIGN.md §6). All per-interval arrays
 //    — the slot table, the cached fulfillment rows, the per-class
@@ -68,15 +68,16 @@
 //  * Trimming (§4 "Trimming Windows to n"): n* doubles/halves with the
 //    active-job count; windows wider than 2γn* are trimmed to an aligned
 //    sub-window of span 2γn*. On every n* change the schedule is rebuilt —
-//    by default with the *partitioned* rebuild (below), or from scratch on
-//    the rebuild request itself when SchedulerOptions::legacy_rebuild is
-//    set (amortized O(1) reallocations per request either way).
+//    with the *partitioned* rebuild (below), or from scratch on the
+//    rebuild request itself when the active set is at most
+//    SchedulerOptions::rebuild_batch (amortized O(1) reallocations per
+//    request either way).
 //
 //  * Partitioned n*-rebuild (DESIGN.md §6). The stop-the-world rebuild
 //    reinserts the whole active set inside one request — a Θ(n) latency
 //    cliff (bench E14). Instead, the boundary request only snapshots the
-//    active set (sorted by JobId, the legacy reinsertion order) and flips
-//    n* ; a *shadow generation* — a second ReservationScheduler — is then
+//    active set (sorted by JobId, the stop-the-world reinsertion order) and
+//    flips n* ; a *shadow generation* — a second ReservationScheduler — is then
 //    built incrementally, `rebuild_batch` reinsertions per request, while
 //    the old generation keeps serving. Requests arriving mid-migration are
 //    served by the old generation (placements stay valid: trimming only
@@ -87,12 +88,13 @@
 //    count), and the old generation is *retired*: its interval arenas and
 //    ledgers are trimmed one level per subsequent request ("deferred
 //    trimming"), so teardown never lands on one request either. The final
-//    state is byte-identical to the legacy path's — both execute exactly
-//    ⟨reinsert snapshot in JobId order, then replay the interim requests in
+//    state is byte-identical to the stop-the-world path's — both execute
+//    exactly ⟨reinsert snapshot in JobId order, then replay the interim requests in
 //    arrival order⟩ against fresh state — which the differential suite
 //    asserts (tests/partitioned_rebuild_test.cpp). Rebuilds of at most
 //    rebuild_batch jobs complete synchronously inside the boundary request
-//    (exactly the legacy behavior, spike included — it is O(batch)).
+//    (exactly the stop-the-world behavior, spike included — it is
+//    O(batch)).
 //
 // Containers: every hot lookup runs on open-addressing flat tables
 // (util/flat_hash.hpp) and slot occupancy lives in an OccupancyIndex
@@ -174,7 +176,7 @@ class ReservationScheduler final : public IReallocScheduler {
   /// Current n* estimate (§4 "Trimming Windows to n"). During a partitioned
   /// migration this is already the *target* value the generation flip is
   /// building toward — trimming of new inserts and the doubling/halving
-  /// triggers both use it, exactly as the legacy path would.
+  /// triggers both use it, exactly as the stop-the-world path would.
   [[nodiscard]] std::uint64_t n_star() const noexcept { return n_star_; }
   /// Jobs currently placed outside the reservation system (degraded mode).
   [[nodiscard]] std::uint64_t parked_jobs() const noexcept { return parked_count_; }
@@ -333,8 +335,8 @@ class ReservationScheduler final : public IReallocScheduler {
   ///
   /// The arrays never move (arena chunks are stable), so Interval values
   /// may be copied/moved freely by the enclosing flat map; the memory is
-  /// reclaimed only wholesale — arena reset (legacy rebuild, emergency) or
-  /// retire-and-trim (partitioned rebuild).
+  /// reclaimed only wholesale — arena reset (stop-the-world rebuild,
+  /// emergency) or retire-and-trim (partitioned rebuild).
   struct Interval {
     Time base = 0;
     /// interval_size cells; zeroed at carve.
@@ -366,8 +368,8 @@ class ReservationScheduler final : public IReallocScheduler {
     std::uint64_t jobs = 0;  // x
     /// All concrete fulfilled slots of this window (global coordinates).
     /// Dense sets: iteration is insertion-ordered and layout-independent,
-    /// so the acquire_slot fast-path pick stays deterministic across
-    /// rehash modes (util/flat_hash.hpp, DenseHashSet).
+    /// so the acquire_slot fast-path pick never depends on table layout
+    /// (util/flat_hash.hpp, DenseHashSet).
     DenseHashSet<Time> assigned_slots;
     /// Subset of assigned_slots with no job of this level on them — the
     /// slots Invariant 6 / Lemma 8 hand out. (They may hold a higher-level
@@ -526,9 +528,9 @@ class ReservationScheduler final : public IReallocScheduler {
   [[nodiscard]] Window trim(JobId id, Window w) const;
   void maybe_rebuild_on_insert();
   void maybe_rebuild_on_erase();
-  /// n* changed: dispatches to the stop-the-world rebuild (legacy_rebuild,
-  /// or small active sets where one request's worth of migration budget
-  /// covers the whole set) or starts a partitioned migration.
+  /// n* changed: dispatches to the stop-the-world rebuild (active sets
+  /// where one request's worth of migration budget, rebuild_batch, covers
+  /// the whole set) or starts a partitioned migration.
   void rebuild(u64 new_n_star);
   /// The active set as (id, original window), ascending JobId — the
   /// reinsertion order of BOTH rebuild paths. Byte-identity of the

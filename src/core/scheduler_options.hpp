@@ -66,35 +66,6 @@ struct SchedulerOptions {
   /// verifiably zero audit work (bench_e15 smoke).
   audit::AuditPolicy audit_policy{};
 
-  /// Seed-equivalent fulfillment path: recompute every fulfillment table
-  /// cold (fresh allocation, full per-slot reconcile scans) instead of
-  /// consuming the incremental per-interval cache. The schedules produced
-  /// are identical — Observation 7 makes fulfillment a pure function of the
-  /// ledgers — so this exists purely as the in-binary baseline for the
-  /// hot-path benchmarks (EXPERIMENTS.md §E12) and for differential tests.
-  bool legacy_fulfillment = false;
-
-  /// Stop-the-world n*-rebuild path: reinsert the whole active set inside
-  /// the rebuild-triggering request (the seed behavior, a Θ(n) latency
-  /// cliff) instead of the partitioned shadow-generation migration. The
-  /// quiescent schedules produced are byte-identical on both paths — the
-  /// migration executes the exact same reinsertion+replay sequence, just
-  /// sliced across requests — so this exists as the in-binary baseline for
-  /// the rebuild-latency benchmark (EXPERIMENTS.md §E14, --legacy-rebuild)
-  /// and for the partitioned-rebuild differential tests.
-  bool legacy_rebuild = false;
-
-  /// Stop-the-world flat-hash growth: the scheduler's hot-path tables
-  /// (job table, occupancy index, slot-run pages, interval and window
-  /// ledgers) rehash in place when they double (the seed behavior, a
-  /// Θ(table) latency cliff) instead of migrating through the two-table
-  /// incremental scheme (util/flat_hash.hpp, DESIGN.md §8). Schedules are
-  /// byte-identical on both paths — every layout-sensitive choice point
-  /// picks a canonical element — so this exists as the in-binary baseline
-  /// for the rehash-latency benchmark (EXPERIMENTS.md §E16, --legacy) and
-  /// for the rehash differential tests.
-  bool legacy_rehash = false;
-
   /// Runtime gate for the telemetry tier (src/telemetry/, DESIGN.md §10).
   /// Constructing a scheduler with `telemetry.enabled` flips the
   /// process-wide recording switches (turn-on only); the RS_TELEM_* record
@@ -107,6 +78,10 @@ struct SchedulerOptions {
   /// migration is in flight. Also the synchronous-rebuild cutoff — active
   /// sets no larger than this rebuild stop-the-world inside the boundary
   /// request, which is exactly one request's worth of migration budget.
+  /// std::numeric_limits<std::size_t>::max() therefore makes every n*
+  /// rebuild stop-the-world (the seed behavior, a Θ(n) latency cliff, and
+  /// the baseline of the rebuild-latency benchmark, EXPERIMENTS.md §E14);
+  /// the quiescent schedules are byte-identical either way.
   std::size_t rebuild_batch = 64;
 };
 

@@ -122,6 +122,11 @@ class ByteSource {
   [[nodiscard]] std::size_t remaining() const noexcept { return len_ - pos_; }
   [[nodiscard]] bool exhausted() const noexcept { return pos_ == len_; }
 
+  /// Rejects the input as malformed (throws CorruptInput). The templated
+  /// decoders in util/ report impossible fields through this, so they
+  /// surface as CorruptInput without naming the durability tier.
+  [[noreturn]] void corrupt(const char* what) const { throw CorruptInput(what); }
+
  private:
   void need(std::size_t n) const {
     if (len_ - pos_ < n) throw CorruptInput("durability: truncated input");

@@ -8,7 +8,9 @@ namespace reasched::durability {
 namespace {
 
 constexpr std::uint64_t kStateMagic = 0x5253534E41503031ULL;  // "RSSNAP01"
-constexpr std::uint32_t kStateVersion = 1;
+// Bumped on any change to the encoding. A snapshot of another version is
+// refused, and recovery falls back to an older snapshot or a WAL replay.
+constexpr std::uint32_t kStateVersion = 2;
 
 void put_window_key(ByteSink& sink, const WindowKey& w) {
   sink.i64(w.start);
@@ -30,10 +32,9 @@ void put_time_key(ByteSink& sink, const Time& t) {
 
 std::uint64_t SchedulerPersist::options_fingerprint(const SchedulerOptions& o) {
   // FNV-1a over the fields that shape placements and replay determinism.
-  // The legacy_* toggles and audit policy are deliberately absent: both
-  // rehash modes and both fulfillment paths produce byte-identical
-  // schedules (the differential suites' contract), so a snapshot written
-  // under one loads correctly under the other.
+  // The audit policy is deliberately absent: auditing never changes a
+  // placement, so a snapshot written under one policy loads correctly
+  // under another.
   std::uint64_t h = 0xcbf29ce484222325ULL;
   const auto mix = [&h](std::uint64_t v) {
     h ^= v;
@@ -214,17 +215,12 @@ void SchedulerPersist::load(ReservationScheduler& s, ByteSource& source) {
       throw CorruptInput("snapshot: interval shell/payload count mismatch");
     }
 
-    const bool legacy = s.options_.legacy_rehash;
     ls.windows.deserialize(
-        source, [legacy](ByteSource& in, WindowKey& key,
-                         ReservationScheduler::ActiveWindow& window) {
+        source, [](ByteSource& in, WindowKey& key,
+                   ReservationScheduler::ActiveWindow& window) {
           key = get_window_key(in);
           window.jobs = in.u64();
           window.claim_cursor = in.u64();
-          if (legacy) {
-            window.assigned_slots.set_legacy_rehash(true);
-            window.free_assigned.set_legacy_rehash(true);
-          }
           window.assigned_slots.deserialize(
               in, [](ByteSource& i, Time& t) { t = i.i64(); });
           window.free_assigned.deserialize(
@@ -242,21 +238,6 @@ void SchedulerPersist::load(ReservationScheduler& s, ByteSource& source) {
     }
   }
   if (!source.exhausted()) throw CorruptInput("snapshot: trailing bytes");
-
-  // Tables deserialize with the rehash mode they were *saved* under (part
-  // of the exact-layout round-trip); the target's configured mode governs
-  // future growth. Schedules are identical either way — the rehash
-  // differential contract — so a snapshot written under one mode loads
-  // correctly under the other; in legacy mode this completes any in-flight
-  // table migrations the snapshot carried.
-  if (s.options_.legacy_rehash) {
-    s.jobs_.set_legacy_rehash(true);
-    s.occ_.set_legacy_rehash(true);
-    for (auto& ls : s.levels_) {
-      ls.intervals.set_legacy_rehash(true);
-      ls.windows.set_legacy_rehash(true);
-    }
-  }
 
   // Wholesale state change under an attached engine: escalate so the next
   // incremental audit runs one full sweep and reseeds the dirty-tracking

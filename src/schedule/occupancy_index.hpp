@@ -26,14 +26,6 @@ namespace reasched {
 
 class OccupancyIndex {
  public:
-  /// Stop-the-world growth for the occupant map and the run bitmaps (the
-  /// SchedulerOptions::legacy_rehash escape hatch; see util/flat_hash.hpp).
-  void set_legacy_rehash(bool legacy) {
-    legacy_rehash_ = legacy;
-    slots_.set_legacy_rehash(legacy);
-    runs_.set_legacy_rehash(legacy);
-  }
-
   /// Marks the free slot t occupied by `id`.
   void place(Time t, JobId id) {
     const auto [slot, inserted] = slots_.try_emplace(t);
@@ -96,20 +88,17 @@ class OccupancyIndex {
       id.value = s.u64();
     });
     runs_ = SlotRuns{};
-    runs_.set_legacy_rehash(legacy_rehash_);
     slots_.for_each([&](Time t, const JobId&) { runs_.occupy(t); });
   }
 
   void clear() {
     slots_.clear();
     runs_ = SlotRuns{};
-    runs_.set_legacy_rehash(legacy_rehash_);  // mode survives the reset
   }
 
  private:
   FlatHashMap<Time, JobId> slots_;
   SlotRuns runs_;
-  bool legacy_rehash_ = false;
 };
 
 }  // namespace reasched

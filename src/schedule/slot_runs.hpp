@@ -40,13 +40,6 @@ class SlotRuns {
   /// Sentinel returned by next_occupied when no occupied slot exists >= t.
   static constexpr Time kNone = std::numeric_limits<Time>::max();
 
-  /// Stop-the-world growth for the page/summary maps (the
-  /// SchedulerOptions::legacy_rehash escape hatch; see util/flat_hash.hpp).
-  void set_legacy_rehash(bool legacy) {
-    pages_.set_legacy_rehash(legacy);
-    summary_.set_legacy_rehash(legacy);
-  }
-
   /// Marks slot t occupied. Precondition: currently free.
   void occupy(Time t) {
     u64& bits = pages_[page_of(t)];

@@ -32,14 +32,12 @@ unsigned clamp_shards(unsigned shards, unsigned machines) {
 ShardedScheduler::ShardedScheduler(unsigned machines, const Factory& factory,
                                    Options options)
     : shards_(clamp_shards(options.shards, machines)),
-      work_stealing_(options.work_stealing),
       ledger_(machines, auto_stripes(options)),
       pool_(shards_ - 1) {
   RS_REQUIRE(machines >= 1, "ShardedScheduler: need at least one machine");
 #if RS_TELEM_COMPILED
   telemetry::enable(options.telemetry);
 #endif
-  if (options.legacy_rehash) ledger_.set_legacy_rehash(true);
   machines_.reserve(machines);
   for (unsigned i = 0; i < machines; ++i) {
     auto scheduler = factory();
@@ -127,14 +125,17 @@ void ShardedScheduler::sync_wal() {
 std::string ShardedScheduler::name() const { return label_; }
 
 std::size_t ShardedScheduler::audit_balance_incremental() {
-  // Stripes partition across workers by index; each worker audits its
-  // stripes under their own locks, so the per-stripe dirty sets are checked
-  // concurrently with no shared mutable state beyond the stripe mutexes.
-  std::vector<std::size_t> verified(shards_, 0);
-  run_sharded([&](unsigned worker) {
-    for (std::size_t stripe = worker; stripe < ledger_.stripes(); stripe += shards_) {
-      verified[worker] += ledger_.audit_stripe_incremental(stripe);
-    }
+  // One task per stripe, each under its own stripe lock, so the per-stripe
+  // dirty sets are checked concurrently with no shared mutable state
+  // beyond the stripe mutexes.
+  const std::size_t stripes = ledger_.stripes();
+  std::vector<unsigned> home(stripes);
+  for (std::size_t stripe = 0; stripe < stripes; ++stripe) {
+    home[stripe] = static_cast<unsigned>(stripe % shards_);
+  }
+  std::vector<std::size_t> verified(stripes, 0);
+  run_stealable(stripes, home, [&](std::size_t stripe) {
+    verified[stripe] = ledger_.audit_stripe_incremental(stripe);
   });
   std::size_t total = 0;
   for (const std::size_t count : verified) total += count;
@@ -217,32 +218,13 @@ Schedule ShardedScheduler::snapshot() const {
 
 // --------------------------------------------------------------- batch path
 
-void ShardedScheduler::run_sharded(const std::function<void(unsigned)>& task) {
-  std::vector<std::future<void>> futures;
-  futures.reserve(shards_ - 1);
-  for (unsigned k = 1; k < shards_; ++k) {
-    futures.push_back(pool_.submit_to(k - 1, [&task, k] { task(k); }));
-  }
-  std::exception_ptr first;
-  try {
-    task(0);
-  } catch (...) {
-    first = std::current_exception();
-  }
-  for (auto& future : futures) {
-    try {
-      future.get();
-    } catch (...) {
-      if (!first) first = std::current_exception();
-    }
-  }
-  if (first) std::rethrow_exception(first);
-}
-
 void ShardedScheduler::run_stealable(
     std::size_t count, const std::vector<unsigned>& home_shard,
     const std::function<void(std::size_t)>& task) {
-  RS_CHECK(shards_ > 1, "run_stealable needs at least one pool worker");
+  if (shards_ == 1) {
+    for (std::size_t t = 0; t < count; ++t) task(t);
+    return;
+  }
   std::vector<std::future<void>> futures;
   futures.reserve(count);
   for (std::size_t t = 0; t < count; ++t) {
@@ -385,34 +367,23 @@ void ShardedScheduler::apply_subbatch(std::span<const Request> batch,
                                       std::vector<std::uint8_t>& status,
                                       std::vector<RequestStats>& stats,
                                       FlatHashSet<JobId>& rejected_ids) {
-  // Bucket request indices by plan unit. Each bucket preserves batch
-  // order, so every window's requests are planned in order by exactly one
-  // task. With work stealing the unit is the *stripe* (any thread may run
-  // it — the stripe lock guards the ledger, and finer granules are what
-  // idle workers steal); pinned mode keeps the seed's stripe-mod-shards
-  // buckets, one per worker.
-  const bool steal = work_stealing_ && shards_ > 1;
+  // Bucket request indices by plan unit, the *stripe*: any thread may run
+  // it (the stripe lock guards the ledger, and stripe-sized granules are
+  // what idle workers steal). Each bucket preserves batch order, so every
+  // window's requests are planned in order by exactly one task.
   std::vector<std::vector<std::uint32_t>> buckets;
   std::vector<unsigned> bucket_home;
-  if (steal) {
-    std::vector<std::int32_t> slot(ledger_.stripes(), -1);
-    for (std::size_t i = first; i < end; ++i) {
-      if (status[i] == kRejected) continue;
-      const std::uint32_t stripe = resolved[i].stripe;
-      if (slot[stripe] < 0) {
-        slot[stripe] = static_cast<std::int32_t>(buckets.size());
-        buckets.emplace_back();
-        bucket_home.push_back(stripe % shards_);
-      }
-      buckets[static_cast<std::size_t>(slot[stripe])].push_back(
-          static_cast<std::uint32_t>(i));
+  std::vector<std::int32_t> slot(ledger_.stripes(), -1);
+  for (std::size_t i = first; i < end; ++i) {
+    if (status[i] == kRejected) continue;
+    const std::uint32_t stripe = resolved[i].stripe;
+    if (slot[stripe] < 0) {
+      slot[stripe] = static_cast<std::int32_t>(buckets.size());
+      buckets.emplace_back();
+      bucket_home.push_back(stripe % shards_);
     }
-  } else {
-    buckets.resize(shards_);
-    for (std::size_t i = first; i < end; ++i) {
-      if (status[i] == kRejected) continue;
-      buckets[resolved[i].stripe % shards_].push_back(static_cast<std::uint32_t>(i));
-    }
+    buckets[static_cast<std::size_t>(slot[stripe])].push_back(
+        static_cast<std::uint32_t>(i));
   }
 
   // ---- plan: commit delegation decisions, emit machine op lists ----
@@ -468,11 +439,7 @@ void ShardedScheduler::apply_subbatch(std::span<const Request> batch,
       }
     }
   };
-  if (steal) {
-    run_stealable(buckets.size(), bucket_home, plan_bucket);
-  } else {
-    run_sharded([&](unsigned worker) { plan_bucket(worker); });
-  }
+  run_stealable(buckets.size(), bucket_home, plan_bucket);
 
   // ---- distribute: per-machine op lists in sequential request order ----
   std::vector<std::vector<Op>> machine_ops(machines_.size());
@@ -486,10 +453,9 @@ void ShardedScheduler::apply_subbatch(std::span<const Request> batch,
   }
 
   // ---- apply: execute the per-machine op lists ----
-  // Each machine's list runs on exactly one thread either way; with work
-  // stealing the unit is the machine (home = owning shard's worker), so a
-  // hotspot shard's machines spread to idle siblings instead of
-  // serializing behind one worker.
+  // Each machine's list runs on exactly one thread; the unit is the
+  // machine (home = owning shard's worker), so a hotspot shard's machines
+  // spread to idle siblings instead of serializing behind one worker.
   std::vector<std::size_t> applied(machines_.size(), 0);
   std::atomic<bool> failed{false};
   const auto apply_machine = [&](unsigned machine) {
@@ -510,32 +476,20 @@ void ShardedScheduler::apply_subbatch(std::span<const Request> batch,
       applied[machine] = k + 1;
     }
   };
-  if (steal) {
-    std::vector<unsigned> work_machines;
-    std::vector<unsigned> machine_home;
-    for (unsigned machine = 0; machine < machines_.size(); ++machine) {
-      if (machine_ops[machine].empty()) continue;
-      work_machines.push_back(machine);
-      const auto it = std::upper_bound(shard_begin_.begin(), shard_begin_.end(),
-                                       machine);
-      machine_home.push_back(
-          static_cast<unsigned>(it - shard_begin_.begin()) - 1);
-    }
-    run_stealable(work_machines.size(), machine_home, [&](std::size_t t) {
-      RS_TELEM_DURATION(kApplyHist, "svc.apply");
-      RS_TELEM_SPAN(apply_span, kApplyHist, "svc.apply");
-      apply_machine(work_machines[t]);
-    });
-  } else {
-    run_sharded([&](unsigned shard) {
-      RS_TELEM_DURATION(kApplyHist, "svc.apply");
-      RS_TELEM_SPAN(apply_span, kApplyHist, "svc.apply");
-      for (unsigned machine = shard_begin_[shard];
-           machine < shard_begin_[shard + 1]; ++machine) {
-        apply_machine(machine);
-      }
-    });
+  std::vector<unsigned> work_machines;
+  std::vector<unsigned> machine_home;
+  for (unsigned machine = 0; machine < machines_.size(); ++machine) {
+    if (machine_ops[machine].empty()) continue;
+    work_machines.push_back(machine);
+    const auto it = std::upper_bound(shard_begin_.begin(), shard_begin_.end(),
+                                     machine);
+    machine_home.push_back(static_cast<unsigned>(it - shard_begin_.begin()) - 1);
   }
+  run_stealable(work_machines.size(), machine_home, [&](std::size_t t) {
+    RS_TELEM_DURATION(kApplyHist, "svc.apply");
+    RS_TELEM_SPAN(apply_span, kApplyHist, "svc.apply");
+    apply_machine(work_machines[t]);
+  });
 
   if (failed.load()) {
     // Rare path: a machine rejected an optimistically planned insert. Undo
@@ -593,8 +547,8 @@ void ShardedScheduler::rollback_subbatch(
     RS_CHECK(false, "ShardedScheduler::apply: batch rollback failed");
   }
 
-  // Ledger state: unwind every commit in reverse per-worker order. Each
-  // window's commits live in exactly one worker's log, so per-worker
+  // Ledger state: unwind every commit in reverse per-bucket order. Each
+  // window's commits live in exactly one plan bucket's log, so per-bucket
   // reversal unwinds every window's sequence exactly.
   for (const PlanOutput& plan : plans) {
     for (std::size_t k = plan.log.size(); k-- > 0;) {

@@ -1,10 +1,11 @@
 // Sharded batch-scheduling service (service layer over the §3 reduction).
 //
 // A ShardedScheduler owns the same per-machine single-machine schedulers as
-// MultiMachineScheduler, partitioned into contiguous *shards* of machines,
-// each pinned to one worker of a ShardedThreadPool (per-shard queues). The
-// balancer ledger is striped (service/striped_ledger.hpp) so delegation
-// decisions for different windows proceed concurrently.
+// MultiMachineScheduler, partitioned into contiguous *shards* of machines;
+// shard k's *home* worker is the caller for k = 0 and pool worker k - 1 of
+// a ShardedThreadPool otherwise. The balancer ledger is striped
+// (service/striped_ledger.hpp) so delegation decisions for different
+// windows proceed concurrently.
 //
 // apply(batch) serves a whole request batch in three phases:
 //
@@ -17,11 +18,20 @@
 //      to the striped ledger, emitting per-machine operation lists. The
 //      per-machine schedulers are untouched; Lemma 3's independence means
 //      the decisions depend only on the ledger.
-//   3. apply (parallel over shards): each shard executes its machines'
-//      operation lists, sorted into request order. Per-request fixed costs
-//      are amortized: one pool handoff per shard per batch, and audit
+//   3. apply (parallel over machines): each machine's operation list,
+//      sorted into request order, runs as one task. Per-request fixed costs
+//      are amortized: one pool handoff per machine per batch, and audit
 //      cadence becomes per-batch instead of per-request (EXPERIMENTS.md
 //      §E13).
+//
+// Both fan-outs submit *stealable* tasks (ShardedThreadPool::
+// submit_stealable) — plan per stripe, apply per machine, each homed on its
+// owning shard's worker — so an idle worker, or the calling thread, helps a
+// backlogged sibling when hotspot placement skews ops toward one
+// contiguous machine→shard range. Which thread runs a task never changes a
+// result: each stripe's plan and each machine's op list is executed by
+// exactly one thread, in order, and Lemma 3 delegation does not depend on
+// which thread commits it.
 //
 // Determinism: for a batch in which no insert is rejected, the resulting
 // schedules, per-request stats, and ledger state are identical to feeding
@@ -47,10 +57,9 @@
 // single-caller discipline; all parallelism is internal to apply().
 // Each per-machine scheduler — and therefore each per-level interval
 // arena it owns (util/arena.hpp) and any in-flight partitioned-rebuild
-// generation — is touched only by its owning shard's worker, so that
-// state is shard-local by construction and needs no locking
-// (DESIGN.md §6); only the striped ledger is shared, behind its stripe
-// locks.
+// generation — is touched by exactly one task per batch phase, and the
+// phases are joined, so that state needs no locking (DESIGN.md §6); only
+// the striped ledger is shared, behind its stripe locks.
 #pragma once
 
 #include <cstdint>
@@ -82,21 +91,6 @@ class ShardedScheduler final : public IReallocScheduler {
     /// Ledger stripes (rounded up to a power of two). 0 = auto:
     /// max(16, 4·shards), enough that concurrent planners rarely collide.
     std::size_t stripes = 0;
-    /// Stop-the-world growth for the striped ledger's tables (the
-    /// legacy_rehash escape hatch; see util/flat_hash.hpp). The machine
-    /// schedulers take the flag through their own SchedulerOptions.
-    bool legacy_rehash = false;
-    /// Fan the plan phase out per *stripe* and the apply phase per
-    /// *machine* as stealable tasks (ShardedThreadPool::submit_stealable),
-    /// so an idle worker — or the calling thread — helps a backlogged
-    /// sibling when hotspot placement skews ops toward one contiguous
-    /// machine→shard range. Off restores the pinned per-worker fan-out
-    /// (the escape hatch, and the A side of the stealing differential
-    /// test). Either setting produces byte-identical schedules: each
-    /// stripe's plan and each machine's op list is still executed by
-    /// exactly one thread, in the same order (Lemma 3 delegation does not
-    /// depend on which thread commits it).
-    bool work_stealing = true;
     /// Durability tier (DESIGN.md §9): when set, every request is appended
     /// write-ahead to one of `shards` per-shard log files in wal->dir
     /// (routed by window stripe; CSNs are assigned globally on the caller
@@ -132,8 +126,8 @@ class ShardedScheduler final : public IReallocScheduler {
     return static_cast<unsigned>(machines_.size());
   }
   [[nodiscard]] unsigned shards() const noexcept { return shards_; }
-  /// Stealable tasks executed off their home worker so far (monotone;
-  /// 0 when Options::work_stealing is off or shards == 1).
+  /// Stealable tasks executed off their home worker so far (monotone; 0
+  /// when shards == 1, where every task runs inline on the caller).
   [[nodiscard]] std::uint64_t steal_count() const noexcept { return pool_.steals(); }
   [[nodiscard]] std::string name() const override;
 
@@ -143,9 +137,9 @@ class ShardedScheduler final : public IReallocScheduler {
 
   /// Incremental balance audit: every stripe re-verifies only the windows
   /// whose delegation state changed since that stripe's last audit, and the
-  /// stripes are fanned out across the shard workers (stripe i is checked
-  /// by worker i mod shards), so shards audit concurrently — each stripe
-  /// check takes only its own stripe lock. First call per stripe is a full
+  /// stripes are fanned out as stealable tasks (stripe i homed on shard
+  /// i mod shards), so shards audit concurrently — each stripe check takes
+  /// only its own stripe lock. First call per stripe is a full
   /// sweep of that stripe (dirty tracking starts then). Returns the number
   /// of windows verified. Throws InternalError on violation.
   std::size_t audit_balance_incremental();
@@ -207,14 +201,11 @@ class ShardedScheduler final : public IReallocScheduler {
 
   enum Status : std::uint8_t { kServed = 0, kRejected = 1 };
 
-  /// Runs task(k) for every shard k; shard 0 runs inline on the caller,
-  /// the rest on their pinned pool workers. Joins all before returning.
-  void run_sharded(const std::function<void(unsigned)>& task);
-
   /// Runs task(t) for t in [0, count) as stealable pool tasks
   /// (home_shard[t] names each task's preferred shard); the caller lends
   /// its own cycles via try_run_stealable while it waits. Joins all before
-  /// returning. Requires shards_ > 1 (the pool must have a worker).
+  /// returning. With one shard the pool has no worker, so the tasks run
+  /// inline on the caller in index order.
   void run_stealable(std::size_t count, const std::vector<unsigned>& home_shard,
                      const std::function<void(std::size_t)>& task);
 
@@ -252,7 +243,6 @@ class ShardedScheduler final : public IReallocScheduler {
 
   std::vector<std::unique_ptr<IReallocScheduler>> machines_;
   unsigned shards_ = 1;
-  bool work_stealing_ = true;
   StripedLedger ledger_;
   std::vector<unsigned> shard_begin_;  // size shards_+1: machine range bounds
   ShardedThreadPool pool_;

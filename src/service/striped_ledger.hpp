@@ -59,16 +59,6 @@ class StripedLedger {
 
   [[nodiscard]] std::size_t stripes() const noexcept { return stripe_mask_ + 1; }
 
-  /// Stop-the-world growth for every stripe's ledger and job directory
-  /// (the legacy_rehash escape hatch; see util/flat_hash.hpp). Call before
-  /// concurrent use — the setter takes no locks.
-  void set_legacy_rehash(bool legacy) {
-    for (std::size_t i = 0; i <= stripe_mask_; ++i) {
-      window_stripes_[i].ledger.set_legacy_rehash(legacy);
-      job_stripes_[i].jobs.set_legacy_rehash(legacy);
-    }
-  }
-
   [[nodiscard]] std::size_t stripe_of(const Window& w) const noexcept {
     return std::hash<Window>{}(w)&stripe_mask_;
   }

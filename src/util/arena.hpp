@@ -12,7 +12,7 @@
 // Lifecycle contract (matches how the scheduler uses interval state):
 //   * carve() hands out a zeroed block; blocks are never freed one by one.
 //   * reset() rewinds the bump cursor and keeps the chunks for reuse — the
-//     legacy (stop-the-world) rebuild and the EDF emergency path clear a
+//     stop-the-world rebuild and the EDF emergency path clear a
 //     level's intervals wholesale and immediately re-materialize, so reuse
 //     avoids re-paying the allocator.
 //   * Destruction frees all chunks at once. The partitioned rebuild retires

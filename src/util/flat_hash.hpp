@@ -10,9 +10,9 @@
 // time through util/probe_group.hpp (SSE2 / NEON / portable-SWAR behind
 // one compile-time seam), which changes probe cost but never probe
 // results — placements, and therefore schedules, stay byte-identical
-// across SIMD, scalar and legacy-rehash arms.
+// across the SIMD and scalar arms (tests/golden_digest_test.cpp).
 //
-// Growth is *incremental* by default (DESIGN.md §8). A stop-the-world
+// Growth is *incremental* (DESIGN.md §8). A stop-the-world
 // rehash of a large table is a latency cliff of exactly the shape the
 // paper's reallocation bounds amortize away — at n = 10⁵ the occupancy
 // table's doubling was the worst per-request latency left after the
@@ -24,9 +24,7 @@
 // an optional drain_rehash(budget) hook lets idle callers finish early.
 // Tables below kMinIncrementalCapacity still rehash in place — copying a
 // few hundred slots is not a cliff, and the scheduler's many small
-// per-window sets keep their seed-identical layouts. set_legacy_rehash()
-// restores the stop-the-world path wholesale (the in-binary baseline for
-// bench E16 and the rehash differential tests).
+// per-window sets keep their seed-identical layouts.
 //
 // Semantics that differ from the std containers — read before use:
 //   * References/iterators are invalidated by any insertion that grows the
@@ -37,8 +35,7 @@
 //     are always reference-stable. Do not hold a reference across a
 //     mutating call into the same container.
 //   * erase() never moves elements when no migration is in flight
-//     (deletion is by tombstone) — the seed contract, unchanged in legacy
-//     mode.
+//     (deletion is by tombstone) — the seed contract.
 //   * Keys and values must be default-constructible. A slot object lives
 //     exactly while its control byte says so: erased slots are destroyed
 //     immediately (owned resources released), and slot arrays are
@@ -49,8 +46,8 @@
 //     scheduler may depend on it: every layout-sensitive *choice* point
 //     (acquire_slot's fast path, the balance ledger's donor pick) selects a
 //     canonical element instead of "first in iteration order", which is
-//     what makes schedules byte-identical across rehash modes
-//     (tests/rehash_differential_test.cpp).
+//     what keeps schedules independent of table layout and migration state
+//     (tests/golden_digest_test.cpp).
 //
 // The default hasher bit-mixes integral keys (std::hash is the identity for
 // them on common standard libraries, which clusters catastrophically under
@@ -186,15 +183,13 @@ class FlatHashMap {
   /// before its own threshold). Total relocation work is fixed, so B only
   /// sets the *window length* during which every op pays the two-table
   /// probe: 32 keeps windows short enough that the steady-state mean
-  /// reaches parity with the stop-the-world layout (E12 vs_legacy_rehash
-  /// gate), while a
-  /// 32-slot ctrl scan per mutating call stays a fraction of the 1 ms
-  /// growth-cliff ceiling (E16: measured max stays in the tens of µs).
+  /// reached parity with the stop-the-world layout (EXPERIMENTS.md §E12),
+  /// while a 32-slot ctrl scan per mutating call stays a fraction of the
+  /// 1 ms growth-cliff ceiling (E16: measured max stays in the tens of µs).
   static constexpr std::size_t kMigrateBatch = 32;
-  /// Tables smaller than this rehash in place even in incremental mode:
-  /// copying a few hundred contiguous slots costs microseconds (no cliff),
-  /// and the scheduler's many small per-window sets keep their
-  /// seed-identical layouts.
+  /// Tables smaller than this rehash in place: copying a few hundred
+  /// contiguous slots costs microseconds (no cliff), and the scheduler's
+  /// many small per-window sets keep their seed-identical layouts.
   static constexpr std::size_t kMinIncrementalCapacity = 1024;
 
   FlatHashMap() = default;
@@ -225,22 +220,12 @@ class FlatHashMap {
     std::swap(old_live_, other.old_live_);
     std::swap(size_, other.size_);
     std::swap(used_, other.used_);
-    std::swap(incremental_, other.incremental_);
     std::swap(migrating_, other.migrating_);
   }
 
   [[nodiscard]] std::size_t size() const noexcept { return size_; }
   [[nodiscard]] bool empty() const noexcept { return size_ == 0; }
   [[nodiscard]] std::size_t capacity() const noexcept { return ctrl_.size(); }
-
-  /// Selects the stop-the-world growth path (the seed behavior and the
-  /// in-binary baseline for bench E16). Turning legacy mode on mid-stream
-  /// first completes any in-flight migration.
-  void set_legacy_rehash(bool legacy) {
-    if (legacy && migrating()) finish_migration();
-    incremental_ = !legacy;
-  }
-  [[nodiscard]] bool legacy_rehash() const noexcept { return !incremental_; }
 
   /// True while a two-table migration is in flight (a retiring table still
   /// holds entries to move).
@@ -562,12 +547,14 @@ class FlatHashMap {
     serialize_table(sink, ctrl_, slots_, write);
     serialize_table(sink, old_ctrl_, old_slots_, write);
     sink.u64(migrate_pos_);
-    sink.u64(incremental_ ? 1 : 0);
   }
 
   /// Rebuilds the exact serialized state into *this (any prior contents are
-  /// discarded). Throws whatever Source throws on truncated/corrupt input;
-  /// ctrl bytes are validated so corrupt input cannot fabricate slots.
+  /// discarded). Throws whatever Source throws on truncated input, and
+  /// reports impossible fields through Source::corrupt — a capacity that
+  /// is not a power of two or exceeds the remaining bytes (checked before
+  /// anything is allocated), a ctrl byte outside kEmpty..kTombstone — so
+  /// corrupt input can neither fabricate slots nor force a huge allocation.
   template <class Source, class ReadSlot>
   void deserialize(Source& source, ReadSlot&& read) {
     FlatHashMap fresh;
@@ -581,7 +568,6 @@ class FlatHashMap {
     static_cast<void>(old_used);
     fresh.size_ += fresh.old_live_;
     fresh.migrate_pos_ = static_cast<std::size_t>(source.u64());
-    fresh.incremental_ = source.u64() != 0;
     fresh.migrating_ = !fresh.old_ctrl_.empty();
     *this = std::move(fresh);
   }
@@ -605,15 +591,22 @@ class FlatHashMap {
                                        SlotArray& slots, ReadSlot& read,
                                        std::size_t& live) {
     const std::uint64_t capacity = source.u64();
-    RS_CHECK(capacity == 0 || ((capacity & (capacity - 1)) == 0),
-             "FlatHashMap::deserialize: capacity must be a power of two");
+    if ((capacity & (capacity - 1)) != 0) {
+      source.corrupt("FlatHashMap::deserialize: capacity must be a power of two");
+    }
+    // The ctrl array alone takes `capacity` bytes of input.
+    if (capacity > source.remaining()) {
+      source.corrupt("FlatHashMap::deserialize: capacity exceeds the input");
+    }
     ctrl.assign(static_cast<std::size_t>(capacity), kEmpty);
     if (capacity == 0) return 0;
     source.byte_block(ctrl.data(), ctrl.size());
     slots.allocate(ctrl.size());
     std::size_t used = 0;
     for (std::size_t i = 0; i < ctrl.size(); ++i) {
-      RS_CHECK(ctrl[i] <= kTombstone, "FlatHashMap::deserialize: bad ctrl byte");
+      if (ctrl[i] > kTombstone) {
+        source.corrupt("FlatHashMap::deserialize: bad ctrl byte");
+      }
       if (ctrl[i] != kEmpty) ++used;
       if (ctrl[i] != kFull) continue;
       construct_slot(slots, i, K{});
@@ -852,7 +845,7 @@ class FlatHashMap {
     // strict > chose a futile same-capacity rehash one insert before
     // doubling anyway.
     const std::size_t target = (size_ + 1) * 4 > base * 3 ? base * 2 : base;
-    if (incremental_ && base >= kMinIncrementalCapacity) {
+    if (base >= kMinIncrementalCapacity) {
       start_migration(target);
     } else {
       rehash(target);
@@ -905,7 +898,6 @@ class FlatHashMap {
   std::size_t old_live_ = 0;     // live entries left in the retiring table
   std::size_t size_ = 0;  // live entries across both tables
   std::size_t used_ = 0;  // active-table live entries + tombstones
-  bool incremental_ = true;
   /// Cached !old_ctrl_.empty(): the fast paths branch on one byte instead
   /// of recomputing vector emptiness per call (maintained by
   /// start_migration / release_old_table / swap / deserialize).
@@ -923,8 +915,6 @@ class FlatHashSet {
   void clear() { map_.clear(); }
   void reserve(std::size_t count) { map_.reserve(count); }
 
-  void set_legacy_rehash(bool legacy) { map_.set_legacy_rehash(legacy); }
-  [[nodiscard]] bool legacy_rehash() const noexcept { return map_.legacy_rehash(); }
   [[nodiscard]] bool rehash_in_flight() const noexcept { return map_.rehash_in_flight(); }
   [[nodiscard]] std::size_t migration_pending() const noexcept {
     return map_.migration_pending();
@@ -984,12 +974,12 @@ class FlatHashSet {
 /// swap-with-last (O(1), order changes deterministically). Iteration walks
 /// the dense vector, so the order — and therefore any "first element
 /// satisfying P" pick — is a pure function of the set's insert/erase
-/// sequence, never of hash layout, rehash mode, or migration state. The
-/// scheduler's choice points that want a cheap early-exit scan (the
-/// acquire_slot fast path, the balance ledger's donor pick) use this
-/// container; that is what keeps schedules byte-identical across rehash
-/// modes (tests/rehash_differential_test.cpp) without paying a full-scan
-/// canonical minimum per pick. Dense iteration is also faster than probing
+/// sequence, never of hash layout or migration state. The scheduler's
+/// choice points that want a cheap early-exit scan (the acquire_slot fast
+/// path, the balance ledger's donor pick) use this container; that is what
+/// keeps schedules independent of table layout
+/// (tests/golden_digest_test.cpp) without paying a full-scan canonical
+/// minimum per pick. Dense iteration is also faster than probing
 /// a sparse table: no empty slots to skip.
 template <class K, class Hash = FlatHash<K>>
 class DenseHashSet {
@@ -1005,8 +995,6 @@ class DenseHashSet {
     dense_.reserve(count);
     index_.reserve(count);
   }
-
-  void set_legacy_rehash(bool legacy) { index_.set_legacy_rehash(legacy); }
 
   /// Returns true iff the key was newly inserted (appended at the back).
   bool insert(const K& key) {
@@ -1055,17 +1043,19 @@ class DenseHashSet {
   }
   template <class Source, class ReadKey>
   void deserialize(Source& source, ReadKey&& read) {
-    const bool legacy = index_.legacy_rehash();
     clear();
-    index_.set_legacy_rehash(legacy);
     const std::uint64_t count = source.u64();
+    // Every element takes at least one byte of input.
+    if (count > source.remaining()) {
+      source.corrupt("DenseHashSet::deserialize: count exceeds the input");
+    }
     dense_.reserve(static_cast<std::size_t>(count));
     index_.reserve(static_cast<std::size_t>(count));
     for (std::uint64_t i = 0; i < count; ++i) {
       K key{};
       read(source, key);
       const auto [slot, inserted] = index_.try_emplace(key);
-      RS_CHECK(inserted, "DenseHashSet::deserialize: duplicate key");
+      if (!inserted) source.corrupt("DenseHashSet::deserialize: duplicate key");
       *slot = static_cast<std::uint32_t>(dense_.size());
       dense_.push_back(key);
     }

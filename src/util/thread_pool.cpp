@@ -12,10 +12,12 @@ namespace reasched {
 #if RS_TELEM_COMPILED
 namespace {
 
-/// Per-worker queue-depth gauge ("svc.queue.depth.<k>"), interned lazily so
-/// only pools that actually run pay for slots. Worker indexes beyond the
-/// named range share a catch-all — the registry has a fixed gauge budget.
-const telemetry::Gauge& queue_depth_gauge(std::size_t index) {
+/// Per-worker queue-depth gauge ("svc.queue.depth.<k>"), interned when a
+/// pool with that many workers is built, so only pools that actually run
+/// pay for slots. Worker indexes beyond the named range share a catch-all —
+/// the registry has a fixed gauge budget. Returned by value (a handle):
+/// each worker caches its own, so the task path takes no lock.
+telemetry::Gauge queue_depth_gauge(std::size_t index) {
   constexpr std::size_t kNamedQueues = 16;
   static std::mutex mutex;
   static std::vector<telemetry::Gauge> gauges;
@@ -75,6 +77,9 @@ ShardedThreadPool::ShardedThreadPool(std::size_t workers) {
     workers_.push_back(std::make_unique<Worker>());
     Worker& worker = *workers_.back();
     worker.index = i;
+#if RS_TELEM_COMPILED
+    worker.depth.emplace(queue_depth_gauge(i));
+#endif
     worker.thread = std::thread([this, &worker] { worker_loop(worker); });
   }
 }
@@ -90,24 +95,6 @@ ShardedThreadPool::~ShardedThreadPool() {
   for (auto& worker : workers_) worker->thread.join();
 }
 
-std::future<void> ShardedThreadPool::submit_to(std::size_t worker_index,
-                                               std::function<void()> fn) {
-  RS_REQUIRE(worker_index < workers_.size(),
-             "ShardedThreadPool::submit_to: worker index out of range");
-  Worker& worker = *workers_[worker_index];
-  std::packaged_task<void()> task(std::move(fn));
-  std::future<void> result = task.get_future();
-  {
-    std::lock_guard lock(worker.mutex);
-    worker.queue.push(std::move(task));
-  }
-#if RS_TELEM_COMPILED
-  RS_TELEM_GAUGE_ADD(queue_depth_gauge(worker_index), 1);
-#endif
-  worker.cv.notify_one();
-  return result;
-}
-
 std::future<void> ShardedThreadPool::submit_stealable(std::size_t home,
                                                       std::function<void()> fn) {
   RS_REQUIRE(home < workers_.size(),
@@ -115,6 +102,8 @@ std::future<void> ShardedThreadPool::submit_stealable(std::size_t home,
   Worker& worker = *workers_[home];
   std::packaged_task<void()> task(std::move(fn));
   std::future<void> result = task.get_future();
+  // Counted before the push, so a pop can never drive the gauge negative.
+  RS_TELEM_GAUGE_ADD(*worker.depth, 1);
   {
     std::lock_guard lock(worker.mutex);
     worker.stealable.push_back(std::move(task));
@@ -150,6 +139,7 @@ bool ShardedThreadPool::steal_and_run(std::size_t exclude) {
       }
     }
     if (task.valid()) {
+      RS_TELEM_GAUGE_ADD(*worker.depth, -1);
       steals_.fetch_add(1, std::memory_order_relaxed);
       task();
       return true;
@@ -167,12 +157,10 @@ void ShardedThreadPool::worker_loop(Worker& worker) {
   bool scan_failed = false;
   for (;;) {
     std::packaged_task<void()> task;
-    bool pinned = false;
     {
       std::unique_lock lock(worker.mutex);
       const auto has_local = [&] {
-        return worker.stopping || !worker.queue.empty() ||
-               !worker.stealable.empty();
+        return worker.stopping || !worker.stealable.empty();
       };
       if (scan_failed) {
         worker.cv.wait_for(lock, std::chrono::milliseconds(1), has_local);
@@ -182,11 +170,7 @@ void ShardedThreadPool::worker_loop(Worker& worker) {
                  stealable_count_.load(std::memory_order_relaxed) > 0;
         });
       }
-      if (!worker.queue.empty()) {
-        task = std::move(worker.queue.front());
-        worker.queue.pop();
-        pinned = true;
-      } else if (!worker.stealable.empty()) {
+      if (!worker.stealable.empty()) {
         task = std::move(worker.stealable.front());
         worker.stealable.pop_front();
         stealable_count_.fetch_sub(1, std::memory_order_relaxed);
@@ -195,11 +179,7 @@ void ShardedThreadPool::worker_loop(Worker& worker) {
       }
     }
     if (task.valid()) {
-#if RS_TELEM_COMPILED
-      if (pinned) RS_TELEM_GAUGE_ADD(queue_depth_gauge(worker.index), -1);
-#else
-      (void)pinned;
-#endif
+      RS_TELEM_GAUGE_ADD(*worker.depth, -1);
       task();
       scan_failed = false;
       continue;

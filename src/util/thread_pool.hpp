@@ -4,16 +4,13 @@
 // batch validation — embarrassingly parallel harness work where any worker
 // may take any task.
 //
-// ShardedThreadPool: one queue per worker, used by the sharded scheduling
-// service (src/service/). Shard k's machine state is only ever touched by
-// worker k, so tasks must be *pinned*: per-shard queues give that affinity
-// and avoid the shared-queue lock on the batch hot path. Alongside the
-// pinned queue each worker carries a *stealable* deque (submit_stealable)
-// for work whose home assignment is only a cache preference: idle workers
-// — and the batch caller, via try_run_stealable() — take from a
-// backlogged sibling's back end, so a hotspot shard under skewed
-// machine→shard placement cannot serialize the whole batch (DESIGN.md
-// §11).
+// ShardedThreadPool: one deque per worker, used by the sharded scheduling
+// service (src/service/). Every task has a *home* worker — a cache
+// preference, not a correctness requirement — and per-worker deques avoid
+// a shared-queue lock on the batch hot path. Idle workers — and the batch
+// caller, via try_run_stealable() — take from a backlogged sibling's back
+// end, so a hotspot shard under skewed machine→shard placement cannot
+// serialize the whole batch (DESIGN.md §11).
 #pragma once
 
 #include <atomic>
@@ -25,9 +22,12 @@
 #include <future>
 #include <memory>
 #include <mutex>
+#include <optional>
 #include <queue>
 #include <thread>
 #include <vector>
+
+#include "telemetry/registry.hpp"
 
 namespace reasched {
 
@@ -69,8 +69,8 @@ class ThreadPool {
   bool stopping_ = false;
 };
 
-/// Pool with per-worker queues and explicit task placement. `workers` may be
-/// zero (a valid pool that accepts no tasks — the single-shard service runs
+/// Pool with per-worker work-stealing deques. `workers` may be zero (a
+/// valid pool that accepts no tasks — the single-shard service runs
 /// everything inline on the caller).
 class ShardedThreadPool {
  public:
@@ -80,18 +80,13 @@ class ShardedThreadPool {
   ShardedThreadPool(const ShardedThreadPool&) = delete;
   ShardedThreadPool& operator=(const ShardedThreadPool&) = delete;
 
-  /// Enqueues a task on worker `worker`'s own queue; tasks submitted to the
-  /// same worker run sequentially in submission order. Pinned tasks are
-  /// never stolen — use for work that must touch worker-affine state.
-  std::future<void> submit_to(std::size_t worker, std::function<void()> fn);
-
-  /// Enqueues a *stealable* task with home worker `home`: the home worker
-  /// prefers it (front of its deque, submission order), but any idle
-  /// worker — or the caller, via try_run_stealable() — may take it from
-  /// the back. Use for work where affinity is a cache preference, not a
-  /// correctness requirement; a hotspot shard's backlog then spreads to
-  /// idle siblings instead of serializing behind one worker (DESIGN.md
-  /// §11, ingestion under skewed machine→shard placement).
+  /// Enqueues a task with home worker `home`: the home worker prefers it
+  /// (front of its deque, submission order), but any idle worker — or the
+  /// caller, via try_run_stealable() — may take it from the back. A
+  /// hotspot shard's backlog then spreads to idle siblings instead of
+  /// serializing behind one worker (DESIGN.md §11, ingestion under skewed
+  /// machine→shard placement). The "svc.queue.depth.<home>" gauge counts
+  /// the tasks waiting in each worker's deque.
   std::future<void> submit_stealable(std::size_t home, std::function<void()> fn);
 
   /// Runs one stealable task on the calling thread, if any is queued
@@ -112,11 +107,13 @@ class ShardedThreadPool {
     std::thread thread;
     std::mutex mutex;
     std::condition_variable cv;
-    std::queue<std::packaged_task<void()>> queue;  // pinned: never stolen
     // Owner pops the front (submission order); thieves pop the back.
     std::deque<std::packaged_task<void()>> stealable;
     bool stopping = false;
-    std::size_t index = 0;  // position in workers_ (telemetry gauge key)
+    std::size_t index = 0;  // position in workers_
+    /// "svc.queue.depth.<index>": tasks waiting in `stealable`. Unset when
+    /// the telemetry record paths are compiled out.
+    std::optional<telemetry::Gauge> depth;
   };
 
   void worker_loop(Worker& worker);

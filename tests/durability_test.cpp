@@ -9,7 +9,9 @@
 #include <algorithm>
 #include <cstdio>
 #include <cstdlib>
+#include <cstring>
 #include <fstream>
+#include <iterator>
 #include <memory>
 #include <string>
 #include <unordered_map>
@@ -352,16 +354,75 @@ TEST(Snapshot, OptionsFingerprintMismatchRefusesToLoad) {
   ReservationScheduler fresh(other);
   EXPECT_FALSE(
       durability::load_snapshot(durability::snapshot_path(dir.path, 1), fresh));
+}
 
-  // The legacy_* toggles are deliberately NOT in the fingerprint (both
-  // modes produce byte-identical schedules).
-  SchedulerOptions legacy = options;
-  legacy.legacy_rehash = true;
-  legacy.legacy_fulfillment = true;
-  ReservationScheduler crossmode(legacy);
-  EXPECT_TRUE(
-      durability::load_snapshot(durability::snapshot_path(dir.path, 1), crossmode));
-  expect_identical_schedules(s.snapshot(), crossmode.snapshot(), "cross-mode");
+// Overwrites `len` payload bytes at `offset` and re-seals the crc32c
+// trailer, so only the payload decoder — not the checksum — can catch the
+// damage.
+void patch_snapshot_payload(const std::string& path, std::size_t offset,
+                            const void* bytes, std::size_t len) {
+  std::vector<char> file;
+  {
+    std::ifstream in(path, std::ios::binary);
+    file.assign(std::istreambuf_iterator<char>(in), std::istreambuf_iterator<char>());
+  }
+  constexpr std::size_t kTrailerBytes = 12;  // payload_len u64 + crc32c u32
+  ASSERT_GE(file.size(), kTrailerBytes);
+  const std::size_t payload = file.size() - kTrailerBytes;
+  ASSERT_LE(offset + len, payload);
+  std::memcpy(file.data() + offset, bytes, len);
+  const std::uint32_t crc = crc32c(file.data(), payload);
+  for (std::size_t i = 0; i < 4; ++i) {
+    file[payload + 8 + i] = static_cast<char>(crc >> (8 * i));
+  }
+  std::ofstream out(path, std::ios::binary | std::ios::trunc);
+  out.write(file.data(), static_cast<std::streamsize>(file.size()));
+}
+
+TEST(Snapshot, MalformedHashTableFieldsAreRejectedNotThrown) {
+  // SchedulerPersist::save's header — magic u64, version u32, options
+  // fingerprint u64, n* u64, parked count u64, audit index u64 — puts the
+  // job table's capacity at payload offset 44 and its first ctrl byte at 52.
+  constexpr std::size_t kJobsCapacity = 44;
+  constexpr std::size_t kJobsFirstCtrl = 52;
+  TempDir dir;
+  const SchedulerOptions options = base_options();
+  ReservationScheduler s(options);
+  for (const Request& r : churn_trace(7, 800)) serve(s, r);
+  ASSERT_FALSE(s.rebuild_in_flight());
+  DurabilityPolicy policy;
+  policy.dir = dir.path;
+  durability::write_snapshot(dir.path, 5, s, policy);
+  const std::string path = durability::snapshot_path(dir.path, 5);
+  {
+    std::ifstream in(path, std::ios::binary);
+    in.seekg(kJobsCapacity);
+    unsigned char le[8] = {};
+    in.read(reinterpret_cast<char*>(le), sizeof le);
+    std::uint64_t capacity = 0;
+    for (int i = 0; i < 8; ++i) capacity |= std::uint64_t{le[i]} << (8 * i);
+    ASSERT_GT(capacity, 0u) << "layout assumption: non-empty job table";
+    ASSERT_EQ(capacity & (capacity - 1), 0u) << "layout assumption: capacity field";
+  }
+
+  // A power-of-two capacity far beyond the file: refused before anything
+  // is allocated.
+  unsigned char huge[8] = {};
+  huge[5] = 1;  // 2^40, little-endian
+  patch_snapshot_payload(path, kJobsCapacity, huge, sizeof huge);
+  {
+    ReservationScheduler fresh(options);
+    EXPECT_FALSE(durability::load_snapshot(path, fresh));
+  }
+
+  // A ctrl byte outside kEmpty..kTombstone.
+  durability::write_snapshot(dir.path, 5, s, policy);  // rewrite intact
+  const unsigned char bad_ctrl = 0xFF;
+  patch_snapshot_payload(path, kJobsFirstCtrl, &bad_ctrl, 1);
+  {
+    ReservationScheduler fresh(options);
+    EXPECT_FALSE(durability::load_snapshot(path, fresh));
+  }
 }
 
 TEST(Snapshot, ListAndPruneKeepNewest) {

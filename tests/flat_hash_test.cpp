@@ -135,22 +135,12 @@ Time push_until_migrating(Map& map) {
 
 TEST(FlatHashMapRehash, SmallTablesNeverMigrate) {
   FlatHashMap<Time, int> map;
-  // Below kMinIncrementalCapacity growth stays in place even in
-  // incremental mode: no cliff to amortize at these sizes.
+  // Below kMinIncrementalCapacity growth stays in place: no cliff to
+  // amortize at these sizes.
   for (Time t = 0; t < 500; ++t) {
     map[t] = 1;
     EXPECT_FALSE(map.rehash_in_flight());
   }
-}
-
-TEST(FlatHashMapRehash, LegacyModeNeverMigrates) {
-  FlatHashMap<Time, int> map;
-  map.set_legacy_rehash(true);
-  for (Time t = 0; t < 5000; ++t) {
-    map[t] = static_cast<int>(t);
-    ASSERT_FALSE(map.rehash_in_flight());
-  }
-  for (Time t = 0; t < 5000; ++t) ASSERT_EQ(map.at(t), static_cast<int>(t));
 }
 
 TEST(FlatHashMapRehash, LookupsServedFromBothTablesDuringMigration) {
@@ -279,97 +269,95 @@ TEST(FlatHashMap, MoveAssignOntoNonEmptyDestroysOnce) {
   EXPECT_EQ(fresh.at(1), "x");
 }
 
-TEST(FlatHashMapRehash, TombstoneHeavyChurnBothModes) {
+TEST(FlatHashMapRehash, TombstoneHeavyChurnMatchesReference) {
   // Heavy insert/erase churn in a bounded key range drives tombstone
   // accumulation across the in-place-purge vs two-table-growth boundary.
-  // Both modes must agree with the reference map throughout.
-  for (const bool legacy : {false, true}) {
-    FlatHashMap<Time, std::uint64_t> map;
-    map.set_legacy_rehash(legacy);
-    std::unordered_map<Time, std::uint64_t> reference;
-    Rng rng(99);
-    for (int step = 0; step < 200'000; ++step) {
-      const Time key = static_cast<Time>(rng.uniform(0, 2999));
-      if (rng.chance(0.5)) {
-        const std::uint64_t value = rng();
-        map[key] = value;
-        reference[key] = value;
-      } else {
-        ASSERT_EQ(map.erase(key), reference.erase(key)) << "legacy=" << legacy;
-      }
+  // The map must agree with the reference map throughout.
+  FlatHashMap<Time, std::uint64_t> map;
+  std::unordered_map<Time, std::uint64_t> reference;
+  Rng rng(99);
+  for (int step = 0; step < 200'000; ++step) {
+    const Time key = static_cast<Time>(rng.uniform(0, 2999));
+    if (rng.chance(0.5)) {
+      const std::uint64_t value = rng();
+      map[key] = value;
+      reference[key] = value;
+    } else {
+      ASSERT_EQ(map.erase(key), reference.erase(key)) << "step " << step;
     }
-    ASSERT_EQ(map.size(), reference.size());
-    map.drain_rehash(0);
-    std::size_t seen = 0;
-    map.for_each([&](Time k, const std::uint64_t& v) {
-      ++seen;
-      const auto it = reference.find(k);
-      ASSERT_NE(it, reference.end());
-      ASSERT_EQ(v, it->second);
-    });
-    ASSERT_EQ(seen, reference.size());
   }
+  ASSERT_EQ(map.size(), reference.size());
+  map.drain_rehash(0);
+  std::size_t seen = 0;
+  map.for_each([&](Time k, const std::uint64_t& v) {
+    ++seen;
+    const auto it = reference.find(k);
+    ASSERT_NE(it, reference.end());
+    ASSERT_EQ(v, it->second);
+  });
+  ASSERT_EQ(seen, reference.size());
 }
 
-TEST(FlatHashMapRehash, RandomizedLargeBothModesAgree) {
-  // Cross-mode content equality: the same operation sequence leaves the
-  // same key→value mapping whichever growth path is active.
-  FlatHashMap<Time, std::uint64_t> incremental;
-  FlatHashMap<Time, std::uint64_t> legacy;
-  legacy.set_legacy_rehash(true);
+TEST(FlatHashMapRehash, RandomizedLargeMatchesReference) {
+  // Content equality with std::unordered_map over an operation sequence
+  // large enough to run several two-table migrations.
+  FlatHashMap<Time, std::uint64_t> map;
+  std::unordered_map<Time, std::uint64_t> reference;
   Rng rng(4242);
   bool saw_migration = false;
   for (int step = 0; step < 100'000; ++step) {
     const Time key = static_cast<Time>(rng.uniform(0, 49'999));
     if (rng.chance(0.7)) {
       const std::uint64_t value = rng();
-      incremental[key] = value;
-      legacy[key] = value;
+      map[key] = value;
+      reference[key] = value;
     } else {
-      ASSERT_EQ(incremental.erase(key), legacy.erase(key));
+      ASSERT_EQ(map.erase(key), reference.erase(key));
     }
-    saw_migration |= incremental.rehash_in_flight();
+    saw_migration |= map.rehash_in_flight();
   }
   EXPECT_TRUE(saw_migration);  // the scale above must exercise the scheme
-  ASSERT_EQ(incremental.size(), legacy.size());
-  incremental.for_each([&](Time k, const std::uint64_t& v) {
-    const std::uint64_t* other = legacy.find(k);
-    ASSERT_NE(other, nullptr);
-    ASSERT_EQ(v, *other);
-  });
+  ASSERT_EQ(map.size(), reference.size());
+  for (const auto& [k, v] : reference) {
+    const std::uint64_t* found = map.find(k);
+    ASSERT_NE(found, nullptr);
+    ASSERT_EQ(v, *found);
+  }
 }
 
-TEST(DenseHashSet, InsertionOrderedIterationIndependentOfRehashMode) {
+TEST(DenseHashSet, InsertionOrderedIterationIndependentOfTableLayout) {
   // The scheduler's layout-sensitive choice points (acquire_slot's scan,
   // the balance ledger's donor pick) rely on DenseHashSet iterating in an
   // order that is a pure function of the operation sequence — the index
-  // map's rehash mode must never show through.
-  DenseHashSet<Time> incremental;
-  DenseHashSet<Time> legacy;
-  legacy.set_legacy_rehash(true);
+  // map's layout and migrations must never show through. The twin is
+  // reserve()d up front, so its index never grows or migrates while the
+  // default set's index doubles through several two-table migrations.
+  DenseHashSet<Time> growing;
+  DenseHashSet<Time> reserved;
+  reserved.reserve(1 << 16);
   Rng rng(7);
   std::vector<Time> live;
   for (int step = 0; step < 20'000; ++step) {
     if (live.empty() || rng.chance(0.6)) {
       const Time key = static_cast<Time>(rng.uniform(0, 4999));
-      if (incremental.insert(key)) live.push_back(key);
-      legacy.insert(key);
+      if (growing.insert(key)) live.push_back(key);
+      reserved.insert(key);
     } else {
       const std::size_t at = static_cast<std::size_t>(
           rng.uniform(0, static_cast<int>(live.size()) - 1));
-      EXPECT_EQ(incremental.erase(live[at]), 1u);
-      EXPECT_EQ(legacy.erase(live[at]), 1u);
+      EXPECT_EQ(growing.erase(live[at]), 1u);
+      EXPECT_EQ(reserved.erase(live[at]), 1u);
       live[at] = live.back();
       live.pop_back();
     }
   }
-  ASSERT_EQ(incremental.size(), legacy.size());
-  ASSERT_FALSE(incremental.empty());
-  EXPECT_EQ(incremental.back(), legacy.back());
+  ASSERT_EQ(growing.size(), reserved.size());
+  ASSERT_FALSE(growing.empty());
+  EXPECT_EQ(growing.back(), reserved.back());
   std::vector<Time> order_a;
   std::vector<Time> order_b;
-  incremental.for_each([&](Time t) { order_a.push_back(t); });
-  legacy.for_each([&](Time t) { order_b.push_back(t); });
+  growing.for_each([&](Time t) { order_a.push_back(t); });
+  reserved.for_each([&](Time t) { order_b.push_back(t); });
   ASSERT_EQ(order_a, order_b);  // identical ORDER, not just content
 }
 
@@ -564,7 +552,23 @@ TEST(FlatHashMapSerialize, CorruptCtrlByteIsRejected) {
   bytes[8] = std::byte{0xEE};
   durability::ByteSource source(bytes.data(), bytes.size());
   FlatHashMap<Time, int> copy;
-  EXPECT_THROW(copy.deserialize(source, read_time_int), InternalError);
+  EXPECT_THROW(copy.deserialize(source, read_time_int), durability::CorruptInput);
+}
+
+TEST(FlatHashMapSerialize, ImpossibleCapacityIsRejectedBeforeAllocating) {
+  FlatHashMap<Time, int> map;
+  for (Time t = 0; t < 32; ++t) map[t] = 1;
+  durability::ByteSink sink;
+  map.serialize(sink, write_time_int);
+  for (const std::uint64_t capacity : {std::uint64_t{1} << 40, std::uint64_t{48}}) {
+    // 2^40 is a power of two but far beyond the input; 48 is not one.
+    std::vector<std::byte> bytes(sink.bytes().begin(), sink.bytes().end());
+    for (int i = 0; i < 8; ++i) bytes[i] = static_cast<std::byte>(capacity >> (8 * i));
+    durability::ByteSource source(bytes.data(), bytes.size());
+    FlatHashMap<Time, int> copy;
+    EXPECT_THROW(copy.deserialize(source, read_time_int), durability::CorruptInput)
+        << "capacity " << capacity;
+  }
 }
 
 }  // namespace

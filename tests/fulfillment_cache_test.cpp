@@ -135,46 +135,27 @@ TEST(FulfillmentCache, AuditUnderOverloadDegradation) {
   SUCCEED();  // no audit (hence no cache) violation during the run
 }
 
-TEST(FulfillmentCache, LegacyAndOptimizedProduceIdenticalSchedules) {
-  // The cache is purely an optimization: the legacy (seed-equivalent,
-  // recompute-cold) path and the cached path must make identical decisions
-  // on identical inputs — compared snapshot-for-snapshot after every one of
-  // 4k requests.
-  const auto trace = churn_trace(5150, 4'000, WindowPlacement::kNestedHotspots);
-  SchedulerOptions optimized_options;
-  optimized_options.overflow = OverflowPolicy::kBestEffort;
-  SchedulerOptions legacy_options = optimized_options;
-  legacy_options.legacy_fulfillment = true;
-  ReservationScheduler optimized(optimized_options);
-  ReservationScheduler legacy(legacy_options);
-  for (const Request& r : trace) {
-    const RequestStats a = serve(optimized, r);
-    const RequestStats b = serve(legacy, r);
-    ASSERT_EQ(a.reallocations, b.reallocations);
-    ASSERT_EQ(a.degraded, b.degraded);
-    ASSERT_EQ(optimized.snapshot().assignments(), legacy.snapshot().assignments());
-  }
-}
+// The cached path's decisions on a 4k-request stress trace are pinned by
+// GoldenDigest.FulfillmentCacheStress (tests/golden_digest_test.cpp).
 
-TEST(FulfillmentCache, IntrospectionAgreesWithLegacy) {
-  // fulfillment_of_interval must report the same tables with and without
-  // the cache, for materialized and unmaterialized intervals alike.
-  SchedulerOptions optimized_options;
-  SchedulerOptions legacy_options;
-  legacy_options.legacy_fulfillment = true;
-  ReservationScheduler optimized(optimized_options);
-  ReservationScheduler legacy(legacy_options);
-  std::uint64_t next = 1;
-  for (int i = 0; i < 64; ++i) {
-    const Time start = (static_cast<Time>(i) % 4) * 1024;
-    const Window w{start, start + 1024};
-    optimized.insert(JobId{next}, w);
-    legacy.insert(JobId{next}, w);
-    ++next;
+TEST(FulfillmentCache, IntrospectionIsHistoryIndependent) {
+  // Observation 7: fulfillment is a pure function of the ledgers, so two
+  // schedulers that reach the same job counts through different request
+  // orders report the same tables, materialized and unmaterialized
+  // intervals alike.
+  ReservationScheduler forward;
+  ReservationScheduler backward;
+  const auto window_of = [](std::uint64_t id) {
+    const Time start = (static_cast<Time>(id) % 4) * 1024;
+    return Window{start, start + 1024};
+  };
+  for (std::uint64_t id = 1; id <= 64; ++id) {
+    forward.insert(JobId{id}, window_of(id));
+    backward.insert(JobId{65 - id}, window_of(65 - id));
   }
-  for (Time base = 0; base < 4096; base += 256) {
-    const auto a = optimized.fulfillment_of_interval(2, base);
-    const auto b = legacy.fulfillment_of_interval(2, base);
+  for (Time base = 0; base < 8192; base += 256) {
+    const auto a = forward.fulfillment_of_interval(2, base);
+    const auto b = backward.fulfillment_of_interval(2, base);
     ASSERT_EQ(a.size(), b.size());
     for (std::size_t i = 0; i < a.size(); ++i) {
       EXPECT_EQ(a[i].window, b[i].window);

@@ -171,9 +171,10 @@ void expect_digest(std::uint64_t got, std::uint64_t want, const std::string& arm
 
 /// One request at a time through a DurableScheduler; the WAL part is the
 /// raw log file.
-std::uint64_t durable_digest(const std::vector<Request>& trace,
-                             const std::function<std::unique_ptr<
-                                 durability::DurableScheduler>(const std::string&)>& make) {
+using DurableFactory =
+    std::function<std::unique_ptr<durability::DurableScheduler>(const std::string& dir)>;
+
+std::uint64_t durable_digest(const std::vector<Request>& trace, const DurableFactory& make) {
   TempDir dir;
   Digest digest;
   {
@@ -198,26 +199,15 @@ std::uint64_t single_machine_digest(const std::vector<Request>& trace,
   });
 }
 
-std::uint64_t multi_machine_digest(const std::vector<Request>& trace, unsigned machines,
-                                   const SchedulerOptions& options) {
-  return durable_digest(trace, [&](const std::string& dir) {
-    return std::make_unique<durability::DurableScheduler>(
-        golden_policy(dir), [&] {
-          return std::make_unique<ReallocatingScheduler>(machines, options);
-        });
-  });
-}
-
 constexpr unsigned kShardedMachines = 8;
 
-std::unique_ptr<ShardedScheduler> make_sharded(const std::string& dir,
-                                               ShardedScheduler::Options options,
-                                               const SchedulerOptions& machine_options) {
+std::unique_ptr<ShardedScheduler> make_sharded(const std::string& dir, unsigned shards) {
+  ShardedScheduler::Options options;
+  options.shards = shards;
   options.wal = golden_policy(dir);
   return std::make_unique<ShardedScheduler>(
       kShardedMachines,
-      [machine_options] { return std::make_unique<ReservationScheduler>(machine_options); },
-      options);
+      [] { return std::make_unique<ReservationScheduler>(best_effort()); }, options);
 }
 
 /// The WAL part of a sharded arm: the per-shard logs merged back into the
@@ -232,13 +222,11 @@ void mix_merged_wal(Digest& digest, ShardedScheduler& scheduler, const std::stri
 
 /// The trace through ShardedScheduler::apply in 256-request batches (two
 /// per snapshot period, so snapshots land on batch boundaries).
-std::uint64_t sharded_digest(const std::vector<Request>& trace,
-                             const ShardedScheduler::Options& options,
-                             const SchedulerOptions& machine_options) {
+std::uint64_t sharded_digest(const std::vector<Request>& trace, unsigned shards) {
   static_assert(kSnapshotEvery % 256 == 0);
   TempDir dir;
   Digest digest;
-  const auto scheduler = make_sharded(dir.path, options, machine_options);
+  const auto scheduler = make_sharded(dir.path, shards);
   for (std::size_t first = 0; first < trace.size(); first += 256) {
     const std::size_t len = std::min<std::size_t>(256, trace.size() - first);
     const BatchResult result = scheduler->apply({trace.data() + first, len});
@@ -258,9 +246,7 @@ std::uint64_t sharded_digest(const std::vector<Request>& trace,
 std::uint64_t ingest_digest(const std::vector<Request>& trace, std::size_t producers) {
   TempDir dir;
   Digest digest;
-  ShardedScheduler::Options options;
-  options.shards = 4;
-  const auto scheduler = make_sharded(dir.path, options, best_effort());
+  const auto scheduler = make_sharded(dir.path, 4);
   ingest::IngestOptions ingest_options;
   ingest_options.external_sequencing = true;
   ingest_options.record_stats = true;
@@ -298,19 +284,6 @@ std::uint64_t ingest_digest(const std::vector<Request>& trace, std::size_t produ
 TEST(GoldenDigest, SingleMachinePartitionedRebuild) {
   const auto trace = churn_trace(1234, 9'000, 3'000);
   expect_digest(single_machine_digest(trace, best_effort()), kSingleMachine, "default");
-
-  SchedulerOptions legacy_rehash = best_effort();
-  legacy_rehash.legacy_rehash = true;
-  expect_digest(single_machine_digest(trace, legacy_rehash), kSingleMachine,
-                "legacy_rehash");
-  SchedulerOptions legacy_fulfillment = best_effort();
-  legacy_fulfillment.legacy_fulfillment = true;
-  expect_digest(single_machine_digest(trace, legacy_fulfillment), kSingleMachine,
-                "legacy_fulfillment");
-  SchedulerOptions both = legacy_rehash;
-  both.legacy_fulfillment = true;
-  expect_digest(single_machine_digest(trace, both), kSingleMachine,
-                "legacy_rehash+legacy_fulfillment");
 }
 
 TEST(GoldenDigest, SingleMachineStopTheWorldRebuild) {
@@ -321,47 +294,23 @@ TEST(GoldenDigest, SingleMachineStopTheWorldRebuild) {
   options.rebuild_batch = std::numeric_limits<std::size_t>::max();
   expect_digest(single_machine_digest(trace, options), kSingleMachineStopTheWorld,
                 "rebuild_batch=max");
-
-  SchedulerOptions legacy_rebuild = best_effort();
-  legacy_rebuild.legacy_rebuild = true;
-  expect_digest(single_machine_digest(trace, legacy_rebuild), kSingleMachineStopTheWorld,
-                "legacy_rebuild");
-  SchedulerOptions all_legacy = legacy_rebuild;
-  all_legacy.legacy_rehash = true;
-  all_legacy.legacy_fulfillment = true;
-  expect_digest(single_machine_digest(trace, all_legacy), kSingleMachineStopTheWorld,
-                "legacy_rebuild+legacy_rehash+legacy_fulfillment");
 }
 
 TEST(GoldenDigest, MultiMachine) {
   const auto trace = churn_trace(77, 9'000, 3'000, 4);
-  expect_digest(multi_machine_digest(trace, 4, best_effort()), kMultiMachine, "default");
-
-  SchedulerOptions legacy = best_effort();
-  legacy.legacy_rehash = true;
-  legacy.legacy_fulfillment = true;
-  expect_digest(multi_machine_digest(trace, 4, legacy), kMultiMachine,
-                "legacy_rehash+legacy_fulfillment");
+  const std::uint64_t digest = durable_digest(trace, [](const std::string& dir) {
+    return std::make_unique<durability::DurableScheduler>(golden_policy(dir), [] {
+      return std::make_unique<ReallocatingScheduler>(4, best_effort());
+    });
+  });
+  expect_digest(digest, kMultiMachine, "default");
 }
 
 TEST(GoldenDigest, ShardedEveryShardCount) {
   const auto trace = churn_trace(9'008, 4'000, 1'200, kShardedMachines);
   for (const unsigned shards : {1u, 2u, 4u, 8u}) {
-    ShardedScheduler::Options options;
-    options.shards = shards;
-    expect_digest(sharded_digest(trace, options, best_effort()), kSharded,
+    expect_digest(sharded_digest(trace, shards), kSharded,
                   "shards=" + std::to_string(shards));
-
-    ShardedScheduler::Options pinned = options;
-    pinned.work_stealing = false;
-    expect_digest(sharded_digest(trace, pinned, best_effort()), kSharded,
-                  "pinned shards=" + std::to_string(shards));
-    ShardedScheduler::Options legacy = options;
-    legacy.legacy_rehash = true;
-    SchedulerOptions legacy_machine = best_effort();
-    legacy_machine.legacy_rehash = true;
-    expect_digest(sharded_digest(trace, legacy, legacy_machine), kSharded,
-                  "legacy_rehash shards=" + std::to_string(shards));
   }
 }
 
@@ -376,10 +325,6 @@ TEST(GoldenDigest, IngestEveryProducerCount) {
 TEST(GoldenDigest, FulfillmentCacheStress) {
   const auto trace = churn_trace(5150, 4'000, 512);
   expect_digest(single_machine_digest(trace, best_effort()), kFulfillment, "default");
-
-  SchedulerOptions legacy = best_effort();
-  legacy.legacy_fulfillment = true;
-  expect_digest(single_machine_digest(trace, legacy), kFulfillment, "legacy_fulfillment");
 }
 
 }  // namespace

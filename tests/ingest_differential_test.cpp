@@ -11,8 +11,9 @@
 // snapshot mismatch. Covers the clean path (reservation pipeline, no
 // rejections), the rejection path (naive scheduler, infeasible inserts —
 // ingest batching must reproduce the same rejected set regardless of where
-// its adaptive batch boundaries fall), work stealing on vs off, and
-// internal ticketing with one producer (where claim order IS trace order).
+// its adaptive batch boundaries fall), work stealing against a single
+// shard that runs every task inline, and internal ticketing with one
+// producer (where claim order IS trace order).
 //
 // ctest label: slow (CMakeLists.txt).
 #include <gtest/gtest.h>
@@ -162,22 +163,20 @@ TEST(IngestDifferential, MatchesSequentialBatchesAtEveryProducerCount) {
   }
 }
 
-// Work stealing must be invisible in results: same trace, same shard
-// count, stealing on vs off, byte-identical stats and schedules (the
-// pinned path is the escape hatch AND the determinism witness).
+// Work stealing must be invisible in results: same trace, four stealing
+// shards vs one shard that runs every task inline on the caller (no pool,
+// nothing to steal), byte-identical stats and schedules.
 TEST(IngestDifferential, WorkStealingIsInvisibleInResults) {
   const auto trace = churn_trace(47, 8, 2500);
 
-  ShardedScheduler::Options pinned_options;
-  pinned_options.shards = 4;
-  pinned_options.work_stealing = false;
-  ShardedScheduler pinned(8, reservation_factory(), pinned_options);
-  const auto want = batched_reference(pinned, trace, 64);
-  EXPECT_EQ(pinned.steal_count(), 0u);
+  ShardedScheduler::Options inline_options;
+  inline_options.shards = 1;
+  ShardedScheduler inline_caller(8, reservation_factory(), inline_options);
+  const auto want = batched_reference(inline_caller, trace, 64);
+  EXPECT_EQ(inline_caller.steal_count(), 0u);
 
   ShardedScheduler::Options stealing_options;
   stealing_options.shards = 4;
-  stealing_options.work_stealing = true;
   ShardedScheduler stealing(8, reservation_factory(), stealing_options);
   const auto got = batched_reference(stealing, trace, 64);
 
@@ -185,8 +184,8 @@ TEST(IngestDifferential, WorkStealingIsInvisibleInResults) {
   for (std::size_t i = 0; i < want.size(); ++i) {
     expect_same_stats(want[i], got[i], i);
   }
-  expect_same_schedule(pinned.snapshot(), stealing.snapshot());
-  pinned.audit_balance();
+  expect_same_schedule(inline_caller.snapshot(), stealing.snapshot());
+  inline_caller.audit_balance();
   stealing.audit_balance();
 
   // And through the full ingest front end, concurrently.
@@ -197,7 +196,7 @@ TEST(IngestDifferential, WorkStealingIsInvisibleInResults) {
   for (std::size_t i = 0; i < want.size(); ++i) {
     expect_same_stats(want[i], service.applied_stats()[i], i);
   }
-  expect_same_schedule(pinned.snapshot(), stealing_ingest.snapshot());
+  expect_same_schedule(inline_caller.snapshot(), stealing_ingest.snapshot());
   stealing_ingest.audit_balance();
 }
 

@@ -1,11 +1,13 @@
 // Partitioned n*-rebuild (DESIGN.md §6): the shadow-generation migration
 // must keep every mid-migration schedule valid, keep the audit and the
 // fulfillment-cache verifier clean at every request, and converge to a
-// state byte-identical with the stop-the-world (--legacy-rebuild) path —
+// state byte-identical with the stop-the-world path (rebuild_batch =
+// SIZE_MAX, which rebuilds every active set inside its boundary request) —
 // proven by identical snapshots AND identical per-request behavior on a
 // probe suffix after the migration drains.
 #include <gtest/gtest.h>
 
+#include <limits>
 #include <unordered_map>
 #include <vector>
 
@@ -46,6 +48,10 @@ void expect_identical_snapshots(const ReservationScheduler& a,
     EXPECT_EQ(placement.slot, other->slot) << where << ": job " << id.value;
   }
 }
+
+// rebuild_batch is also the synchronous-rebuild cutoff: at its maximum every
+// n* change rebuilds stop-the-world inside the boundary request.
+constexpr std::size_t kStopTheWorld = std::numeric_limits<std::size_t>::max();
 
 SchedulerOptions base_options() {
   SchedulerOptions options;
@@ -119,24 +125,24 @@ TEST(PartitionedRebuild, InterleavedChurnAtLevelBoundaries) {
   EXPECT_TRUE(validate_schedule(s.snapshot(), remaining).ok());
 }
 
-TEST(PartitionedRebuild, DifferentialByteIdenticalWithLegacy) {
-  // The core acceptance test: same trace into a partitioned and a legacy
-  // scheduler; once the migration has drained, snapshots must be
+TEST(PartitionedRebuild, DifferentialByteIdenticalWithStopTheWorld) {
+  // The core acceptance test: same trace into a partitioned and a
+  // stop-the-world scheduler; once the migration has drained, snapshots must be
   // byte-identical AND a probe suffix must elicit identical per-request
   // stats from both (the strongest observable proof the internal states
   // converged).
   SchedulerOptions partitioned_options = base_options();
   partitioned_options.rebuild_batch = 16;  // stretch the migrations
-  SchedulerOptions legacy_options = base_options();
-  legacy_options.legacy_rebuild = true;
+  SchedulerOptions stw_options = base_options();
+  stw_options.rebuild_batch = kStopTheWorld;
 
   ReservationScheduler partitioned(partitioned_options);
-  ReservationScheduler legacy(legacy_options);
+  ReservationScheduler stw(stw_options);
 
   const auto trace = churn_trace(97, 3'000, 900);
   for (const Request& r : trace) {
     serve(partitioned, r);
-    serve(legacy, r);
+    serve(stw, r);
   }
 
   // Drain any in-flight migration with neutral traffic both sides see.
@@ -148,19 +154,19 @@ TEST(PartitionedRebuild, DifferentialByteIdenticalWithLegacy) {
       const Request insert{RequestKind::kInsert, id, Window{0, 64}};
       const Request erase{RequestKind::kDelete, id, Window{}};
       serve(partitioned, insert);
-      serve(legacy, insert);
+      serve(stw, insert);
       serve(partitioned, erase);
-      serve(legacy, erase);
+      serve(stw, erase);
       ASSERT_LT(++settle, 10'000u) << "migration failed to drain";
     }
   };
   drain();
 
   ASSERT_NO_THROW(partitioned.audit());
-  ASSERT_NO_THROW(legacy.audit());
-  expect_identical_snapshots(partitioned, legacy, "post-drain");
-  EXPECT_EQ(partitioned.n_star(), legacy.n_star());
-  EXPECT_EQ(partitioned.parked_jobs(), legacy.parked_jobs());
+  ASSERT_NO_THROW(stw.audit());
+  expect_identical_snapshots(partitioned, stw, "post-drain");
+  EXPECT_EQ(partitioned.n_star(), stw.n_star());
+  EXPECT_EQ(partitioned.parked_jobs(), stw.parked_jobs());
 
   // Probe suffix: both schedulers must now behave identically request by
   // request — stats and snapshots.
@@ -174,7 +180,7 @@ TEST(PartitionedRebuild, DifferentialByteIdenticalWithLegacy) {
                              : partitioned.snapshot().find(r.job) != std::nullopt;
     if (!applies) continue;
     const RequestStats a = serve(partitioned, r);
-    const RequestStats b = serve(legacy, r);
+    const RequestStats b = serve(stw, r);
     // At the next n* boundary the two paths legitimately report the rebuild
     // cost at different requests (that deferral is the whole point); the
     // probe compares only the steady region and re-drains afterwards.
@@ -186,27 +192,27 @@ TEST(PartitionedRebuild, DifferentialByteIdenticalWithLegacy) {
   }
   EXPECT_GT(compared, 50u);
   drain();
-  expect_identical_snapshots(partitioned, legacy, "post-probe");
+  expect_identical_snapshots(partitioned, stw, "post-probe");
 }
 
-TEST(PartitionedRebuild, SmallSetsRebuildSynchronouslyLikeLegacy) {
+TEST(PartitionedRebuild, SmallSetsRebuildSynchronouslyLikeStopTheWorld) {
   // Active sets <= rebuild_batch take the stop-the-world path: per-request
-  // stats must match the legacy scheduler exactly, including the boundary
+  // stats must match the stop-the-world scheduler exactly, including the boundary
   // request's rebuilt flag and moved count.
   ReservationScheduler partitioned(base_options());
-  SchedulerOptions legacy_options = base_options();
-  legacy_options.legacy_rebuild = true;
-  ReservationScheduler legacy(legacy_options);
+  SchedulerOptions stw_options = base_options();
+  stw_options.rebuild_batch = kStopTheWorld;
+  ReservationScheduler stw(stw_options);
 
   for (unsigned i = 0; i < 40; ++i) {
     const Window w{0, 1024};
     const RequestStats a = partitioned.insert(JobId{i + 1}, w);
-    const RequestStats b = legacy.insert(JobId{i + 1}, w);
+    const RequestStats b = stw.insert(JobId{i + 1}, w);
     EXPECT_EQ(a.rebuilt, b.rebuilt) << "insert " << i;
     EXPECT_EQ(a.reallocations, b.reallocations) << "insert " << i;
     EXPECT_FALSE(partitioned.rebuild_in_flight());
   }
-  expect_identical_snapshots(partitioned, legacy, "small-n");
+  expect_identical_snapshots(partitioned, stw, "small-n");
 }
 
 TEST(PartitionedRebuild, BoundaryAndSwapRequestsReportRebuilt) {
@@ -253,11 +259,11 @@ TEST(PartitionedRebuild, RetiredGenerationDrainsAndArenaIsReused) {
   }
   EXPECT_FALSE(s.retired_pending()) << "deferred trim did not drain";
 
-  // Legacy-path arena reuse: repeated stop-the-world rebuilds must recycle
+  // Stop-the-world arena reuse: repeated stop-the-world rebuilds must recycle
   // the same chunks (blocks_reused grows across the rebuild cycle).
-  SchedulerOptions legacy_options = base_options();
-  legacy_options.legacy_rebuild = true;
-  ReservationScheduler lr(legacy_options);
+  SchedulerOptions stw_options = base_options();
+  stw_options.rebuild_batch = kStopTheWorld;
+  ReservationScheduler lr(stw_options);
   const auto reused_total = [&lr] {
     std::size_t total = 0;
     for (unsigned level = 1; level <= 2; ++level) {

@@ -2,9 +2,12 @@
 
 #include <atomic>
 #include <chrono>
+#include <functional>
 #include <future>
+#include <memory>
 #include <set>
 #include <sstream>
+#include <string>
 #include <thread>
 #include <vector>
 
@@ -13,6 +16,7 @@
 #include "util/rng.hpp"
 #include "util/stats.hpp"
 #include "util/table.hpp"
+#include "telemetry/registry.hpp"
 #include "util/thread_pool.hpp"
 
 namespace reasched {
@@ -214,28 +218,35 @@ TEST(ThreadPool, SubmitReturnsValue) {
   EXPECT_EQ(f.get(), 42);
 }
 
-TEST(ShardedThreadPool, TasksOnOneWorkerRunInSubmissionOrder) {
-  ShardedThreadPool pool(3);
-  EXPECT_EQ(pool.size(), 3u);
-  std::vector<int> order;
-  std::vector<std::future<void>> futures;
-  for (int i = 0; i < 16; ++i) {
-    futures.push_back(pool.submit_to(1, [&order, i] { order.push_back(i); }));
-  }
-  for (auto& f : futures) f.get();
-  // Same worker → same queue → strictly sequential, no synchronization
-  // needed around `order` beyond the futures' completion.
-  ASSERT_EQ(order.size(), 16u);
-  for (int i = 0; i < 16; ++i) EXPECT_EQ(order[i], i);
+/// Submits a stealable blocker homed on `home` that runs `hold`, and
+/// returns once it has started — it can no longer be stolen, and tasks
+/// submitted afterwards queue on the home deque behind it.
+std::future<void> block_worker(ShardedThreadPool& pool, std::size_t home,
+                               std::function<void()> hold) {
+  auto started = std::make_shared<std::atomic<bool>>(false);
+  auto blocker = pool.submit_stealable(home, [started, hold = std::move(hold)] {
+    started->store(true, std::memory_order_release);
+    hold();
+  });
+  while (!started->load(std::memory_order_acquire)) std::this_thread::yield();
+  return blocker;
+}
+
+/// A blocker body that spins until `release` is set.
+std::function<void()> until(const std::atomic<bool>& release) {
+  return [&release] {
+    while (!release.load(std::memory_order_acquire)) std::this_thread::yield();
+  };
 }
 
 TEST(ShardedThreadPool, WorkersRunIndependently) {
   ShardedThreadPool pool(4);
+  EXPECT_EQ(pool.size(), 4u);
   std::atomic<int> counter{0};
   std::vector<std::future<void>> futures;
   for (std::size_t w = 0; w < 4; ++w) {
     for (int i = 0; i < 25; ++i) {
-      futures.push_back(pool.submit_to(w, [&counter] { ++counter; }));
+      futures.push_back(pool.submit_stealable(w, [&counter] { ++counter; }));
     }
   }
   for (auto& f : futures) f.get();
@@ -245,7 +256,8 @@ TEST(ShardedThreadPool, WorkersRunIndependently) {
 TEST(ShardedThreadPool, ZeroWorkersIsValid) {
   ShardedThreadPool pool(0);
   EXPECT_EQ(pool.size(), 0u);
-  EXPECT_THROW(pool.submit_to(0, [] {}), ContractViolation);
+  EXPECT_THROW(pool.submit_stealable(0, [] {}), ContractViolation);
+  EXPECT_FALSE(pool.try_run_stealable());
 }
 
 TEST(ShardedThreadPool, StealableTasksAllRunExactlyOnce) {
@@ -266,12 +278,11 @@ TEST(ShardedThreadPool, IdleWorkersStealFromALoadedHome) {
   ShardedThreadPool pool(4);
   std::atomic<int> counter{0};
   std::vector<std::future<void>> futures;
-  // One slow pinned task occupies the home worker while its stealable
-  // backlog sits behind it; the other three workers are idle and must
-  // drain the backlog — the futures cannot all complete before the pinned
-  // sleeper otherwise, so the time bound is the proof.
+  // A slow blocker occupies one worker while the backlog queues on the
+  // home deque; the idle workers must drain it — the futures cannot all
+  // complete before the sleeper otherwise, so the time bound is the proof.
   const auto t0 = std::chrono::steady_clock::now();
-  auto pinned = pool.submit_to(0, [] {
+  auto blocker = block_worker(pool, 0, [] {
     std::this_thread::sleep_for(std::chrono::milliseconds(200));
   });
   for (int i = 0; i < 32; ++i) {
@@ -282,7 +293,7 @@ TEST(ShardedThreadPool, IdleWorkersStealFromALoadedHome) {
   }
   for (auto& f : futures) f.get();
   const auto stolen_done = std::chrono::steady_clock::now() - t0;
-  pinned.get();
+  blocker.get();
   EXPECT_EQ(counter.load(), 32);
   EXPECT_GE(pool.steals(), 1u);
   EXPECT_LT(stolen_done, std::chrono::milliseconds(200))
@@ -295,11 +306,7 @@ TEST(ShardedThreadPool, CallerCanRunStealableWork) {
   std::vector<std::future<void>> futures;
   // Block the only worker so the caller is the sole source of progress.
   std::atomic<bool> release{false};
-  auto blocker = pool.submit_to(0, [&release] {
-    while (!release.load(std::memory_order_acquire)) {
-      std::this_thread::yield();
-    }
-  });
+  auto blocker = block_worker(pool, 0, until(release));
   for (int i = 0; i < 8; ++i) {
     futures.push_back(pool.submit_stealable(0, [&counter] { ++counter; }));
   }
@@ -314,25 +321,38 @@ TEST(ShardedThreadPool, CallerCanRunStealableWork) {
   EXPECT_GE(pool.steals(), 8u);
 }
 
-TEST(ShardedThreadPool, PinnedTasksAreNeverStolen) {
-  ShardedThreadPool pool(4);
-  std::thread::id home_thread;
-  auto probe = pool.submit_to(2, [&home_thread] {
-    home_thread = std::this_thread::get_id();
-  });
-  probe.get();
-  std::vector<std::future<void>> futures;
-  std::atomic<int> misplaced{0};
-  for (int i = 0; i < 50; ++i) {
-    futures.push_back(pool.submit_to(2, [&home_thread, &misplaced] {
-      if (std::this_thread::get_id() != home_thread) ++misplaced;
-    }));
+#if RS_TELEM_COMPILED
+std::int64_t gauge_value(const std::string& name) {
+  const telemetry::Registry::Snapshot snap = telemetry::Registry::global().snapshot();
+  for (const auto& [gauge, value] : snap.gauges) {
+    if (gauge == name) return value;
   }
-  // Give the other (idle) workers every chance to misbehave.
-  for (int i = 0; i < 100; ++i) pool.try_run_stealable();
-  for (auto& f : futures) f.get();
-  EXPECT_EQ(misplaced.load(), 0);
+  return 0;
 }
+
+TEST(ShardedThreadPool, QueueDepthGaugeTracksTheHomeDeque) {
+  // "svc.queue.depth.<k>" counts the tasks waiting in worker k's deque:
+  // +1 on submit, -1 when the owner or a thief pops. Measured as a delta —
+  // the gauge is process-wide and earlier pools share the name.
+  const bool was_on = telemetry::Registry::metrics_enabled();
+  telemetry::Registry::set_metrics_enabled(true);
+  ShardedThreadPool pool(1);
+  const std::int64_t base = gauge_value("svc.queue.depth.0");
+  std::atomic<bool> release{false};
+  auto blocker = block_worker(pool, 0, until(release));
+  EXPECT_EQ(gauge_value("svc.queue.depth.0"), base);  // running, not waiting
+  std::vector<std::future<void>> futures;
+  for (int i = 0; i < 8; ++i) futures.push_back(pool.submit_stealable(0, [] {}));
+  EXPECT_EQ(gauge_value("svc.queue.depth.0"), base + 8);
+  while (pool.try_run_stealable()) {
+  }
+  EXPECT_EQ(gauge_value("svc.queue.depth.0"), base);
+  release.store(true, std::memory_order_release);
+  blocker.get();
+  for (auto& f : futures) f.get();
+  telemetry::Registry::set_metrics_enabled(was_on);
+}
+#endif
 
 TEST(Contracts, RequireThrowsContractViolation) {
   EXPECT_THROW(RS_REQUIRE(false, "boom"), ContractViolation);

@@ -39,47 +39,17 @@ import sys
 # the acceptance criterion is the value itself, not drift relative to a
 # recording. Its meaning follows the direction: for "lower" it is a
 # ceiling (telemetry overhead <= 1.05x, rehash cliff <= 1 ms); for
-# "higher" it is a hard floor (E12 vs_legacy_rehash >= 0.9 — the group-
-# probe work must keep paying for the two-table rehash machinery even if
-# the committed baseline itself drifts). Rows missing every identity key
+# "higher" it is a hard floor. Rows missing every identity key
 # (summary/smoke rows) are skipped.
-# CI runners are not the recording machine, so the gated metrics are
-# primarily the benches' IN-BINARY ratios (optimized vs legacy mode in the
-# same process on the same host — machine-speed-independent); absolute
-# latencies are gated only where the absolute value IS the criterion and
-# always behind a noise floor. Absolute throughput is deliberately not
-# gated: ops/sec scales with the host and would fail every PR on a slower
-# runner.
+# CI runners are not the recording machine, so each gated metric is one of
+# two kinds: an IN-BINARY ratio of two postures run in the same process on
+# the same host (telemetry on vs off, durable vs plain, incremental vs full
+# audit, ingest vs direct — machine-speed-independent), or an absolute
+# latency where the absolute value IS the criterion (rebuild boundary max,
+# rehash cliff, open-loop p99), always behind a noise floor. Absolute
+# throughput is deliberately not gated: ops/sec scales with the host and
+# would fail every PR on a slower runner.
 REGISTRY = {
-    "e12_hotpath": {
-        # vs_legacy_rehash: optimized steady-state mean over the same
-        # binary's optimized+legacy_rehash posture (pre-PR-5 stop-the-world
-        # layout) — in-binary, machine-speed-independent. The absolute 0.9
-        # floor IS ROADMAP item 2's acceptance criterion: group probing
-        # must at least pay back the two-table machinery's steady-state
-        # cost. Measured parity sits at ~1.0 with a run-to-run spread of
-        # ±10% on a one-core container (the ratio divides two ~seconds-long
-        # churn runs), so the floor carries an honest noise margin: 0.9
-        # trips on a real regression (pre-tuning the mean centered at
-        # ~0.93 and samples reached 0.66) without flaking on parity.
-        # The absolute floor binds only on the n = 10^5 rows
-        # (absolute_rows): that is the steady-state regime the criterion
-        # names, and --quick CI runs (n <= 10^4, short segments where the
-        # migration windows structurally dominate the ratio) would
-        # undershoot any honest steady-state floor. Small-n / quick rows
-        # keep the 2x drift band with a 0.65 noise floor — full-run
-        # small-n samples range 0.66-1.34, so anything below 0.65 is a
-        # collapse, not noise. Carried only by audit-off optimized rows,
-        # so the gate binds exactly on the E12 mean, and only rows whose
-        # BASELINE carries the field are gated (pre-PR-10 baselines gate
-        # nothing).
-        "keys": ["n", "placement", "audit", "mode"],
-        "metrics": {
-            "speedup_vs_legacy": ("higher", None),
-            "vs_legacy_rehash": ("higher", 0.65, 0.9),
-        },
-        "absolute_rows": {"n": 100000},
-    },
     "e13_service": {
         # Same-machine comparisons only (local re-records); not part of
         # the CI gate — shard-scaling ratios are core-count-dependent.
@@ -87,17 +57,14 @@ REGISTRY = {
         "metrics": {"speedup_vs_sequential": ("higher", None)},
     },
     "e14_rebuild": {
-        # The "rehash" field was added in the E16 PR; identity keys absent
-        # from either file's rows are dropped for the whole comparison
-        # (see effective_keys), so mixed-vintage files still match.
         # boundary_max_ms (worst rebuild-related request) is the ONLY
         # gated metric: both the whole-run max and its speedup ratio can
         # catch an unrelated scheduler stall on a shared runner (see the
         # E14 protocol notes), while the boundary max is what the
         # partitioned path actually controls. Gated only on the
-        # partitioned rows — the legacy rows' absolute latency is
-        # machine-proportional and not a criterion.
-        "keys": ["n", "mode", "rehash"],
+        # partitioned rows — the stop-the-world ("legacy") rows' absolute
+        # latency is machine-proportional and not a criterion.
+        "keys": ["n", "mode"],
         "metrics": {"boundary_max_ms": ("lower", 1.0)},
         "absolute_modes": {"partitioned"},
     },
@@ -265,14 +232,6 @@ def main():
             continue
         label = " ".join(f"{key}={value}" for key, value in identity)
         absolute_modes = spec.get("absolute_modes")
-        # absolute_rows restricts a metric's ABSOLUTE bound to rows whose
-        # identity matches every listed key/value (the drift band still
-        # applies everywhere). Used where the absolute criterion is defined
-        # for one regime only — e.g. E12's steady-state floor binds at
-        # n = 10^5 but would structurally flake on --quick small-n rows.
-        absolute_rows = spec.get("absolute_rows")
-        row_is_absolute = absolute_rows is None or all(
-            row.get(key) == value for key, value in absolute_rows.items())
         for metric, bounds in spec["metrics"].items():
             direction, floor, absolute = (tuple(bounds) + (None, None))[:3]
             if metric not in base_row:
@@ -302,16 +261,14 @@ def main():
                 bad = cur_value < base_value / args.factor
                 if bad and floor is not None and cur_value >= floor:
                     bad = False  # still above the noise floor: not a cliff
-                if (absolute is not None and row_is_absolute
-                        and cur_value < absolute):
+                if absolute is not None and cur_value < absolute:
                     bad = True  # absolute criterion (hard floor), no band
                 verdict = "REGRESSION" if bad else "ok"
             else:
                 bad = cur_value > base_value * args.factor
                 if bad and floor is not None and cur_value <= floor:
                     bad = False  # still below the noise floor: not a cliff
-                if (absolute is not None and row_is_absolute
-                        and cur_value > absolute):
+                if absolute is not None and cur_value > absolute:
                     bad = True  # absolute criterion (ceiling), no band
                 verdict = "REGRESSION" if bad else "ok"
             if verdict == "REGRESSION":
