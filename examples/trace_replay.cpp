@@ -92,7 +92,7 @@ std::unique_ptr<reasched::IReallocScheduler> make_scheduler(const std::string& k
   if (kind == "sharded") {
     // The service pipeline with every instrumented tier live: incremental
     // audits at a visible cadence, partitioned rebuilds and incremental
-    // rehash by default, and (with --wal-dir) the per-shard WAL.
+    // rehash by default, and (with --wal-dir) the WAL.
     options.audit_policy.mode = audit::Mode::kIncremental;
     options.audit_policy.cadence = 64;
     ShardedScheduler::Options service;

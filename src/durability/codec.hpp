@@ -23,7 +23,8 @@ namespace reasched::durability {
 /// Thrown (as InternalError's sibling) on any malformed durable input:
 /// truncated buffer, bad magic, checksum mismatch, impossible field. The
 /// recovery path catches it per-artifact and degrades (skip the snapshot,
-/// truncate the log) — it must never escape Recovery::load.
+/// truncate the log). It escapes recovery only for a foreign log header
+/// or a per-shard log directory (durability::recover_log).
 struct CorruptInput final : std::runtime_error {
   using std::runtime_error::runtime_error;
 };

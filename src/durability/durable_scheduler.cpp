@@ -1,10 +1,5 @@
 #include "durability/durable_scheduler.hpp"
 
-#include <sys/stat.h>
-
-#include <cerrno>
-#include <cstring>
-
 #include "core/reservation_scheduler.hpp"
 #include "durability/crashpoint.hpp"
 #include "durability/snapshot.hpp"
@@ -14,22 +9,15 @@
 namespace reasched::durability {
 
 DurableScheduler::DurableScheduler(DurabilityPolicy policy, SchedulerOptions options)
-    : policy_(std::move(policy)) {
-  ensure_dir(policy_.dir);
-  Recovery::Recovered recovered = Recovery::load(policy_, options);
-  report_ = recovered.report;
-  reservation_ = recovered.scheduler.get();
-  inner_ = std::move(recovered.scheduler);
-  csn_ = report_.last_csn;
-  seed_live_set();
-  wal_.open(wal_path(policy_.dir, 0), policy_);
-}
+    : DurableScheduler(std::move(policy), [options] {
+        return std::make_unique<ReservationScheduler>(options);
+      }) {}
 
 DurableScheduler::DurableScheduler(DurabilityPolicy policy, const Factory& factory)
     : policy_(std::move(policy)) {
-  ensure_dir(policy_.dir);
-  // Snapshot-capable factories get the snapshot fast path; a failed load
-  // leaves the target half-written, so each attempt rebuilds from scratch.
+  // Newest loadable snapshot wins; corrupt ones are skipped. Snapshot-
+  // capable factories get this fast path; a failed load leaves the target
+  // half-written, so each attempt rebuilds from scratch.
   for (const std::uint64_t csn : list_snapshots(policy_.dir)) {
     std::unique_ptr<IReallocScheduler> candidate = factory();
     auto* reservation = dynamic_cast<ReservationScheduler*>(candidate.get());
@@ -47,16 +35,9 @@ DurableScheduler::DurableScheduler(DurabilityPolicy policy, const Factory& facto
     inner_ = factory();
     reservation_ = dynamic_cast<ReservationScheduler*>(inner_.get());
   }
-  const std::string log = wal_path(policy_.dir, 0);
-  WalReadResult wal = read_wal(log);
-  if (wal.torn_tail) {
-    report_.torn_tail = true;
-    truncate_wal(log, wal.valid_end);
-  }
-  replay_records(*inner_, wal.records, report_.snapshot_csn, report_);
+  recover_log(policy_, *inner_, report_, wal_);
   csn_ = report_.last_csn;
   seed_live_set();
-  wal_.open(log, policy_);
 }
 
 void DurableScheduler::seed_live_set() {

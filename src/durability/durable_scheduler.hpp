@@ -12,9 +12,10 @@
 //     boundary already absorbs rebuild-scale work — O(1) extra pauses
 //     elsewhere) and/or every policy.snapshot_every records, deferred to
 //     the next quiescent request while a migration is in flight;
-//   * construction *is* recovery: newest valid snapshot + WAL-suffix
-//     replay (durability/recovery.hpp), after which the writer appends
-//     where the surviving log left off.
+//   * construction *is* recovery: newest valid snapshot, then the log
+//     suffix through recover_log (durability/recovery.hpp) — the same
+//     routine the sharded service recovers with — after which the writer
+//     appends where the surviving log left off.
 //
 // Rejected inserts (InfeasibleError) are logged — write-ahead order —
 // and consume a CSN; replay re-runs them and deterministically re-rejects,
@@ -27,7 +28,7 @@
 // guarantees are unknown).
 //
 // Threading: single-caller discipline, like every scheduler here. For the
-// sharded service's per-shard logs see ShardedScheduler::Options::wal.
+// sharded service's log see ShardedScheduler::Options::wal.
 #pragma once
 
 #include <cstdint>
@@ -50,15 +51,15 @@ class DurableScheduler final : public IReallocScheduler {
  public:
   using Factory = std::function<std::unique_ptr<IReallocScheduler>()>;
 
-  /// Single-machine mode: recovers (or cold-starts) a ReservationScheduler
-  /// from `policy.dir` — snapshots + WAL suffix — and resumes logging.
-  /// The directory is created if missing.
+  /// Single-machine mode: generic mode over a ReservationScheduler factory
+  /// — recovers (or cold-starts) from `policy.dir`, snapshots + WAL
+  /// suffix, and resumes logging. The directory is created if missing.
   explicit DurableScheduler(DurabilityPolicy policy, SchedulerOptions options = {});
 
   /// Generic mode: the factory builds the inner scheduler (fresh), and
   /// recovery replays the whole surviving WAL through it. If the factory
-  /// happens to produce a ReservationScheduler, snapshots work exactly as
-  /// in single-machine mode (detected at runtime); for anything else —
+  /// produces a ReservationScheduler, snapshots seed it and only the log
+  /// suffix is replayed (detected at runtime); for anything else —
   /// e.g. a MultiMachineScheduler pipeline via ReallocatingScheduler —
   /// the tier is WAL-only and recovery cost grows with the log.
   DurableScheduler(DurabilityPolicy policy, const Factory& factory);

@@ -1,18 +1,15 @@
 #include "durability/recovery.hpp"
 
-#include <dirent.h>
+#include <sys/stat.h>
 
-#include <algorithm>
-#include <cerrno>
-#include <cstdio>
-#include <cstring>
+#include <span>
 
-#include "core/reservation_scheduler.hpp"
-#include "durability/snapshot.hpp"
 #include "util/assert.hpp"
 #include "util/flat_hash.hpp"
 
 namespace reasched::durability {
+
+namespace {
 
 void replay_records(IReallocScheduler& target, std::span<const WalRecord> records,
                     std::uint64_t after_csn, RecoveryReport& report) {
@@ -46,81 +43,24 @@ void replay_records(IReallocScheduler& target, std::span<const WalRecord> record
   }
 }
 
-Recovery::Recovered Recovery::load(const DurabilityPolicy& policy,
-                                   const SchedulerOptions& options) {
-  Recovered out;
-  out.report = RecoveryReport{};
+}  // namespace
 
-  // Newest loadable snapshot wins; corrupt ones are skipped. Each attempt
-  // needs a fresh target (load refuses a non-empty scheduler).
-  for (const std::uint64_t csn : list_snapshots(policy.dir)) {
-    auto candidate = std::make_unique<ReservationScheduler>(options);
-    if (load_snapshot(snapshot_path(policy.dir, csn), *candidate)) {
-      out.scheduler = std::move(candidate);
-      out.report.snapshot_csn = csn;
-      out.report.last_csn = csn;
-      break;
-    }
-    ++out.report.snapshots_skipped;
+void recover_log(const DurabilityPolicy& policy, IReallocScheduler& target,
+                 RecoveryReport& report, WalWriter& writer) {
+  ensure_dir(policy.dir);
+  struct stat st {};
+  if (::stat((policy.dir + "/wal-001.log").c_str(), &st) == 0) {
+    throw CorruptInput("wal: " + policy.dir +
+                       " holds per-shard logs (wal-001.log) from an older build");
   }
-  if (!out.scheduler) out.scheduler = std::make_unique<ReservationScheduler>(options);
-
-  const std::string log = wal_path(policy.dir, 0);
-  WalReadResult wal = read_wal(log);
+  const std::string log = wal_path(policy.dir);
+  const WalReadResult wal = read_wal(log);
   if (wal.torn_tail) {
-    out.report.torn_tail = true;
+    report.torn_tail = true;
     truncate_wal(log, wal.valid_end);
   }
-  // The snapshot may be *ahead* of the log's surviving prefix (snapshots
-  // are fsynced; with sync_every == 0 the log tail can be lost to a power
-  // cut). Replay then has nothing to do and the snapshot state stands.
-  replay_records(*out.scheduler, wal.records, out.report.snapshot_csn, out.report);
-  return out;
-}
-
-MergedWal merge_sharded_wal(const std::string& dir) {
-  MergedWal merged;
-  // Collect wal-*.log shard numbers.
-  std::vector<std::uint32_t> shards;
-  if (DIR* d = ::opendir(dir.c_str())) {
-    while (const dirent* entry = ::readdir(d)) {
-      unsigned shard = 0;
-      int consumed = 0;
-      if (std::sscanf(entry->d_name, "wal-%u.log%n", &shard, &consumed) == 1 &&
-          entry->d_name[consumed] == '\0') {
-        shards.push_back(shard);
-      }
-    }
-    ::closedir(d);
-  } else if (errno != ENOENT) {
-    RS_REQUIRE(false, "wal: cannot list " + dir + ": " + std::strerror(errno));
-  }
-  std::sort(shards.begin(), shards.end());
-
-  std::vector<WalRecord> all;
-  for (const std::uint32_t shard : shards) {
-    WalReadResult one = read_wal(wal_path(dir, shard));
-    if (one.missing) continue;
-    merged.shards.push_back(shard);
-    merged.valid_ends.push_back(one.valid_end);
-    merged.torn_tail = merged.torn_tail || one.torn_tail;
-    all.insert(all.end(), one.records.begin(), one.records.end());
-  }
-  std::sort(all.begin(), all.end(),
-            [](const WalRecord& a, const WalRecord& b) { return a.csn < b.csn; });
-
-  // Longest gap-free prefix starting at CSN 1: a record stranded beyond a
-  // gap belongs to a batch whose earlier requests never became durable on
-  // their shard, so the batch as a whole did not commit.
-  std::uint64_t expect = 1;
-  for (const WalRecord& record : all) {
-    if (record.csn != expect) break;
-    merged.records.push_back(record);
-    merged.last_csn = record.csn;
-    ++expect;
-  }
-  merged.dropped = all.size() - merged.records.size();
-  return merged;
+  replay_records(target, wal.records, report.snapshot_csn, report);
+  writer.open(log, policy);
 }
 
 }  // namespace reasched::durability

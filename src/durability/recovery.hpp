@@ -2,32 +2,26 @@
 //
 // Recovery never trusts any single artifact. Snapshots are tried newest
 // first and any corrupt one is skipped (falling back to an older snapshot,
-// or to an empty scheduler with full-log replay). The WAL's torn tail is
-// truncated at the last valid checksum. Replay pushes the surviving record
-// suffix through the scheduler's *normal* request path — the same
-// determinism the partitioned-rebuild differentials rest on makes the
-// recovered instance byte-identical to an uninterrupted twin that served
-// exactly the surviving prefix (tests/crash_recovery_test.cpp).
+// or to an empty scheduler with full-log replay) — that scan lives in
+// DurableScheduler, the only front end that snapshots. The log half is
+// shared by every durable front end: the WAL's torn tail is truncated at
+// the last valid checksum and the surviving record suffix is pushed
+// through the scheduler's *normal* request path — the same determinism the
+// partitioned-rebuild differentials rest on makes the recovered instance
+// byte-identical to an uninterrupted twin that served exactly the
+// surviving prefix (tests/crash_recovery_test.cpp).
 #pragma once
 
 #include <cstdint>
-#include <memory>
-#include <span>
-#include <string>
-#include <vector>
 
-#include "core/scheduler_options.hpp"
 #include "durability/wal.hpp"
 #include "schedule/scheduler_interface.hpp"
 
-namespace reasched {
+namespace reasched::durability {
 
-class ReservationScheduler;
-
-namespace durability {
-
-/// What Recovery::load found and did. Every count is observable by tests
-/// (e.g. "the corrupt snapshot was skipped": snapshots_skipped == 1).
+/// What construction-time recovery found and did. Every count is
+/// observable by tests (e.g. "the corrupt snapshot was skipped":
+/// snapshots_skipped == 1).
 struct RecoveryReport {
   /// CSN of the snapshot the state was seeded from; 0 = started empty.
   std::uint64_t snapshot_csn = 0;
@@ -49,54 +43,23 @@ struct RecoveryReport {
   }
 };
 
-struct Recovery {
-  struct Recovered {
-    std::unique_ptr<ReservationScheduler> scheduler;
-    RecoveryReport report;
-  };
+/// The log half of construction-is-recovery, shared by DurableScheduler
+/// and ShardedScheduler: creates `policy.dir` if missing, reads its log,
+/// truncates the torn tail, replays every record with csn >
+/// report.snapshot_csn through `target`'s request path (updating
+/// replayed / rejected_replays / last_csn / torn_tail), then opens
+/// `writer` to append where the surviving log ends.
+///
+/// Replayed inserts that throw InfeasibleError count as rejected, and
+/// erases of those jobs are skipped — the batch API's rejection
+/// semantics, which is what the live process reported to its caller. A
+/// snapshot ahead of the log's surviving prefix (the log tail was lost
+/// under sync_every == 0) leaves nothing to replay; the snapshot stands.
+///
+/// Throws CorruptInput for a garbled log header, and for a directory an
+/// older per-shard build wrote (a wal-001.log next to the log): recovering
+/// only wal-000.log would silently drop the other shards' requests.
+void recover_log(const DurabilityPolicy& policy, IReallocScheduler& target,
+                 RecoveryReport& report, WalWriter& writer);
 
-  /// Recovers a single-machine ReservationScheduler from `policy.dir`:
-  /// newest loadable snapshot (corrupt ones skipped) + replay of every WAL
-  /// record with csn > snapshot_csn; the torn tail, if any, is truncated
-  /// so a writer can append. A missing directory or empty log recovers an
-  /// empty scheduler. `options` must match the options the durable state
-  /// was written under (fingerprint-checked per snapshot).
-  [[nodiscard]] static Recovered load(const DurabilityPolicy& policy,
-                                      const SchedulerOptions& options);
-};
-
-/// Replays the records with csn > after_csn through `target`'s normal
-/// request path, updating `report` (replayed / rejected_replays /
-/// last_csn). Inserts that throw InfeasibleError are counted as rejected;
-/// erases of jobs whose insert was rejected are skipped — mirroring the
-/// batch API's rejection semantics, which is what the live process
-/// reported to its caller. Used by Recovery::load and by the WAL-only
-/// (sharded / multi-machine) recovery paths.
-void replay_records(IReallocScheduler& target, std::span<const WalRecord> records,
-                    std::uint64_t after_csn, RecoveryReport& report);
-
-/// The per-shard logs of a sharded service, merged back into one request
-/// stream ordered by CSN.
-struct MergedWal {
-  /// The longest gap-free CSN prefix across all shard logs, ascending.
-  std::vector<WalRecord> records;
-  /// Highest CSN in `records` (0 when empty).
-  std::uint64_t last_csn = 0;
-  /// Records beyond the first CSN gap, dropped (a lost shard frame strands
-  /// later requests on other shards — they never committed as a batch).
-  std::uint64_t dropped = 0;
-  /// Any shard log ended in a torn frame.
-  bool torn_tail = false;
-  /// Per shard file present on disk: shard number and the offset its log
-  /// must be truncated to before appending resumes (parallel vectors).
-  std::vector<std::uint32_t> shards;
-  std::vector<std::uint64_t> valid_ends;
-};
-
-/// Scans `dir` for wal-*.log files and merges them by CSN. Throws
-/// CorruptInput only for a garbled file header; torn tails degrade per
-/// shard. Does not truncate anything itself.
-[[nodiscard]] MergedWal merge_sharded_wal(const std::string& dir);
-
-}  // namespace durability
-}  // namespace reasched
+}  // namespace reasched::durability

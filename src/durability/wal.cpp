@@ -5,7 +5,6 @@
 #include <unistd.h>
 
 #include <cerrno>
-#include <cstdio>
 #include <cstring>
 #include <utility>
 
@@ -33,27 +32,6 @@ constexpr std::uint32_t kMaxFramePayload = 64u << 20;
 
 }  // namespace
 
-void put_record(ByteSink& sink, const WalRecord& record) {
-  // Encoded into a stack scratch and appended with one copy: this runs
-  // once per request on the durable hot path (E17 gates its overhead).
-  std::byte scratch[1 + 8 + 8 + 16];
-  scratch[0] = static_cast<std::byte>(record.type);
-  const auto put_u64 = [&scratch](std::size_t at, std::uint64_t v) {
-    for (int i = 0; i < 8; ++i) {
-      scratch[at + static_cast<std::size_t>(i)] = static_cast<std::byte>(v >> (8 * i));
-    }
-  };
-  put_u64(1, record.csn);
-  put_u64(9, record.job.value);
-  std::size_t len = 17;
-  if (record.type == WalRecordType::kInsert) {
-    put_u64(17, static_cast<std::uint64_t>(record.window.start));
-    put_u64(25, static_cast<std::uint64_t>(record.window.end));
-    len = 33;
-  }
-  sink.byte_block(scratch, len);
-}
-
 WalRecord get_record(ByteSource& source) {
   WalRecord record;
   const std::uint8_t type = source.u8();
@@ -71,11 +49,7 @@ WalRecord get_record(ByteSource& source) {
   return record;
 }
 
-std::string wal_path(const std::string& dir, std::uint32_t shard) {
-  char name[32];
-  std::snprintf(name, sizeof(name), "wal-%03u.log", shard);
-  return dir + "/" + name;
-}
+std::string wal_path(const std::string& dir) { return dir + "/wal-000.log"; }
 
 void ensure_dir(const std::string& dir) {
   RS_REQUIRE(!dir.empty(), "durability: policy.dir must be set");
@@ -115,8 +89,7 @@ WalWriter& WalWriter::operator=(WalWriter&& other) noexcept {
   return *this;
 }
 
-void WalWriter::open(const std::string& path, const DurabilityPolicy& policy,
-                     std::uint32_t shard) {
+void WalWriter::open(const std::string& path, const DurabilityPolicy& policy) {
   close();
   policy_ = policy;
   reset_frame();
@@ -128,7 +101,7 @@ void WalWriter::open(const std::string& path, const DurabilityPolicy& policy,
     ByteSink header;
     header.byte_block(kMagic, sizeof(kMagic));
     header.u32(kVersion);
-    header.u32(shard);
+    header.u32(0);  // reserved
     write_all(header.bytes().data(), header.size());
     if (::fsync(fd_) != 0) throw_errno("wal: cannot sync", path);
   } else {
@@ -146,16 +119,6 @@ void WalWriter::open(const std::string& path, const DurabilityPolicy& policy,
       throw CorruptInput("wal: bad file header: " + path);
     }
   }
-}
-
-void WalWriter::append(const WalRecord& record) {
-  RS_REQUIRE(is_open(), "wal: append on closed writer");
-  RS_TELEM_DURATION(kAppendHist, "wal.append");
-  RS_TELEM_SPAN(append_span, kAppendHist, "wal.append");
-  put_record(buffer_, record);
-  appended();
-  RS_TELEM_COUNTER(kRecords, "wal.records");
-  RS_TELEM_ADD(kRecords, 1);
 }
 
 void WalWriter::flush() {
@@ -181,7 +144,10 @@ void WalWriter::flush() {
   }
   write_all(buffer_.bytes().data(), buffer_.size());
   ++stats_.frames;
+  stats_.records += buffered_records_;
   stats_.bytes += buffer_.size();
+  RS_TELEM_COUNTER(kRecords, "wal.records");
+  RS_TELEM_ADD(kRecords, buffered_records_);
   RS_TELEM_COUNTER(kBytes, "wal.bytes");
   RS_TELEM_ADD(kBytes, buffer_.size());
   reset_frame();

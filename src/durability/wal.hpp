@@ -8,14 +8,13 @@
 // functions of the request stream, so replaying the requests through the
 // normal apply path reproduces the exact scheduler state (the same
 // determinism argument the partitioned-rebuild differential tests rest
-// on). Under the sharded service each shard appends to its own log file
-// and recovery merges the per-shard streams by CSN, taking the longest
-// gap-free prefix — the cross-shard ordering BatchResult::first_csn /
-// last_csn expose to callers.
+// on). Every durable front end — DurableScheduler and the sharded
+// service alike — writes exactly one log, wal-000.log, in CSN order, so
+// the file's intact prefix *is* the request stream recovery replays.
 //
 // On-disk format. A log file is a 16-byte header
 //
-//   "RSWAL001" (8)  |  version u32  |  shard u32
+//   "RSWAL001" (8)  |  version u32  |  reserved u32 (written as 0)
 //
 // followed by frames, each
 //
@@ -88,11 +87,10 @@ struct WalRecord {
   friend bool operator==(const WalRecord&, const WalRecord&) = default;
 };
 
-void put_record(ByteSink& sink, const WalRecord& record);
 [[nodiscard]] WalRecord get_record(ByteSource& source);
 
-/// Append-side of one log file. Not thread-safe (per-shard discipline:
-/// exactly one writer per file).
+/// Append-side of one log file. Not thread-safe: exactly one writer per
+/// file, driven from one thread.
 class WalWriter {
  public:
   WalWriter() = default;
@@ -105,21 +103,28 @@ class WalWriter {
   /// Creates the file (with header) or appends to an existing one after
   /// validating its header. Throws CorruptInput on a foreign/garbled
   /// header and ContractViolation on I/O errors.
-  void open(const std::string& path, const DurabilityPolicy& policy,
-            std::uint32_t shard = 0);
+  void open(const std::string& path, const DurabilityPolicy& policy);
   [[nodiscard]] bool is_open() const noexcept { return fd_ >= 0; }
 
-  /// Buffers one record; cuts a frame at the policy's frame_bytes.
-  void append(const WalRecord& record);
-  /// Fast-path appends — identical bytes to append(WalRecord::insert(...))
-  /// / append(WalRecord::erase(...)), encoded straight into the frame
-  /// buffer with no intermediate record. These are the per-request calls
-  /// on the durable hot path (E17 gates their overhead); keep them inline.
+  /// Buffers and commits one record; cuts a frame at the policy's
+  /// frame_bytes. The same encoder as the split calls below.
+  void append(const WalRecord& record) {
+    if (record.type == WalRecordType::kInsert) {
+      append_insert(record.csn, record.job, record.window);
+    } else {
+      append_erase(record.csn, record.job);
+    }
+    commit_record();
+  }
+  /// The record encoder, split from commit_record(): each call encodes one
+  /// record straight into the frame buffer. These are the per-request
+  /// calls on the durable hot path (E17 gates their overhead); keep them
+  /// inline.
   ///
-  /// Unlike append(), the record is only *buffered*: nothing can reach
-  /// disk until the matching commit_record(), so a caller that interleaves
-  /// the append with a fallible operation (DurableScheduler's write-ahead
-  /// ordering around the inner scheduler) can still rollback_to(mark) — a
+  /// The record is only *buffered*: nothing can reach disk until the
+  /// matching commit_record(), so a caller that interleaves the append
+  /// with a fallible operation (DurableScheduler's write-ahead ordering
+  /// around the inner scheduler) can still rollback_to(mark) — a
   /// precondition-violating request then never touches the log.
   [[nodiscard]] std::size_t mark() const noexcept { return buffer_.size(); }
   void append_insert(std::uint64_t csn, JobId id, Window window) {
@@ -148,7 +153,7 @@ class WalWriter {
   void close();
 
   struct Stats {
-    std::uint64_t records = 0;
+    std::uint64_t records = 0;  ///< written out in frames
     std::uint64_t frames = 0;
     std::uint64_t syncs = 0;
     std::uint64_t bytes = 0;
@@ -163,10 +168,9 @@ class WalWriter {
       out[i] = static_cast<std::byte>(v >> (8 * i));
     }
   }
-  /// Shared tail of every append: counters + the frame-cut check.
+  /// Shared tail of every append: count + the frame-cut check.
   void appended() {
     ++buffered_records_;
-    ++stats_.records;
     if (buffer_.size() - kWalFrameHeaderBytes >= policy_.frame_bytes) flush();
   }
 
@@ -203,8 +207,8 @@ struct WalReadResult {
 /// append cleanly. No-op when the file is already that size.
 void truncate_wal(const std::string& path, std::uint64_t valid_end);
 
-/// Path of shard `shard`'s log file inside `dir` ("wal-000.log", ...).
-[[nodiscard]] std::string wal_path(const std::string& dir, std::uint32_t shard);
+/// Path of the log file inside `dir` ("wal-000.log").
+[[nodiscard]] std::string wal_path(const std::string& dir);
 
 /// mkdir -p: creates every missing component of `dir`.
 void ensure_dir(const std::string& dir);

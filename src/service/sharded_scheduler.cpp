@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <atomic>
 #include <chrono>
-#include <cstdio>
 #include <exception>
 #include <future>
 #include <utility>
@@ -53,73 +52,29 @@ ShardedScheduler::ShardedScheduler(unsigned machines, const Factory& factory,
   }
   label_ = "sharded[s=" + std::to_string(shards_) + "," + std::to_string(machines) +
            "x " + machines_.front()->name() + "]";
-  if (options.wal) init_wal(*options.wal);
+  if (options.wal) {
+    // Construction is recovery. The replay runs through the sequential
+    // request path with logging still off, so it does not re-log;
+    // delegation is deterministic, so the recovered service matches a twin
+    // that served exactly the surviving log.
+    durability::recover_log(*options.wal, *this, recovery_report_, wal_);
+    csn_ = recovery_report_.last_csn;
+    wal_logging_ = true;
+  }
 }
 
 // ---------------------------------------------------------- durability tier
 
-void ShardedScheduler::init_wal(const durability::DurabilityPolicy& policy) {
-  durability::ensure_dir(policy.dir);
-  durability::MergedWal merged = durability::merge_sharded_wal(policy.dir);
-  recovery_report_.torn_tail = merged.torn_tail;
-
-  // Records stranded beyond a CSN gap never committed as a batch; they must
-  // not stay on disk or their CSNs would collide with the ones about to be
-  // reissued. A shard file numbered beyond the current shard count would
-  // likewise never be appended again. Either case compacts the surviving
-  // prefix into shard 0's log and removes the rest; otherwise only torn
-  // tails are truncated in place.
-  bool compact = merged.dropped > 0;
-  for (const std::uint32_t shard : merged.shards) {
-    if (shard >= shards_) compact = true;
-  }
-  if (compact) {
-    for (const std::uint32_t shard : merged.shards) {
-      std::remove(durability::wal_path(policy.dir, shard).c_str());
-    }
-    durability::WalWriter compacted;
-    compacted.open(durability::wal_path(policy.dir, 0), policy, 0);
-    for (const durability::WalRecord& record : merged.records) {
-      compacted.append(record);
-    }
-    compacted.sync();
-    compacted.close();
-  } else {
-    for (std::size_t i = 0; i < merged.shards.size(); ++i) {
-      durability::truncate_wal(durability::wal_path(policy.dir, merged.shards[i]),
-                               merged.valid_ends[i]);
-    }
-  }
-
-  // Replay through the sequential request path (wal_logging_ still false,
-  // so the replay does not re-log). Delegation is deterministic, so the
-  // recovered service matches a twin that served exactly this prefix.
-  durability::replay_records(*this, merged.records, 0, recovery_report_);
-  csn_ = recovery_report_.last_csn;
-
-  wal_.resize(shards_);
-  for (unsigned shard = 0; shard < shards_; ++shard) {
-    wal_[shard].open(durability::wal_path(policy.dir, shard), policy, shard);
-  }
-  wal_logging_ = true;
-}
-
-void ShardedScheduler::log_insert(JobId id, Window window) {
+void ShardedScheduler::log_request(RequestKind kind, JobId id, Window window) {
   if (!wal_logging_) return;
   ++csn_;
   RS_TELEM_SET_CSN(csn_);
-  wal_[wal_shard_of(window)].append(durability::WalRecord::insert(csn_, id, window));
-}
-
-void ShardedScheduler::log_erase(JobId id, Window window) {
-  if (!wal_logging_) return;
-  ++csn_;
-  RS_TELEM_SET_CSN(csn_);
-  wal_[wal_shard_of(window)].append(durability::WalRecord::erase(csn_, id));
+  wal_.append(kind == RequestKind::kInsert ? durability::WalRecord::insert(csn_, id, window)
+                                           : durability::WalRecord::erase(csn_, id));
 }
 
 void ShardedScheduler::sync_wal() {
-  for (auto& writer : wal_) writer.sync();
+  if (wal_.is_open()) wal_.sync();
 }
 
 std::string ShardedScheduler::name() const { return label_; }
@@ -147,7 +102,8 @@ std::size_t ShardedScheduler::audit_balance_incremental() {
 RequestStats ShardedScheduler::insert(JobId id, Window window) {
   RS_REQUIRE(window.valid(), "ShardedScheduler::insert: empty window");
   RS_REQUIRE(!ledger_.find_job(id), "ShardedScheduler::insert: id already active");
-  log_insert(id, window);  // write-ahead; a rejection replays as a rejection
+  // Write-ahead; a rejection replays as a rejection.
+  log_request(RequestKind::kInsert, id, window);
 
   StripedLedger::WindowStripe& stripe = ledger_.window_stripe_for(window);
   MachineId machine;
@@ -171,7 +127,7 @@ RequestStats ShardedScheduler::erase(JobId id) {
   RS_REQUIRE(info.has_value(), "ShardedScheduler::erase: id not active");
   const Window window = info->window;
   const MachineId machine = info->machine;
-  log_erase(id, window);  // write-ahead
+  log_request(RequestKind::kDelete, id, window);  // write-ahead
 
   StripedLedger::WindowStripe& stripe = ledger_.window_stripe_for(window);
   BalanceLedger::Migration migration;
@@ -271,15 +227,11 @@ BatchResult ShardedScheduler::apply(std::span<const Request> batch) {
       end = scan_subbatch(batch, first, resolved, status, rejected_ids);
     }
     // Write-ahead on the caller thread, in batch order, before the
-    // sub-batch fans out: CSNs are assigned here, so merging the per-shard
-    // logs by CSN reconstructs exactly this sequential order.
+    // sub-batch fans out: CSNs are assigned here, so the log holds exactly
+    // this sequential order.
     for (std::size_t i = first; i < end; ++i) {
       if (status[i] == kRejected) continue;  // moot delete: no CSN, no record
-      if (batch[i].kind == RequestKind::kInsert) {
-        log_insert(batch[i].job, resolved[i].window);
-      } else {
-        log_erase(batch[i].job, resolved[i].window);
-      }
+      log_request(batch[i].kind, batch[i].job, resolved[i].window);
     }
     apply_subbatch(batch, first, end, resolved, status, result.stats, rejected_ids);
     first = end;
@@ -296,7 +248,7 @@ BatchResult ShardedScheduler::apply(std::span<const Request> batch) {
     result.first_csn = start_csn + 1;
     result.last_csn = csn_;
   }
-  for (auto& writer : wal_) writer.flush();  // batch boundary = frame boundary
+  wal_.flush();  // batch boundary = frame boundary
   return result;
 }
 

@@ -92,15 +92,14 @@ class ShardedScheduler final : public IReallocScheduler {
     /// max(16, 4·shards), enough that concurrent planners rarely collide.
     std::size_t stripes = 0;
     /// Durability tier (DESIGN.md §9): when set, every request is appended
-    /// write-ahead to one of `shards` per-shard log files in wal->dir
-    /// (routed by window stripe; CSNs are assigned globally on the caller
-    /// thread, so the merged streams order totally) and *construction is
-    /// recovery* — the surviving gap-free CSN prefix of the per-shard logs
-    /// is compacted and replayed through the sequential request path
-    /// before any new request is accepted. BatchResult::first_csn /
-    /// last_csn report each batch's CSN range. Snapshots are not taken at
-    /// this layer (per-machine generation boundaries are not service-wide
-    /// quiescent points); recovery cost grows with the log.
+    /// write-ahead, in CSN order on the caller thread, to the single log
+    /// wal->dir/wal-000.log, and *construction is recovery* — the log's
+    /// intact prefix is replayed through the sequential request path by
+    /// durability::recover_log (DurableScheduler's routine) before any new
+    /// request is accepted. BatchResult::first_csn / last_csn report each
+    /// batch's CSN range. Snapshots are not taken at this layer
+    /// (per-machine generation boundaries are not service-wide quiescent
+    /// points); recovery cost grows with the log.
     std::optional<durability::DurabilityPolicy> wal;
     /// Runtime gate for the telemetry tier (src/telemetry/, DESIGN.md §10):
     /// construction flips the process-wide recording switches (turn-on
@@ -165,7 +164,7 @@ class ShardedScheduler final : public IReallocScheduler {
   }
   /// CSN of the last logged request (0 when no WAL is attached).
   [[nodiscard]] std::uint64_t csn() const noexcept { return csn_; }
-  /// Flushes and fsyncs every shard log.
+  /// Flushes and fsyncs the log (no-op when no WAL is attached).
   void sync_wal();
 
  private:
@@ -209,19 +208,10 @@ class ShardedScheduler final : public IReallocScheduler {
   void run_stealable(std::size_t count, const std::vector<unsigned>& home_shard,
                      const std::function<void(std::size_t)>& task);
 
-  /// Recovers from + resumes the per-shard logs (ctor tail when
-  /// Options::wal is set): merge by CSN, compact the gap-free prefix into
-  /// shard 0's log, replay it sequentially (logging suspended), open the
-  /// writers.
-  void init_wal(const durability::DurabilityPolicy& policy);
-  /// Appends one record to the shard log owning `window`, write-ahead on
-  /// the caller thread. No-op while logging is suspended (recovery replay,
-  /// sub-batch sequential re-run).
-  void log_insert(JobId id, Window window);
-  void log_erase(JobId id, Window window);
-  [[nodiscard]] unsigned wal_shard_of(Window window) const {
-    return static_cast<unsigned>(ledger_.stripe_of(window)) % shards_;
-  }
+  /// Assigns the next CSN and appends the request's record to the log,
+  /// write-ahead on the caller thread. No-op while logging is suspended
+  /// (recovery replay, sub-batch sequential re-run).
+  void log_request(RequestKind kind, JobId id, Window window);
 
   std::size_t scan_subbatch(std::span<const Request> batch, std::size_t first,
                             std::vector<Resolved>& resolved,
@@ -248,8 +238,8 @@ class ShardedScheduler final : public IReallocScheduler {
   ShardedThreadPool pool_;
   std::string label_;
 
-  // Durability tier (empty/zero when Options::wal is unset).
-  std::vector<durability::WalWriter> wal_;  // one writer per shard
+  // Durability tier (closed/zero when Options::wal is unset).
+  durability::WalWriter wal_;
   durability::RecoveryReport recovery_report_{};
   std::uint64_t csn_ = 0;
   bool wal_logging_ = false;

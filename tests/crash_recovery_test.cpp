@@ -235,9 +235,9 @@ TEST(CrashRecoveryMatrix, KillAtRandomPoints) {
   }
 }
 
-// Sharded service tier: kill mid-frame while per-shard logs are being
+// Sharded service tier: kill mid-frame while the service's log is being
 // written from batched applies; construction-is-recovery must converge to
-// the gap-free CSN prefix and pass the balance audit.
+// the log's intact CSN prefix and pass the balance audit.
 TEST(CrashRecoveryMatrix, ShardedKillMidBatch) {
   for (std::uint64_t seed : {5u, 6u, 7u}) {
     TempDir dir;
@@ -282,9 +282,9 @@ TEST(CrashRecoveryMatrix, ShardedKillMidBatch) {
     ASSERT_EQ(WEXITSTATUS(status), CrashPoint::kExitStatus)
         << "seed " << seed << ": child exit " << WEXITSTATUS(status);
 
-    // Construction is recovery. The recovered cut is the longest gap-free
-    // CSN prefix; requests at CSN > cut were lost with the crash, exactly
-    // as if they had never been acknowledged.
+    // Construction is recovery. The recovered cut is the log's intact CSN
+    // prefix; requests at CSN > cut were lost with the crash, exactly as
+    // if they had never been acknowledged.
     ShardedScheduler recovered(8, factory, options);
     const std::uint64_t cut = recovered.csn();
     ASSERT_GT(cut, 0u) << "seed " << seed;

@@ -10,6 +10,7 @@
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <filesystem>
 #include <fstream>
 #include <iterator>
 #include <memory>
@@ -35,7 +36,6 @@ namespace {
 
 using durability::DurabilityPolicy;
 using durability::DurableScheduler;
-using durability::Recovery;
 using durability::WalReadResult;
 using durability::WalRecord;
 using durability::WalWriter;
@@ -127,7 +127,7 @@ std::vector<WalRecord> sample_records(std::size_t count) {
 
 TEST(Wal, RoundTripAcrossFramesAndReopen) {
   TempDir dir;
-  const std::string path = durability::wal_path(dir.path, 0);
+  const std::string path = durability::wal_path(dir.path);
   DurabilityPolicy policy;
   policy.dir = dir.path;
   policy.frame_bytes = 128;  // force many frames
@@ -159,7 +159,7 @@ TEST(Wal, RoundTripAcrossFramesAndReopen) {
 
 TEST(Wal, TornTailIsTruncatedAndAppendResumes) {
   TempDir dir;
-  const std::string path = durability::wal_path(dir.path, 0);
+  const std::string path = durability::wal_path(dir.path);
   DurabilityPolicy policy;
   policy.dir = dir.path;
   policy.frame_bytes = 64;
@@ -198,7 +198,7 @@ TEST(Wal, TornTailIsTruncatedAndAppendResumes) {
 
 TEST(Wal, CorruptPayloadByteStopsAtThatFrame) {
   TempDir dir;
-  const std::string path = durability::wal_path(dir.path, 0);
+  const std::string path = durability::wal_path(dir.path);
   DurabilityPolicy policy;
   policy.dir = dir.path;
   policy.frame_bytes = 64;
@@ -628,62 +628,93 @@ TEST(Recovery, GenericFactoryModeIsWalOnly) {
 
 // ------------------------------------------------------------ sharded WAL
 
-TEST(Recovery, ShardedPerShardLogsMergeByCsn) {
-  TempDir dir;
-  const SchedulerOptions machine_options = base_options();
-  ShardedScheduler::Options options;
-  options.shards = 4;
-  options.wal = DurabilityPolicy{};
-  options.wal->dir = dir.path;
-  const auto factory = [&] {
-    return std::make_unique<ReservationScheduler>(machine_options);
-  };
+constexpr unsigned kShardedMachines = 8;
 
+std::vector<Request> sharded_trace(std::uint64_t seed) {
   ChurnParams params;
-  params.seed = 31;
+  params.seed = seed;
   params.requests = 2'000;
   params.target_active = 512;
-  params.machines = 8;
+  params.machines = kShardedMachines;
   params.min_span = 64;
   params.max_span = 2048;
-  const std::vector<Request> trace = make_churn_trace(params);
+  return make_churn_trace(params);
+}
 
-  BatchResult last;
+ShardedScheduler::Factory machine_factory() {
+  return [] { return std::make_unique<ReservationScheduler>(base_options()); };
+}
+
+ShardedScheduler::Options sharded_wal_options(const std::string& dir) {
+  ShardedScheduler::Options options;
+  options.shards = 4;
+  options.wal = DurabilityPolicy{.dir = dir};
+  return options;
+}
+
+/// Serves `trace` in 64-request batches.
+void serve_batched(ShardedScheduler& sharded, const std::vector<Request>& trace) {
+  for (std::size_t i = 0; i < trace.size(); i += 64) {
+    const std::size_t n = std::min<std::size_t>(64, trace.size() - i);
+    EXPECT_TRUE(sharded.apply({trace.data() + i, n}).all_served());
+  }
+}
+
+TEST(Recovery, ShardedServiceWritesOneCsnOrderedLog) {
+  TempDir dir;
+  const std::vector<Request> trace = sharded_trace(31);
   {
-    ShardedScheduler sharded(8, factory, options);
-    // Batched feeding: CSNs must come back dense across batches.
-    std::uint64_t expect_csn = 1;
-    for (std::size_t i = 0; i < trace.size(); i += 64) {
-      const std::size_t n = std::min<std::size_t>(64, trace.size() - i);
-      last = sharded.apply({trace.data() + i, n});
-      if (last.first_csn != 0) {
-        EXPECT_EQ(last.first_csn, expect_csn);
-        expect_csn = last.last_csn + 1;
-      }
-    }
+    ShardedScheduler sharded(kShardedMachines, machine_factory(),
+                             sharded_wal_options(dir.path));
+    serve_batched(sharded, trace);
     sharded.sync_wal();
-    EXPECT_GT(sharded.csn(), 0u);
-    // Several shard files actually exist.
-    const durability::MergedWal merged = durability::merge_sharded_wal(dir.path);
-    EXPECT_GT(merged.shards.size(), 1u);
-    EXPECT_EQ(merged.last_csn, sharded.csn());
-    EXPECT_EQ(merged.dropped, 0u);
+    ASSERT_GT(sharded.csn(), 0u);
+
+    // Exactly one log file at 4 shards...
+    std::vector<std::string> logs;
+    for (const auto& entry : std::filesystem::directory_iterator(dir.path)) {
+      const std::string name = entry.path().filename().string();
+      if (name.starts_with("wal-") && name.ends_with(".log")) logs.push_back(name);
+    }
+    EXPECT_EQ(logs, std::vector<std::string>{"wal-000.log"});
+    // ...holding CSNs 1..csn() densely, in ascending order.
+    const WalReadResult wal = durability::read_wal(durability::wal_path(dir.path));
+    EXPECT_FALSE(wal.torn_tail);
+    ASSERT_EQ(wal.records.size(), sharded.csn());
+    for (std::size_t i = 0; i < wal.records.size(); ++i) {
+      ASSERT_EQ(wal.records[i].csn, i + 1) << "record " << i;
+    }
   }
 
-  // Construction is recovery: the per-shard logs replay to the same state.
-  ShardedScheduler recovered(8, factory, options);
-  EXPECT_GT(recovered.recovery_report().replayed, 0u);
+  // Construction is recovery: the log replays to the same state.
+  ShardedScheduler recovered(kShardedMachines, machine_factory(),
+                             sharded_wal_options(dir.path));
+  EXPECT_EQ(recovered.recovery_report().replayed, recovered.csn());
   recovered.audit_balance();
 
   ShardedScheduler::Options no_wal;
   no_wal.shards = 4;
-  ShardedScheduler twin(8, factory, no_wal);
-  for (std::size_t i = 0; i < trace.size(); i += 64) {
-    const std::size_t n = std::min<std::size_t>(64, trace.size() - i);
-    twin.apply({trace.data() + i, n});
-  }
+  ShardedScheduler twin(kShardedMachines, machine_factory(), no_wal);
+  serve_batched(twin, trace);
   expect_identical_schedules(twin.snapshot(), recovered.snapshot(), "sharded");
   EXPECT_EQ(twin.active_jobs(), recovered.active_jobs());
+}
+
+TEST(Recovery, ShardedRefusesPerShardLogDirectory) {
+  // Older builds split the sharded log into wal-000.log, wal-001.log, ...
+  // by window stripe. Recovering wal-000.log alone would silently drop the
+  // other stripes' requests, so construction refuses the directory.
+  TempDir dir;
+  const DurabilityPolicy policy{.dir = dir.path};
+  const std::vector<WalRecord> records = sample_records(8);
+  for (const std::size_t shard : {0u, 1u}) {
+    WalWriter writer;
+    writer.open(dir.path + "/wal-00" + std::to_string(shard) + ".log", policy);
+    for (std::size_t i = shard; i < records.size(); i += 2) writer.append(records[i]);
+  }
+  EXPECT_THROW(
+      ShardedScheduler(kShardedMachines, machine_factory(), sharded_wal_options(dir.path)),
+      durability::CorruptInput);
 }
 
 // ------------------------------------------------------------ trace format
@@ -708,26 +739,47 @@ TEST(TraceWal, BinaryTraceRoundTrips) {
 TEST(TraceWal, WalFileDoublesAsTrace) {
   // A durability log read back as a trace replays to the recovered state —
   // the "surviving request stream is a bug reproducer" property.
-  TempDir dir;
   const SchedulerOptions options = base_options();
-  const std::vector<Request> trace = churn_trace(43, 1'200);
-  DurabilityPolicy policy;
-  policy.dir = dir.path;
-  policy.snapshot_on_flip = false;
   {
-    DurableScheduler durable(policy, options);
-    for (const Request& r : trace) serve(durable, r);
-    durable.sync();
-  }
-  const std::vector<Request> replayed =
-      read_trace_wal(durability::wal_path(dir.path, 0));
-  ASSERT_EQ(replayed.size(), trace.size());
+    TempDir dir;
+    const std::vector<Request> trace = churn_trace(43, 1'200);
+    DurabilityPolicy policy;
+    policy.dir = dir.path;
+    policy.snapshot_on_flip = false;
+    {
+      DurableScheduler durable(policy, options);
+      for (const Request& r : trace) serve(durable, r);
+      durable.sync();
+    }
+    const std::vector<Request> replayed =
+        read_trace_wal(durability::wal_path(dir.path));
+    ASSERT_EQ(replayed.size(), trace.size());
 
-  ReservationScheduler a(options);
-  ReservationScheduler b(options);
-  for (const Request& r : trace) serve(a, r);
-  for (const Request& r : replayed) serve(b, r);
-  expect_identical_schedules(a.snapshot(), b.snapshot(), "wal-as-trace");
+    ReservationScheduler a(options);
+    ReservationScheduler b(options);
+    for (const Request& r : trace) serve(a, r);
+    for (const Request& r : replayed) serve(b, r);
+    expect_identical_schedules(a.snapshot(), b.snapshot(), "wal-as-trace");
+  }
+  {
+    // Sharded input: the service's one log holds every request, not one
+    // shard's stripes, so the sequential §3 reduction replays it to the
+    // service's schedule.
+    TempDir dir;
+    const std::vector<Request> trace = sharded_trace(43);
+    ShardedScheduler sharded(kShardedMachines, machine_factory(),
+                             sharded_wal_options(dir.path));
+    serve_batched(sharded, trace);
+    sharded.sync_wal();
+    const std::vector<Request> replayed =
+        read_trace_wal(durability::wal_path(dir.path));
+    ASSERT_EQ(replayed.size(), trace.size());
+
+    ReallocatingScheduler sequential(kShardedMachines, options);
+    for (const Request& r : replayed) serve(sequential, r);
+    expect_identical_schedules(sharded.snapshot(), sequential.snapshot(),
+                               "sharded wal-as-trace");
+  }
 }
 
 TEST(TraceWal, SimDriverRecordsServedStream) {

@@ -9,8 +9,9 @@
 //   * every request's RequestStats (reallocations, migrations,
 //     levels_touched, degraded, rebuilt);
 //   * the WAL — the raw log file bytes of a DurableScheduler under a fixed
-//     buffered policy, or, for the sharded service, the CSN-ordered merged
-//     record stream (per-shard files legitimately differ by shard count).
+//     buffered policy, or, for the sharded service, the decoded record
+//     stream of its log (frames are cut at batch boundaries, which
+//     legitimately differ across ingest producer counts).
 //
 // Every arm of one trace must reproduce the same committed constant: every
 // shard count (1/2/4/8), every ingest producer count (1/2/4/8), and every
@@ -38,7 +39,6 @@
 #include "core/reallocating_scheduler.hpp"
 #include "core/reservation_scheduler.hpp"
 #include "durability/durable_scheduler.hpp"
-#include "durability/recovery.hpp"
 #include "durability/wal.hpp"
 #include "ingest/ingest_service.hpp"
 #include "service/sharded_scheduler.hpp"
@@ -53,8 +53,8 @@ constexpr std::uint64_t kSingleMachine = 0x98049f1bfe46b73e;
 constexpr std::uint64_t kSingleMachineStopTheWorld = 0x26d155c935b7d60d;
 // churn_trace(77, 9000, 3000, 4) through the 4-machine §3 reduction.
 constexpr std::uint64_t kMultiMachine = 0xce767e7ea1b460a6;
-// churn_trace(9008, 4000, 1200, 8) through the sharded service with
-// per-shard WALs, served directly and through the ingest front end.
+// churn_trace(9008, 4000, 1200, 8) through the sharded service with its
+// WAL, served directly and through the ingest front end.
 constexpr std::uint64_t kSharded = 0xdf5e53d14a090f8b;
 // The fulfillment-cache stress trace: (5150, 4000, nested hotspots), 512
 // active jobs on one machine.
@@ -188,7 +188,7 @@ std::uint64_t durable_digest(const std::vector<Request>& trace, const DurableFac
     digest.schedule(scheduler->snapshot());
     scheduler->sync();
   }
-  digest.file(durability::wal_path(dir.path, 0));
+  digest.file(durability::wal_path(dir.path));
   return digest.value();
 }
 
@@ -210,14 +210,12 @@ std::unique_ptr<ShardedScheduler> make_sharded(const std::string& dir, unsigned 
       [] { return std::make_unique<ReservationScheduler>(best_effort()); }, options);
 }
 
-/// The WAL part of a sharded arm: the per-shard logs merged back into the
-/// single CSN-ordered request stream.
-void mix_merged_wal(Digest& digest, ShardedScheduler& scheduler, const std::string& dir) {
+/// The WAL part of a sharded arm: the log's CSN-ordered request stream.
+void mix_wal_records(Digest& digest, ShardedScheduler& scheduler, const std::string& dir) {
   scheduler.sync_wal();
-  const durability::MergedWal merged = durability::merge_sharded_wal(dir);
-  EXPECT_EQ(merged.dropped, 0u);
-  EXPECT_FALSE(merged.torn_tail);
-  digest.records(merged.records);
+  const durability::WalReadResult wal = durability::read_wal(durability::wal_path(dir));
+  EXPECT_FALSE(wal.torn_tail);
+  digest.records(wal.records);
 }
 
 /// The trace through ShardedScheduler::apply in 256-request batches (two
@@ -235,7 +233,7 @@ std::uint64_t sharded_digest(const std::vector<Request>& trace, unsigned shards)
     if ((first + len) % kSnapshotEvery == 0) digest.schedule(scheduler->snapshot());
   }
   digest.schedule(scheduler->snapshot());
-  mix_merged_wal(digest, *scheduler, dir.path);
+  mix_wal_records(digest, *scheduler, dir.path);
   return digest.value();
 }
 
@@ -277,7 +275,7 @@ std::uint64_t ingest_digest(const std::vector<Request>& trace, std::size_t produ
   service.stop();
   EXPECT_TRUE(service.rejected_tickets().empty());
   digest.schedule(scheduler->snapshot());
-  mix_merged_wal(digest, *scheduler, dir.path);
+  mix_wal_records(digest, *scheduler, dir.path);
   return digest.value();
 }
 

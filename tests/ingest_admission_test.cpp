@@ -348,7 +348,7 @@ TEST(IngestAdmissionCrash, RecoveryReplaysDurablePrefixAndReRejects) {
         "countdown=" + std::to_string(countdown) +
         (crashed ? "" : " (ran to completion)");
 
-    // Recovery: construction replays the gap-free CSN prefix; tickets were
+    // Recovery: construction replays the log's intact CSN prefix; tickets were
     // external, so the prefix is exactly trace[0, cut).
     ShardedScheduler recovered(2, naive, wal_scheduler_options(dir.path));
     const std::uint64_t cut = recovered.csn();

@@ -2,17 +2,20 @@
 // error vs the documented ≤3% bound, the empty-histogram contracts (both
 // LatencyHistogram and the IntHistogram satellite fix), per-thread shard
 // recording merged on scrape — also run under TSan in CI, where concurrent
-// record/scrape/retire must be race-free — TraceRing wrap-around, and the
-// JSON surfaces.
+// record/scrape/retire must be race-free — TraceRing wrap-around, the
+// JSON surfaces, and the WAL's record counter.
 #include <gtest/gtest.h>
+#include <unistd.h>
 
 #include <atomic>
 #include <cmath>
 #include <cstdint>
+#include <filesystem>
 #include <string>
 #include <thread>
 #include <vector>
 
+#include "durability/durable_scheduler.hpp"
 #include "telemetry/histogram.hpp"
 #include "telemetry/registry.hpp"
 #include "telemetry/trace_ring.hpp"
@@ -260,6 +263,35 @@ TEST_F(TelemetryTest, ResetZeroesButKeepsNames) {
     }
   }
   EXPECT_TRUE(found);
+}
+
+TEST_F(TelemetryTest, WalRecordsCountsEveryDurableRequest) {
+  // wal.records is bumped once per flushed frame, so DurableScheduler's
+  // split encoder path (append_insert/append_erase + commit_record) counts
+  // exactly like WalWriter::append.
+  const auto wal_records = [] {
+    for (const auto& [name, value] : Registry::global().snapshot().counters) {
+      if (name == "wal.records") return value;
+    }
+    return std::uint64_t{0};
+  };
+  char tmpl[] = "/tmp/reasched-telem-XXXXXX";
+  ASSERT_NE(::mkdtemp(tmpl), nullptr);
+  const std::uint64_t before = wal_records();
+  constexpr std::uint64_t kJobs = 300;
+  {
+    durability::DurabilityPolicy policy;
+    policy.dir = tmpl;
+    durability::DurableScheduler durable(policy);
+    for (std::uint64_t i = 0; i < kJobs; ++i) {
+      const Time start = static_cast<Time>(64 * i);
+      durable.insert(JobId{i}, Window{start, start + 64});
+    }
+    for (std::uint64_t i = 0; i < kJobs; i += 2) durable.erase(JobId{i});
+    durable.sync();
+  }
+  EXPECT_EQ(wal_records() - before, kJobs + kJobs / 2);
+  std::filesystem::remove_all(tmpl);
 }
 
 TEST_F(TelemetryTest, EnableIsTurnOnOnly) {
