@@ -1,7 +1,6 @@
 #include "durability/recovery.hpp"
 
-#include <sys/stat.h>
-
+#include <filesystem>
 #include <span>
 
 #include "util/assert.hpp"
@@ -48,10 +47,9 @@ void replay_records(IReallocScheduler& target, std::span<const WalRecord> record
 void recover_log(const DurabilityPolicy& policy, IReallocScheduler& target,
                  RecoveryReport& report, WalWriter& writer) {
   ensure_dir(policy.dir);
-  struct stat st {};
-  if (::stat((policy.dir + "/wal-001.log").c_str(), &st) == 0) {
-    throw CorruptInput("wal: " + policy.dir +
-                       " holds per-shard logs (wal-001.log) from an older build");
+  const std::string legacy = legacy_shard_log_path(policy.dir);
+  if (std::filesystem::exists(legacy)) {
+    throw CorruptInput("wal: " + legacy + " is a per-shard log from an older build");
   }
   const std::string log = wal_path(policy.dir);
   const WalReadResult wal = read_wal(log);

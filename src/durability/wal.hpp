@@ -210,6 +210,10 @@ void truncate_wal(const std::string& path, std::uint64_t valid_end);
 /// Path of the log file inside `dir` ("wal-000.log").
 [[nodiscard]] std::string wal_path(const std::string& dir);
 
+/// Path of the second log file an older per-shard build left in `dir`
+/// ("wal-001.log"); recovery refuses a directory that holds one.
+[[nodiscard]] std::string legacy_shard_log_path(const std::string& dir);
+
 /// mkdir -p: creates every missing component of `dir`.
 void ensure_dir(const std::string& dir);
 

@@ -652,12 +652,20 @@ ShardedScheduler::Options sharded_wal_options(const std::string& dir) {
   return options;
 }
 
-/// Serves `trace` in 64-request batches.
+/// Serves `trace` in 64-request batches; each batch's CSN range must pick
+/// up where the previous one ended, so the ranges cover 1..csn() densely.
 void serve_batched(ShardedScheduler& sharded, const std::vector<Request>& trace) {
+  std::uint64_t expect_csn = 1;
   for (std::size_t i = 0; i < trace.size(); i += 64) {
     const std::size_t n = std::min<std::size_t>(64, trace.size() - i);
-    EXPECT_TRUE(sharded.apply({trace.data() + i, n}).all_served());
+    const BatchResult result = sharded.apply({trace.data() + i, n});
+    EXPECT_TRUE(result.all_served());
+    if (result.first_csn != 0) {
+      EXPECT_EQ(result.first_csn, expect_csn);
+      expect_csn = result.last_csn + 1;
+    }
   }
+  EXPECT_EQ(expect_csn - 1, sharded.csn());
 }
 
 TEST(Recovery, ShardedServiceWritesOneCsnOrderedLog) {
@@ -707,9 +715,11 @@ TEST(Recovery, ShardedRefusesPerShardLogDirectory) {
   TempDir dir;
   const DurabilityPolicy policy{.dir = dir.path};
   const std::vector<WalRecord> records = sample_records(8);
-  for (const std::size_t shard : {0u, 1u}) {
+  const std::string logs[] = {durability::wal_path(dir.path),
+                               durability::legacy_shard_log_path(dir.path)};
+  for (std::size_t shard = 0; shard < 2; ++shard) {
     WalWriter writer;
-    writer.open(dir.path + "/wal-00" + std::to_string(shard) + ".log", policy);
+    writer.open(logs[shard], policy);
     for (std::size_t i = shard; i < records.size(); i += 2) writer.append(records[i]);
   }
   EXPECT_THROW(
