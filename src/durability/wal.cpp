@@ -5,7 +5,6 @@
 #include <unistd.h>
 
 #include <cerrno>
-#include <cstdio>
 #include <cstring>
 #include <utility>
 
@@ -50,21 +49,9 @@ WalRecord get_record(ByteSource& source) {
   return record;
 }
 
-namespace {
+std::string wal_path(const std::string& dir) { return dir + "/wal-000.log"; }
 
-/// Log files are named wal-NNN.log; index 0 is the log every front end
-/// writes, higher indices only ever came from per-shard builds.
-std::string log_file(const std::string& dir, unsigned index) {
-  char name[16];
-  std::snprintf(name, sizeof name, "/wal-%03u.log", index);
-  return dir + name;
-}
-
-}  // namespace
-
-std::string wal_path(const std::string& dir) { return log_file(dir, 0); }
-
-std::string legacy_shard_log_path(const std::string& dir) { return log_file(dir, 1); }
+std::string legacy_shard_log_path(const std::string& dir) { return dir + "/wal-001.log"; }
 
 void ensure_dir(const std::string& dir) {
   RS_REQUIRE(!dir.empty(), "durability: policy.dir must be set");
