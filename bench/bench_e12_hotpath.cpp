@@ -92,7 +92,7 @@ RunResult run_trace(const std::vector<Request>& trace, std::size_t warmup,
     const SegmentResult segment = timed_segment(churn);
     if (segment.ops_per_sec > result.churn.ops_per_sec) result.churn = segment;
   }
-  scheduler.set_audit(true);
+  scheduler.set_audit_policy({.mode = audit::Mode::kFull});  // full sweep per request
   result.audited = timed_segment(audit_churn);
   return result;
 }

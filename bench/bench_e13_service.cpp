@@ -11,7 +11,7 @@
 //     hardware parallelism; on a single-core host it stays ~1x.
 //   * audit=continuous — the deployment regime where the scheduler
 //     self-checks: sequential mode audits the serving machine after every
-//     request (ReservationScheduler options.audit); batched mode audits
+//     request (audit_policy {kFull, cadence 1}); batched mode audits
 //     every machine plus the balance ledger once per batch. Batching
 //     amortizes the O(state) audit across the whole batch — the dominant
 //     fixed cost the ROADMAP's batched-API item targets.
@@ -141,7 +141,9 @@ ModeResult run_mode(const std::vector<Request>& trace, std::size_t warmup,
     if (segment.ops_per_sec > result.churn.ops_per_sec) result.churn = segment;
   }
   if (sharded == nullptr) {
-    for (ReservationScheduler* machine : machines) machine->set_audit(true);
+    for (ReservationScheduler* machine : machines) {
+      machine->set_audit_policy({.mode = audit::Mode::kFull});  // full sweep per request
+    }
   } else {
     audit_batches = true;
   }

@@ -5,7 +5,7 @@
 // full sweep by >= 10x per audit at n = 1e5; a differential mode asserts
 // the incremental auditor accepts/rejects exactly when the sweep does,
 // including under deliberate state corruption, and the audit-off smoke
-// asserts that serving with both runtime gates off performs provably zero
+// asserts that serving with the runtime gate off performs provably zero
 // audit work. Protocol, acceptance bar and the recorded BENCH_audit.json
 // baseline: EXPERIMENTS.md §E15.
 //
@@ -102,7 +102,7 @@ AuditCost run_mode(const std::vector<Request>& trace, std::size_t cadence,
   return cost;
 }
 
-/// Audit-off smoke: serving with both runtime gates off must do provably
+/// Audit-off smoke: serving with the runtime gate off must do provably
 /// zero audit work (the gating matrix in util/assert.hpp).
 bool run_zero_work_smoke(const std::vector<Request>& trace) {
   SchedulerOptions options;
@@ -182,7 +182,7 @@ std::uint64_t run_differential(std::size_t n) {
   return agreed;
 }
 
-/// Sharded differential: the striped ledger's per-stripe incremental audit
+/// Sharded differential: the service ledger's incremental audit
 /// agrees with the full sweep at every shard count, clean and corrupted.
 bool sharded_audit_differential(unsigned shards) {
   ShardedScheduler::Options options;

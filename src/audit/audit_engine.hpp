@@ -34,8 +34,8 @@
 // The engine is bookkeeping only: it never reads scheduler state. The
 // owner drives verification through drain(), passing scoped check
 // callbacks (ReservationScheduler::incremental_audit). This keeps the
-// engine reusable across components — the striped balancer ledger uses the
-// same DirtyQueue primitive per stripe (core/balance_ledger.hpp).
+// engine reusable across components — the balance ledger uses the same
+// DirtyQueue primitive (core/balance_ledger.hpp).
 //
 // Thread-safety: none; one engine per scheduler instance, touched only by
 // that instance's owning thread (shard-local by construction, like the

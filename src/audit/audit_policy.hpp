@@ -1,12 +1,10 @@
 // Runtime policy for the incremental audit engine (src/audit/).
 //
-// The audit machinery has two runtime gates (see util/assert.hpp for the
-// full compile-time/runtime gating matrix): the legacy boolean
-// SchedulerOptions::audit (full O(state) sweep after every request — the
-// seed behavior, kept for the existing test suites) and this policy, which
-// drives the dirty-set engine. The policy mirrors the partitioned-rebuild
-// pacing knobs: how *often* audit work happens (cadence) and how *much* of
-// the backlog one request may pay for (budget).
+// This policy is the audit machinery's one runtime gate (see
+// util/assert.hpp for the full compile-time/runtime gating matrix): it
+// selects the full O(state) sweep or the dirty-set engine, and mirrors the
+// partitioned-rebuild pacing knobs: how *often* audit work happens
+// (cadence) and how *much* of the backlog one request may pay for (budget).
 #pragma once
 
 #include <cstddef>
@@ -18,8 +16,8 @@ enum class Mode : std::uint8_t {
   /// No engine, no events, no audit work at all (verifiably zero — the
   /// bench smoke asserts it via ReservationScheduler::audit_work()).
   kOff,
-  /// Full O(state) sweep at the cadence below. Equivalent to the legacy
-  /// SchedulerOptions::audit when cadence == 1, but countable/paceable.
+  /// Full O(state) sweep at the cadence below; cadence 1 audits after
+  /// every request (the test suites' setting).
   kFull,
   /// Dirty-set driven: mutation events mark intervals / windows / jobs
   /// dirty, and an audit call re-verifies only the dirty regions plus the

@@ -16,9 +16,9 @@
 //     enqueued twice. unmark() supports retraction (a job erased after
 //     being marked has nothing left to verify).
 //
-// Neither container is thread-safe; per-stripe/per-shard instances give the
-// service layer lock-free concurrency by construction (one dirty set per
-// stripe, guarded by the stripe's existing mutex).
+// Neither container is thread-safe; each instance belongs to one owner
+// (a scheduler's audit engine, a balance ledger) and is touched only by the
+// thread that mutates that owner.
 #pragma once
 
 #include <bit>

@@ -48,8 +48,7 @@ struct JobInfo {
 
 class BalanceLedger {
  public:
-  /// `machines` is the total machine count m of the reduction (global even
-  /// when the ledger instance holds only a stripe of the window space).
+  /// `machines` is the total machine count m of the reduction.
   explicit BalanceLedger(unsigned machines = 1) : machines_(machines) {}
 
   /// The §3 rebalance migration triggered by an erase, if any.
@@ -183,8 +182,8 @@ class BalanceLedger {
   /// changed since the last call (commits/rollbacks mark them dirty).
   /// The first call is a full sweep — dirt accumulated only from then on —
   /// after which the cost is O(windows touched since last audit). Returns
-  /// the number of windows verified. Caller synchronizes (the striped
-  /// ledger calls this under the stripe lock).
+  /// the number of windows verified. Not thread-safe; the owning front end
+  /// calls it from its caller thread.
   std::size_t audit_incremental() {
     if (!track_dirty_) {
       track_dirty_ = true;
@@ -197,7 +196,7 @@ class BalanceLedger {
   [[nodiscard]] bool dirty_tracking() const noexcept { return track_dirty_; }
   [[nodiscard]] std::size_t dirty_windows() const noexcept { return dirty_.size(); }
 
-  /// Registers the Lemma 3 check under `prefix` (e.g. "mm", "svc.stripe3")
+  /// Registers the Lemma 3 check under `prefix` ("mm", "svc")
   /// so every balance ledger in the system is enumerable from one table.
   void register_invariants(audit::InvariantTable& table, const std::string& prefix,
                            const std::string& component) const {

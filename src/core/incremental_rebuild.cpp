@@ -26,7 +26,6 @@ IncrementalRebuildScheduler::IncrementalRebuildScheduler(SchedulerOptions option
   SchedulerOptions inner = options_;
   inner.trimming = false;  // the adapter owns n*/trimming
   inner.overflow = OverflowPolicy::kBestEffort;  // migrations must not throw
-  inner.audit = false;
   // The inner generations keep the adapter's engine mode (their mutations
   // must be tracked) but never audit autonomously — the adapter's audit
   // drives them at its own cadence.
@@ -232,7 +231,6 @@ void IncrementalRebuildScheduler::register_invariants(
 
 void IncrementalRebuildScheduler::maybe_audit() {
   ++audit_request_index_;
-  if (options_.audit) audit();  // legacy gate: full sweep every request
   const audit::AuditPolicy& policy = options_.audit_policy;
   if (!policy.due(audit_request_index_)) return;
   if (policy.mode == audit::Mode::kFull) {

@@ -1068,7 +1068,6 @@ void ReservationScheduler::begin_partitioned_rebuild(u64 new_n_star) {
   migration->reinsert = sorted_active_set();
 
   SchedulerOptions shadow_options = options_;
-  shadow_options.audit = false;      // audited via the parent's audit()
   // The shadow keeps the parent's engine mode (its mutations must be
   // tracked so the dirty sets can follow the data across the swap) but
   // never audits autonomously — the parent's audit drives it (cadence 0).
@@ -1735,7 +1734,6 @@ void ReservationScheduler::incremental_audit() {
 
 void ReservationScheduler::maybe_audit() {
   ++audit_request_index_;
-  if (options_.audit) audit();  // legacy gate: full sweep every request
   const audit::AuditPolicy& policy = options_.audit_policy;
   if (!policy.due(audit_request_index_)) return;
   if (policy.mode == audit::Mode::kFull) {

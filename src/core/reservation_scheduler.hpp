@@ -203,14 +203,10 @@ class ReservationScheduler final : public IReallocScheduler {
   };
   [[nodiscard]] ArenaStats arena_stats(unsigned level) const;
 
-  /// Toggles the per-request audit at runtime. Benches replay a warmup
-  /// prefix audit-free, then audit only the measured segment.
-  void set_audit(bool enabled) noexcept { options_.audit = enabled; }
-
   /// Full internal-invariant audit; throws InternalError on any violation.
-  /// O(total state); runs automatically after each request when
-  /// options.audit is set. Mid-migration it audits both generations plus
-  /// the migration bookkeeping itself. Equivalent to running every check
+  /// O(total state); runs automatically at the cadence of an audit_policy
+  /// in mode kFull. Mid-migration it audits both generations plus the
+  /// migration bookkeeping itself. Equivalent to running every check
   /// registered by register_invariants — the five named units below ARE
   /// this sweep, decomposed.
   void audit() const;
@@ -237,8 +233,8 @@ class ReservationScheduler final : public IReallocScheduler {
 
   /// Observable audit work since construction (full sweeps + engine
   /// counters, including an in-flight migration shadow's). The benches'
-  /// audit-off smoke asserts every field stays zero when both runtime audit
-  /// gates are off.
+  /// audit-off smoke asserts every field stays zero when the runtime audit
+  /// gate is off.
   struct AuditWork {
     std::uint64_t full_sweeps = 0;
     std::uint64_t incremental_audits = 0;
@@ -556,7 +552,7 @@ class ReservationScheduler final : public IReallocScheduler {
   void count_move(const JobState& job) noexcept;
 
   // -- incremental audit (src/audit/; DESIGN.md §7) --
-  /// Runs whichever audits the two runtime gates request after a request.
+  /// Runs whatever audit the audit policy makes due after a request.
   void maybe_audit();
   /// Creates/destroys the engine to match options_.audit_policy.
   void sync_audit_engine();

@@ -53,17 +53,14 @@ struct SchedulerOptions {
   /// deeper levels reachable at small spans.
   LevelTable levels = LevelTable::paper();
 
-  /// When true, run a full internal-invariant audit after every request
-  /// (O(state) per request; tests only). Legacy gate, equivalent to
-  /// audit_policy {kFull, cadence 1} — see the gating matrix in
-  /// util/assert.hpp. Both gates may be on; each runs independently.
-  bool audit = false;
-
-  /// Incremental audit engine policy (src/audit/). Mode kIncremental
-  /// attaches an AuditEngine that tracks dirty intervals/windows/jobs from
-  /// mutation events and re-verifies only those regions (plus O(1) global
-  /// counters) at the configured cadence/budget; kOff means no engine and
-  /// verifiably zero audit work (bench_e15 smoke).
+  /// Runtime audit gate (src/audit/; gating matrix in util/assert.hpp).
+  /// Mode kFull runs the O(state) internal-invariant sweep every cadence-th
+  /// request ({kFull, cadence 1} audits after every request, the tests'
+  /// setting). Mode kIncremental attaches an AuditEngine that tracks dirty
+  /// intervals/windows/jobs from mutation events and re-verifies only
+  /// those regions (plus O(1) global counters) at the configured
+  /// cadence/budget; kOff means no engine and verifiably zero audit work
+  /// (bench_e15 smoke).
   audit::AuditPolicy audit_policy{};
 
   /// Runtime gate for the telemetry tier (src/telemetry/, DESIGN.md §10).

@@ -50,7 +50,6 @@
 #include "schedule/validator.hpp"
 
 #include "service/sharded_scheduler.hpp"
-#include "service/striped_ledger.hpp"
 
 #include "workload/adversary.hpp"
 #include "workload/churn.hpp"

@@ -156,12 +156,13 @@ void Scraper::stop() {
   if (thread_.joinable()) thread_.join();
   if (listen_fd_ >= 0) {
     // Unblocks the listener's accept() (returns with an error on Linux
-    // once the listening socket is shut down / closed).
+    // once the listening socket is shut down). The listener reads
+    // listen_fd_, so the descriptor is closed only after it has exited.
     ::shutdown(listen_fd_, SHUT_RDWR);
+    if (listener_.joinable()) listener_.join();
     ::close(listen_fd_);
     listen_fd_ = -1;
   }
-  if (listener_.joinable()) listener_.join();
   // Final scrape: the sum of emitted deltas equals the cumulative totals.
   if (!already) scrape();
 }

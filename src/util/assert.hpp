@@ -19,10 +19,10 @@
 //   RS_REQUIRE / RS_CHECK  none (always on)    none (always on)
 //   RS_ASSERT              REASCHED_AUDIT      none - zero cost when the
 //                          (tests define it)   macro compiles out
-//   full sweep audit()     none (always built) SchedulerOptions::audit
-//                                              (every request), an
-//                                              audit_policy{kFull,cadence},
-//                                              or an explicit call
+//   full sweep audit()     none (always built) SchedulerOptions::audit_policy
+//                                              {kFull, cadence} ({kFull, 1}
+//                                              = every request), or an
+//                                              explicit call
 //   incremental audit      none (always built) SchedulerOptions::audit_policy
 //                                              {kIncremental, cadence,
 //                                              budget, differential}
@@ -37,13 +37,13 @@
 // Consequences worth spelling out:
 //   * A release build WITHOUT REASCHED_AUDIT still audits fully when asked
 //     at runtime - the audit code is ordinary code, not RS_ASSERT bodies.
-//   * A test build WITH REASCHED_AUDIT but both runtime gates off runs
+//   * A test build WITH REASCHED_AUDIT but the runtime gate off runs
 //     only RS_CHECK plus the inline RS_ASSERT micro-asserts; no sweeps.
-//   * "Audit off" (options.audit == false, audit_policy.mode == kOff)
-//     must mean ZERO audit work - no engine is allocated, no mutation
-//     events fire (one null-pointer branch), no sweep ever runs. The
-//     bench smoke asserts ReservationScheduler::audit_work().zero() stays
-//     true in that configuration (bench_e15_audit --quick).
+//   * "Audit off" (audit_policy.mode == kOff) must mean ZERO audit work -
+//     no engine is allocated, no mutation events fire (one null-pointer
+//     branch), no sweep ever runs. The bench smoke asserts
+//     ReservationScheduler::audit_work().zero() stays true in that
+//     configuration (bench_e15_audit --quick).
 #pragma once
 
 #include <sstream>

@@ -80,7 +80,12 @@ ShardedThreadPool::ShardedThreadPool(std::size_t workers) {
 #if RS_TELEM_COMPILED
     worker.depth.emplace(queue_depth_gauge(i));
 #endif
-    worker.thread = std::thread([this, &worker] { worker_loop(worker); });
+  }
+  // Threads start only once workers_ is complete: a thief scans it without
+  // a lock, so it must not grow under a running worker.
+  for (auto& worker : workers_) {
+    Worker& self = *worker;
+    self.thread = std::thread([this, &self] { worker_loop(self); });
   }
 }
 

@@ -1,10 +1,9 @@
 // Differential guarantee of the incremental audit engine: it must accept /
 // reject EXACTLY when the full O(state) sweep does — across random
 // workloads (both accept everywhere), and under deliberate state
-// corruption (both reject). The sharded half runs the striped balancer
-// ledger's per-stripe incremental audit against the full ledger sweep at
-// 1/2/4/8 shards, with random batched workloads and injected ledger
-// corruption (acceptance criterion of ISSUE 4).
+// corruption (both reject). The sharded half runs the service ledger's
+// incremental audit against the full ledger sweep at 1/2/4/8 shards, with
+// random batched workloads and injected ledger corruption.
 #include <gtest/gtest.h>
 
 #include <memory>
@@ -195,7 +194,7 @@ TEST(AuditDifferential, ShardedLedgerAgreesAcrossShardCounts) {
       const BatchResult result = scheduler.apply(batch);
       ASSERT_TRUE(result.rejected.empty());
       // Both auditors accept after every batch (the incremental one checks
-      // only the stripes' dirty windows — concurrently across shards).
+      // only the ledger's dirty windows).
       // Incremental FIRST: a successful full sweep discharges the dirty
       // queues, so the reverse order would hand the incremental path an
       // empty queue and verify nothing.

@@ -9,7 +9,7 @@
 // two ever disagree. A mutation path that forgot its event shows up as a
 // shadow-counter mismatch or as dirt the incremental pass never drained —
 // either way, a loud InternalError here. The sharded half fuzzes the
-// striped balancer ledger's per-stripe dirty sets at 1/2/4 shards.
+// service ledger's dirty-window queue at 1/2/4 shards.
 //
 // ctest labels: slow + audit (CMakeLists.txt).
 #include <gtest/gtest.h>
@@ -137,9 +137,9 @@ TEST(AuditEventCoverageFuzz, BudgetedSlicesStayCoherentUnderFuzz) {
 }
 
 TEST(AuditEventCoverageFuzz, ShardedLedgerDifferentialAtShardCounts) {
-  // The striped balancer ledger's per-stripe dirty sets see the same fuzz
-  // through random batch slicing; after every slice both the incremental
-  // per-stripe audit and the full Lemma 3 sweep must accept, and the
+  // The service ledger's dirty-window queue sees the same fuzz through
+  // random batch slicing; after every fifth slice both the incremental
+  // audit and the full Lemma 3 sweep must accept, and the
   // per-machine engines run their own differential audits throughout.
   for (const unsigned shards : {1u, 2u, 4u}) {
     SchedulerOptions machine_options;

@@ -30,7 +30,7 @@ TEST_P(DeepTower, ChurnAcrossFourLevels) {
   options.levels = LevelTable::custom({32, 256, pow2(16), pow2(62)});
   options.trimming = param.trimming;
   options.overflow = OverflowPolicy::kBestEffort;
-  options.audit = true;
+  options.audit_policy.mode = audit::Mode::kFull;
   ReservationScheduler s(options);
 
   Rng rng(param.seed);
@@ -78,7 +78,7 @@ TEST(DeepTowerFunnelLike, PrefixPressureAcrossLevels) {
   options.levels = LevelTable::custom({32, 256, pow2(16), pow2(62)});
   options.trimming = false;
   options.overflow = OverflowPolicy::kBestEffort;
-  options.audit = true;
+  options.audit_policy.mode = audit::Mode::kFull;
   ReservationScheduler s(options);
   std::uint64_t next = 1;
   std::unordered_map<JobId, Window> active;

@@ -772,9 +772,9 @@ TEST(TraceWal, WalFileDoublesAsTrace) {
     expect_identical_schedules(a.snapshot(), b.snapshot(), "wal-as-trace");
   }
   {
-    // Sharded input: the service's one log holds every request, not one
-    // shard's stripes, so the sequential §3 reduction replays it to the
-    // service's schedule.
+    // Sharded input: the service's one log holds every request in CSN
+    // order, so the sequential §3 reduction replays it to the service's
+    // schedule.
     TempDir dir;
     const std::vector<Request> trace = sharded_trace(43);
     ShardedScheduler sharded(kShardedMachines, machine_factory(),

@@ -13,7 +13,7 @@ namespace {
 
 SchedulerOptions audited() {
   SchedulerOptions options;
-  options.audit = true;
+  options.audit_policy.mode = audit::Mode::kFull;
   return options;
 }
 

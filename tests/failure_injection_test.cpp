@@ -81,7 +81,7 @@ TEST(FailureInjection, ReservationRejectedInsertKeepsFeasibility) {
   SchedulerOptions options;
   options.trimming = false;
   options.overflow = OverflowPolicy::kThrow;
-  options.audit = true;
+  options.audit_policy.mode = audit::Mode::kFull;
   ReservationScheduler s(options);
   std::unordered_map<JobId, Window> active;
   for (unsigned i = 0; i < 8; ++i) {
@@ -102,7 +102,7 @@ TEST(FailureInjection, ReservationThrowOnSqueezedWindow) {
   SchedulerOptions options;
   options.trimming = false;
   options.overflow = OverflowPolicy::kThrow;
-  options.audit = true;
+  options.audit_policy.mode = audit::Mode::kFull;
   ReservationScheduler s(options);
   std::unordered_map<JobId, Window> active;
   std::uint64_t next = 1;
@@ -125,7 +125,7 @@ TEST(FailureInjection, BestEffortSurvivesSustainedOverload) {
   SchedulerOptions options;
   options.trimming = false;
   options.overflow = OverflowPolicy::kBestEffort;
-  options.audit = true;
+  options.audit_policy.mode = audit::Mode::kFull;
   ReservationScheduler s(options);
   Rng rng(21);
   std::unordered_map<JobId, Window> active;
@@ -242,7 +242,7 @@ TEST(FailureInjection, ThrowAndBestEffortAgreeWhenFeasible) {
   for (const auto policy : {OverflowPolicy::kThrow, OverflowPolicy::kBestEffort}) {
     SchedulerOptions options;
     options.overflow = policy;
-    options.audit = true;
+    options.audit_policy.mode = audit::Mode::kFull;
     ReservationScheduler s(options);
     std::uint64_t degraded = 0;
     for (unsigned i = 0; i < 64; ++i) {

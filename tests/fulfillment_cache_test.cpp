@@ -88,7 +88,7 @@ TEST(FulfillmentCache, AuditUnderChurnStress) {
     const auto trace = churn_trace(99, 2'000, placement);
     SchedulerOptions options;
     options.overflow = OverflowPolicy::kBestEffort;
-    options.audit = true;  // audit() throws InternalError on any violation
+    options.audit_policy.mode = audit::Mode::kFull;  // audit() throws InternalError on any violation
     ReservationScheduler s(options);
     std::unordered_map<JobId, Window> live;
     for (const Request& r : trace) {
@@ -109,7 +109,7 @@ TEST(FulfillmentCache, AuditUnderOverloadDegradation) {
   SchedulerOptions options;
   options.trimming = false;
   options.overflow = OverflowPolicy::kBestEffort;
-  options.audit = true;
+  options.audit_policy.mode = audit::Mode::kFull;
   ReservationScheduler s(options);
   Rng rng(7);
   std::vector<JobId> active;

@@ -28,8 +28,7 @@ TEST(Integration, LongChurnFullValidation) {
   params.max_span = 1 << 14;
   const auto trace = make_churn_trace(params);
 
-  SchedulerOptions options;
-  options.audit = false;  // audited variants covered elsewhere; keep this big
+  SchedulerOptions options;  // unaudited: audited variants are covered elsewhere
   ReallocatingScheduler scheduler(3, options);
   SimOptions sim;
   sim.validate_every = 20;

@@ -113,7 +113,7 @@ TEST(MultiMachine, FailedInsertLeavesLedgerClean) {
 
 TEST(MultiMachine, WorksWithReservationScheduler) {
   SchedulerOptions options;
-  options.audit = true;
+  options.audit_policy.mode = audit::Mode::kFull;
   MultiMachineScheduler s(
       2, [&] { return std::make_unique<ReservationScheduler>(options); });
   std::unordered_map<JobId, Window> active;

@@ -65,7 +65,7 @@ TEST(PartitionedRebuild, MigrationActuallySpansRequestsAndStaysAudited) {
   // single one (audit covers both generations).
   SchedulerOptions options = base_options();
   options.rebuild_batch = 16;
-  options.audit = true;
+  options.audit_policy.mode = audit::Mode::kFull;
   ReservationScheduler s(options);
 
   const auto trace = churn_trace(41, 1'500, 600);
@@ -100,7 +100,7 @@ TEST(PartitionedRebuild, InterleavedChurnAtLevelBoundaries) {
   // classes on both sides while the shadow generation catches up.
   SchedulerOptions options = base_options();
   options.rebuild_batch = 8;
-  options.audit = true;
+  options.audit_policy.mode = audit::Mode::kFull;
   ReservationScheduler s(options);
 
   std::uint64_t next = 1;
@@ -285,7 +285,7 @@ TEST(PartitionedRebuild, RetiredGenerationDrainsAndArenaIsReused) {
 TEST(PartitionedRebuild, HalvingBoundariesMigrateToo) {
   SchedulerOptions options = base_options();
   options.rebuild_batch = 8;
-  options.audit = true;
+  options.audit_policy.mode = audit::Mode::kFull;
   ReservationScheduler s(options);
 
   std::vector<JobId> active;

@@ -44,7 +44,7 @@ std::string combo_name(const testing::TestParamInfo<Combo>& info) {
 
 std::unique_ptr<IReallocScheduler> make_scheduler(const Combo& combo) {
   SchedulerOptions options;
-  options.audit = true;
+  options.audit_policy.mode = audit::Mode::kFull;
   options.overflow = OverflowPolicy::kBestEffort;
   switch (combo.kind) {
     case Kind::kReservation:
@@ -118,7 +118,7 @@ TEST_P(DoctorOfficeProperty, BookingsStayFeasible) {
   params.seed = GetParam();
   params.days = 48;
   SchedulerOptions options;
-  options.audit = true;
+  options.audit_policy.mode = audit::Mode::kFull;
   options.overflow = OverflowPolicy::kBestEffort;
   ReallocatingScheduler scheduler(1, options);
   SimOptions sim;
@@ -144,7 +144,7 @@ TEST_P(SlackSweep, NoDegradationWhenUnderallocated) {
   params.max_span = 2048;
   const auto trace = make_churn_trace(params);
   SchedulerOptions options;
-  options.audit = true;
+  options.audit_policy.mode = audit::Mode::kFull;
   options.overflow = OverflowPolicy::kBestEffort;
   ReallocatingScheduler scheduler(1, options);
   const auto report = replay_trace(scheduler, trace);

@@ -11,7 +11,7 @@ namespace {
 SchedulerOptions bare() {
   SchedulerOptions options;
   options.trimming = false;
-  options.audit = true;
+  options.audit_policy.mode = audit::Mode::kFull;
   return options;
 }
 
@@ -100,7 +100,8 @@ TEST(ReservationLedger, Lemma8SurplusHolds) {
     s.insert(JobId{x}, w);
     std::uint64_t fulfilled = 0;
     for (Time base = 0; base < 256; base += 32) {
-      const auto* row = row_for(s.fulfillment_of_interval(1, base), w);
+      const auto entries = s.fulfillment_of_interval(1, base);
+      const auto* row = row_for(entries, w);
       ASSERT_NE(row, nullptr);
       fulfilled += row->fulfilled;
     }
@@ -175,7 +176,7 @@ TEST(ReservationLedger, DeepTowerLevelsWork) {
   // cross-level machinery deeper than the paper constants allow.
   SchedulerOptions options;
   options.trimming = false;
-  options.audit = true;
+  options.audit_policy.mode = audit::Mode::kFull;
   options.levels = LevelTable::custom({32, 256, pow2(16), pow2(62)});
   ReservationScheduler s(options);
   s.insert(JobId{1}, Window{0, static_cast<Time>(pow2(17))});  // level 3

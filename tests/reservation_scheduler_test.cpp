@@ -9,7 +9,7 @@ namespace {
 
 SchedulerOptions audited() {
   SchedulerOptions options;
-  options.audit = true;
+  options.audit_policy.mode = audit::Mode::kFull;
   return options;
 }
 

@@ -1,7 +1,7 @@
 // Service-layer differential tests: the sharded batch scheduler must be
 // indistinguishable from the sequential MultiMachineScheduler — identical
 // snapshots, identical per-request stats, identical ledger invariants — for
-// every shard count, stripe count, and batch size, because delegation is
+// every shard count and batch size, because delegation is
 // fixed by the §3 round-robin rule. Rejection handling (rollback + exact
 // sequential replay) is exercised separately with deliberately infeasible
 // batches.
@@ -119,25 +119,22 @@ TEST(ShardedScheduler, MatchesSequentialAtEveryShardCount) {
   }
 }
 
-TEST(ShardedScheduler, BatchSizeAndStripeCountAreInvisible) {
+TEST(ShardedScheduler, BatchSizeIsInvisible) {
   const auto trace = churn_trace(23, 8, WindowPlacement::kNestedHotspots, 2000);
   MultiMachineScheduler reference(8, reservation_factory());
   const auto want = sequential_reference(reference, trace);
 
   for (const std::size_t batch : {std::size_t{1}, std::size_t{7}, std::size_t{256}}) {
-    for (const std::size_t stripes : {std::size_t{4}, std::size_t{64}}) {
-      ShardedScheduler::Options options;
-      options.shards = 4;
-      options.stripes = stripes;
-      ShardedScheduler sharded(8, reservation_factory(), options);
-      const auto got = batched_run(sharded, trace, batch);
-      ASSERT_EQ(got.size(), want.size());
-      for (std::size_t i = 0; i < want.size(); ++i) {
-        expect_same_stats(want[i], got[i], i);
-      }
-      expect_same_schedule(reference.snapshot(), sharded.snapshot());
-      sharded.audit_balance();
+    ShardedScheduler::Options options;
+    options.shards = 4;
+    ShardedScheduler sharded(8, reservation_factory(), options);
+    const auto got = batched_run(sharded, trace, batch);
+    ASSERT_EQ(got.size(), want.size());
+    for (std::size_t i = 0; i < want.size(); ++i) {
+      expect_same_stats(want[i], got[i], i);
     }
+    expect_same_schedule(reference.snapshot(), sharded.snapshot());
+    sharded.audit_balance();
   }
 }
 
@@ -252,31 +249,87 @@ TEST(ShardedScheduler, RejectedIdMayBeRetriedWithinTheBatch) {
   EXPECT_EQ(strict.active_jobs(), 1u);  // the first insert was served
 }
 
-TEST(ShardedScheduler, IdReuseUnderNewWindowSplitsTheBatch) {
-  // Same id erased and re-inserted under a different window within one
-  // batch: the scan must cut a sub-batch boundary so the id's requests
-  // cannot race across stripes.
+TEST(ShardedScheduler, RejectionUnwindsEraseAndMigration) {
+  // Two machines under kThrow. Window [0,64) holds jobs 1 and 3 on machine 0
+  // and job 2 on machine 1; the span-1 window [100,101) is full on both
+  // machines. In one sub-batch, erasing job 2 makes machine 0 (the latest
+  // extra) donate job 3 to machine 1 — a §3 migration — and the following
+  // insert of job 12 lands on machine 0, which rejects it. The rollback
+  // must unwind the insert, the migration and the erase ledger records
+  // before the sequential replay.
+  SchedulerOptions machine_options;
+  machine_options.trimming = false;
+  machine_options.overflow = OverflowPolicy::kThrow;
+  const auto factory = [machine_options] {
+    return std::make_unique<ReservationScheduler>(machine_options);
+  };
+  const std::vector<Request> setup = {
+      Request::insert(JobId{1}, Window{0, 64}),
+      Request::insert(JobId{2}, Window{0, 64}),
+      Request::insert(JobId{3}, Window{0, 64}),
+      Request::insert(JobId{10}, Window{100, 101}),
+      Request::insert(JobId{11}, Window{100, 101}),
+  };
+  const std::vector<Request> batch = {
+      Request::erase(JobId{2}),                       // migrates job 3
+      Request::insert(JobId{12}, Window{100, 101}),  // rejected
+      Request::insert(JobId{13}, Window{0, 64}),
+  };
+  MultiMachineScheduler reference(2, factory);
+  ASSERT_TRUE(reference.apply(setup).all_served());
+  const BatchResult want = reference.apply(batch);
+
   ShardedScheduler::Options options;
   options.shards = 2;
-  ShardedScheduler sharded(2, reservation_factory(), options);
-  ASSERT_TRUE(sharded.apply(std::vector<Request>{
-                                Request::insert(JobId{1}, Window{0, 64}),
-                                Request::insert(JobId{2}, Window{64, 128}),
-                            })
-                  .all_served());
+  ShardedScheduler sharded(2, factory, options);
+  ASSERT_TRUE(sharded.apply(setup).all_served());
+  const BatchResult got = sharded.apply(batch);
 
+  EXPECT_EQ(want.rejected, (std::vector<std::uint32_t>{1}));
+  EXPECT_EQ(want.stats[0].migrations, 1u);
+  EXPECT_EQ(got.rejected, want.rejected);
+  for (std::size_t i = 0; i < batch.size(); ++i) {
+    expect_same_stats(want.stats[i], got.stats[i], i);
+  }
+  expect_same_stats(want.total, got.total, batch.size());
+  expect_same_schedule(reference.snapshot(), sharded.snapshot());
+  EXPECT_EQ(sharded.active_jobs(), reference.active_jobs());
+  reference.audit_balance();
+  sharded.audit_balance();
+}
+
+TEST(ShardedScheduler, IdReuseUnderNewWindowWithinOneSubBatch) {
+  // Same id erased and re-inserted under a different window within one
+  // batch: the plan commits the reuse in batch order, so per-request stats
+  // and the schedule equal the sequential reduction's.
+  const std::vector<Request> setup = {
+      Request::insert(JobId{1}, Window{0, 64}),
+      Request::insert(JobId{2}, Window{64, 128}),
+      Request::insert(JobId{3}, Window{0, 64}),
+  };
   const std::vector<Request> batch = {
       Request::erase(JobId{1}),
       Request::insert(JobId{1}, Window{64, 128}),
       Request::erase(JobId{1}),
       Request::insert(JobId{1}, Window{0, 64}),
+      Request::erase(JobId{3}),
   };
-  const BatchResult result = sharded.apply(batch);
-  EXPECT_TRUE(result.all_served());
+  MultiMachineScheduler reference(2, reservation_factory());
+  ASSERT_TRUE(reference.apply(setup).all_served());
+  const BatchResult want = reference.apply(batch);
+
+  ShardedScheduler::Options options;
+  options.shards = 2;
+  ShardedScheduler sharded(2, reservation_factory(), options);
+  ASSERT_TRUE(sharded.apply(setup).all_served());
+  const BatchResult got = sharded.apply(batch);
+
+  EXPECT_TRUE(got.all_served());
+  for (std::size_t i = 0; i < batch.size(); ++i) {
+    expect_same_stats(want.stats[i], got.stats[i], i);
+  }
+  expect_same_schedule(reference.snapshot(), sharded.snapshot());
   EXPECT_EQ(sharded.active_jobs(), 2u);
-  const auto placement = sharded.snapshot().find(JobId{1});
-  ASSERT_TRUE(placement.has_value());
-  EXPECT_LT(placement->slot, 64);
   sharded.audit_balance();
 
   std::unordered_map<JobId, Window> active = {{JobId{1}, Window{0, 64}},

@@ -10,7 +10,7 @@ namespace {
 
 SchedulerOptions trimmed_audited(std::uint64_t gamma = 8) {
   SchedulerOptions options;
-  options.audit = true;
+  options.audit_policy.mode = audit::Mode::kFull;
   options.trimming = true;
   options.gamma = gamma;
   return options;
@@ -104,7 +104,7 @@ TEST(Trimming, RebuildCostIsAmortizedConstant) {
 
 TEST(Trimming, DisabledMeansNoRebuilds) {
   SchedulerOptions options;
-  options.audit = true;
+  options.audit_policy.mode = audit::Mode::kFull;
   options.trimming = false;
   ReservationScheduler s(options);
   for (unsigned i = 0; i < 100; ++i) {
