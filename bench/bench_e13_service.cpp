@@ -1,6 +1,7 @@
 // E13 — service-layer batch throughput: requests/second of the sharded
 // batch-scheduling service (ShardedScheduler::apply) versus the sequential
-// MultiMachineScheduler, on the E12 churn regimes at m = 8 machines. The
+// reduction (one shard, per-request insert/erase), on the E12 churn regimes
+// at m = 8 machines. The
 // two paths do byte-identical scheduling work (the differential test in
 // tests/sharded_scheduler_test.cpp proves identical schedules and stats),
 // so the measured difference isolates the serving layer: per-batch
@@ -60,8 +61,8 @@ struct ModeResult {
   SegmentResult audited;
 };
 
-/// shards == 0: sequential MultiMachineScheduler, per-request serving.
-/// shards >= 1: ShardedScheduler, batches of kBatchSize.
+/// shards == 0: sequential mode, a one-shard ShardedScheduler served per
+/// request. shards >= 1: ShardedScheduler, batches of kBatchSize.
 ModeResult run_mode(const std::vector<Request>& trace, std::size_t warmup,
                     std::size_t churn, std::size_t audit_churn, unsigned shards) {
   SchedulerOptions options;
@@ -73,17 +74,10 @@ ModeResult run_mode(const std::vector<Request>& trace, std::size_t warmup,
     return scheduler;
   };
 
-  std::unique_ptr<IReallocScheduler> scheduler;
-  ShardedScheduler* sharded = nullptr;
-  if (shards == 0) {
-    scheduler = std::make_unique<MultiMachineScheduler>(kMachines, factory);
-  } else {
-    ShardedScheduler::Options service;
-    service.shards = shards;
-    auto owned = std::make_unique<ShardedScheduler>(kMachines, factory, service);
-    sharded = owned.get();
-    scheduler = std::move(owned);
-  }
+  const bool sequential = shards == 0;
+  ShardedScheduler::Options service;
+  service.shards = sequential ? 1 : shards;
+  ShardedScheduler scheduler(kMachines, factory, service);
 
   std::size_t i = 0;
   bool audit_batches = false;
@@ -94,25 +88,25 @@ ModeResult run_mode(const std::vector<Request>& trace, std::size_t warmup,
     std::uint64_t served = 0;
     while (i < trace.size() && served < count) {
       const std::uint64_t start = lat != nullptr ? telemetry::now_ns() : 0;
-      if (sharded == nullptr) {
+      if (sequential) {
         const Request& request = trace[i++];
         if (request.kind == RequestKind::kInsert) {
-          (void)scheduler->insert(request.job, request.window);
+          (void)scheduler.insert(request.job, request.window);
         } else {
-          (void)scheduler->erase(request.job);
+          (void)scheduler.erase(request.job);
         }
         ++served;
       } else {
         const std::size_t chunk =
             std::min({kBatchSize, count - served, trace.size() - i});
         const BatchResult result =
-            sharded->apply(std::span<const Request>(trace).subspan(i, chunk));
+            scheduler.apply(std::span<const Request>(trace).subspan(i, chunk));
         RS_REQUIRE(result.all_served(), "bench_e13: unexpected rejection");
         i += chunk;
         served += chunk;
         if (audit_batches) {
           for (ReservationScheduler* machine : machines) machine->audit();
-          sharded->audit_balance();
+          scheduler.audit_balance();
         }
       }
       if (lat != nullptr) lat->record(telemetry::now_ns() - start);
@@ -140,7 +134,7 @@ ModeResult run_mode(const std::vector<Request>& trace, std::size_t warmup,
     const SegmentResult segment = timed_segment(churn);
     if (segment.ops_per_sec > result.churn.ops_per_sec) result.churn = segment;
   }
-  if (sharded == nullptr) {
+  if (sequential) {
     for (ReservationScheduler* machine : machines) {
       machine->set_audit_policy({.mode = audit::Mode::kFull});  // full sweep per request
     }

@@ -5,9 +5,10 @@
 //
 // Builds an 8-machine ShardedScheduler with 4 worker shards, serves a churn
 // workload through the batched API, and shows that the result is
-// indistinguishable from the sequential MultiMachineScheduler — same
-// schedule, same per-request costs — while amortizing per-request fixed
-// costs across each batch (EXPERIMENTS.md §E13 quantifies the throughput).
+// indistinguishable from the sequential reduction (a one-shard
+// ShardedScheduler served per request) — same schedule, same per-request
+// costs — while amortizing per-request fixed costs across each batch
+// (EXPERIMENTS.md §E13 quantifies the throughput).
 #include <iostream>
 
 #include "reasched/reasched.hpp"
@@ -25,7 +26,7 @@ int main() {
   ShardedScheduler::Options service;
   service.shards = 4;
   ShardedScheduler sharded(kMachines, factory, service);
-  MultiMachineScheduler sequential(kMachines, factory);
+  ShardedScheduler sequential(kMachines, factory);
   std::cout << "service:    " << sharded.name() << "\nreference:  " << sequential.name()
             << "\n\n";
 

@@ -1,6 +1,6 @@
 // Round-robin balance ledger for the multi-machine → single-machine
-// reduction (paper §3), shared by the sequential MultiMachineScheduler and
-// the sharded service layer (src/service/).
+// reduction (paper §3), held by the service layer's ShardedScheduler
+// (src/service/), the one implementation of that reduction.
 //
 // For every window W the ledger tracks n_W, the number of active jobs with
 // exactly window W, and which machines hold them, keeping every machine's
@@ -28,7 +28,6 @@
 #pragma once
 
 #include <cstdint>
-#include <string>
 #include <vector>
 
 #include "audit/dirty_set.hpp"
@@ -148,8 +147,8 @@ class BalanceLedger {
   /// Balancing invariant check (Lemma 3): every machine holds between
   /// ⌊n_W/m⌋ and ⌈n_W/m⌉ jobs of each window W, extras on the earliest
   /// machines. Throws InternalError on violation. Full sweep over every
-  /// tracked window — this is the "svc.L3.balance-shares" /
-  /// "mm.L3.balance-shares" invariant-check unit.
+  /// tracked window — this is the "svc.L3.balance-shares" invariant-check
+  /// unit.
   void audit() const {
     windows_.for_each(
         [&](const Window& w, const BalanceState&) { audit_window(w); });
@@ -196,11 +195,9 @@ class BalanceLedger {
   [[nodiscard]] bool dirty_tracking() const noexcept { return track_dirty_; }
   [[nodiscard]] std::size_t dirty_windows() const noexcept { return dirty_.size(); }
 
-  /// Registers the Lemma 3 check under `prefix` ("mm", "svc")
-  /// so every balance ledger in the system is enumerable from one table.
-  void register_invariants(audit::InvariantTable& table, const std::string& prefix,
-                           const std::string& component) const {
-    table.add(prefix + ".L3.balance-shares", component,
+  /// Registers the Lemma 3 check as "svc.L3.balance-shares".
+  void register_invariants(audit::InvariantTable& table) const {
+    table.add("svc.L3.balance-shares", "ShardedScheduler",
               "every machine holds floor/ceil(n_W/m) jobs of each window, "
               "extras on the earliest machines (Lemma 3)",
               [this] { audit(); });

@@ -119,33 +119,11 @@ RequestStats DurableScheduler::erase(JobId id) {
 }
 
 BatchResult DurableScheduler::apply(std::span<const Request> batch) {
-  BatchResult result;
-  result.stats.resize(batch.size());
+  // The sequential batch loop serves through insert()/erase() above, so
+  // every served request and every rejected insert is logged with its CSN;
+  // a moot delete of a rejected insert never reaches the log.
   const std::uint64_t start_csn = csn_;
-  FlatHashSet<JobId> rejected_ids;
-  for (std::size_t i = 0; i < batch.size(); ++i) {
-    const Request& request = batch[i];
-    if (request.kind == RequestKind::kInsert) {
-      try {
-        result.stats[i] = insert(request.job, request.window);
-      } catch (const InfeasibleError&) {
-        result.rejected.push_back(static_cast<std::uint32_t>(i));
-        rejected_ids.insert(request.job);
-        continue;
-      }
-      rejected_ids.erase(request.job);
-    } else {
-      if (rejected_ids.contains(request.job)) {
-        // Moot delete of a rejected insert: never served, never logged —
-        // it consumes no CSN (mirrors the sequential batch semantics).
-        result.rejected.push_back(static_cast<std::uint32_t>(i));
-        rejected_ids.erase(request.job);
-        continue;
-      }
-      result.stats[i] = erase(request.job);
-    }
-    result.total += result.stats[i];
-  }
+  BatchResult result = IReallocScheduler::apply(batch);
   if (csn_ > start_csn) {
     result.first_csn = start_csn + 1;
     result.last_csn = csn_;

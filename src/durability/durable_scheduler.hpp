@@ -60,7 +60,7 @@ class DurableScheduler final : public IReallocScheduler {
   /// recovery replays the whole surviving WAL through it. If the factory
   /// produces a ReservationScheduler, snapshots seed it and only the log
   /// suffix is replayed (detected at runtime); for anything else —
-  /// e.g. a MultiMachineScheduler pipeline via ReallocatingScheduler —
+  /// e.g. ReallocatingScheduler's ShardedScheduler-backed pipeline —
   /// the tier is WAL-only and recovery cost grows with the log.
   DurableScheduler(DurabilityPolicy policy, const Factory& factory);
 

@@ -1,48 +1,10 @@
 #include "durability/recovery.hpp"
 
 #include <filesystem>
-#include <span>
 
 #include "util/assert.hpp"
-#include "util/flat_hash.hpp"
 
 namespace reasched::durability {
-
-namespace {
-
-void replay_records(IReallocScheduler& target, std::span<const WalRecord> records,
-                    std::uint64_t after_csn, RecoveryReport& report) {
-  // Ids whose replayed insert was rejected: their erases must be skipped,
-  // exactly like the batch API's "delete of a rejected insert is moot".
-  FlatHashSet<JobId> rejected_ids;
-  for (const WalRecord& record : records) {
-    if (record.csn <= after_csn) continue;
-    RS_CHECK(record.csn > report.last_csn, "recovery: replay stream not ascending");
-    report.last_csn = record.csn;
-    ++report.replayed;
-    if (record.type == WalRecordType::kInsert) {
-      try {
-        target.insert(record.job, record.window);
-      } catch (const InfeasibleError&) {
-        // Deterministic re-run of a rejection the live process already
-        // reported to its caller; the state is untouched, continue.
-        rejected_ids.insert(record.job);
-        ++report.rejected_replays;
-        continue;
-      }
-      rejected_ids.erase(record.job);  // id may be reused after a rejection
-    } else {
-      if (rejected_ids.contains(record.job)) {
-        rejected_ids.erase(record.job);
-        ++report.rejected_replays;
-        continue;
-      }
-      target.erase(record.job);
-    }
-  }
-}
-
-}  // namespace
 
 void recover_log(const DurabilityPolicy& policy, IReallocScheduler& target,
                  RecoveryReport& report, WalWriter& writer) {
@@ -57,7 +19,20 @@ void recover_log(const DurabilityPolicy& policy, IReallocScheduler& target,
     report.torn_tail = true;
     truncate_wal(log, wal.valid_end);
   }
-  replay_records(target, wal.records, report.snapshot_csn, report);
+  // The batch rejection rule over the whole replay: a rejected insert is a
+  // deterministic re-run of a rejection the live process already reported
+  // to its caller, and a later erase of that id is moot.
+  FlatHashSet<JobId> rejected_ids;
+  RequestStats stats;
+  for (const WalRecord& record : wal.records) {
+    if (record.csn <= report.snapshot_csn) continue;
+    RS_CHECK(record.csn > report.last_csn, "recovery: replay stream not ascending");
+    report.last_csn = record.csn;
+    ++report.replayed;
+    if (!serve_request(target, record.to_request(), rejected_ids, stats)) {
+      ++report.rejected_replays;
+    }
+  }
   writer.open(log, policy);
 }
 

@@ -16,9 +16,7 @@
 #include "core/balance_ledger.hpp"
 #include "core/incremental_rebuild.hpp"
 #include "core/levels.hpp"
-#include "core/multi_machine.hpp"
 #include "core/naive_scheduler.hpp"
-#include "core/reallocating_scheduler.hpp"
 #include "core/reservation_scheduler.hpp"
 #include "core/scheduler_options.hpp"
 #include "core/window_key.hpp"
@@ -49,6 +47,7 @@
 #include "schedule/slot_runs.hpp"
 #include "schedule/validator.hpp"
 
+#include "service/reallocating_scheduler.hpp"
 #include "service/sharded_scheduler.hpp"
 
 #include "workload/adversary.hpp"

@@ -1,35 +1,37 @@
 #include "schedule/scheduler_interface.hpp"
 
 #include "util/assert.hpp"
-#include "util/flat_hash.hpp"
 
 namespace reasched {
+
+bool serve_request(IReallocScheduler& scheduler, const Request& request,
+                   FlatHashSet<JobId>& rejected_ids, RequestStats& stats) {
+  if (request.kind == RequestKind::kInsert) {
+    try {
+      stats = scheduler.insert(request.job, request.window);
+    } catch (const InfeasibleError&) {
+      rejected_ids.insert(request.job);
+      return false;
+    }
+    rejected_ids.erase(request.job);  // id may be reused after a rejection
+    return true;
+  }
+  // The job never entered the scheduler; its delete is moot.
+  if (rejected_ids.erase(request.job) != 0) return false;
+  stats = scheduler.erase(request.job);
+  return true;
+}
 
 BatchResult IReallocScheduler::apply(std::span<const Request> batch) {
   BatchResult result;
   result.stats.resize(batch.size());
   FlatHashSet<JobId> rejected_ids;  // inserts rejected within this batch
   for (std::size_t i = 0; i < batch.size(); ++i) {
-    const Request& request = batch[i];
-    if (request.kind == RequestKind::kInsert) {
-      try {
-        result.stats[i] = insert(request.job, request.window);
-      } catch (const InfeasibleError&) {
-        result.rejected.push_back(static_cast<std::uint32_t>(i));
-        rejected_ids.insert(request.job);
-        continue;
-      }
-      rejected_ids.erase(request.job);  // id may be reused after a rejection
+    if (serve_request(*this, batch[i], rejected_ids, result.stats[i])) {
+      result.total += result.stats[i];
     } else {
-      if (rejected_ids.contains(request.job)) {
-        // The job never entered the scheduler; its delete is moot.
-        result.rejected.push_back(static_cast<std::uint32_t>(i));
-        rejected_ids.erase(request.job);
-        continue;
-      }
-      result.stats[i] = erase(request.job);
+      result.rejected.push_back(static_cast<std::uint32_t>(i));
     }
-    result.total += result.stats[i];
   }
   return result;
 }

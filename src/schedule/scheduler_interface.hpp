@@ -11,6 +11,7 @@
 #include "base/types.hpp"
 #include "base/window.hpp"
 #include "schedule/schedule.hpp"
+#include "util/flat_hash.hpp"
 
 namespace reasched {
 
@@ -74,5 +75,16 @@ class IReallocScheduler {
   /// Human-readable identifier for tables and logs.
   [[nodiscard]] virtual std::string name() const = 0;
 };
+
+/// Serves one request of an in-order batch under the batch rejection rule
+/// (BatchResult): an insert that throws InfeasibleError is rejected and its
+/// id remembered in `rejected_ids`; a later erase of a remembered id is
+/// moot, rejected without reaching `scheduler`. Returns whether the request
+/// was served; only then is `stats` written. Precondition violations
+/// propagate exactly as from insert()/erase(). The rule's one
+/// implementation: every in-order batch loop, WAL recovery included,
+/// serves through it.
+bool serve_request(IReallocScheduler& scheduler, const Request& request,
+                   FlatHashSet<JobId>& rejected_ids, RequestStats& stats);
 
 }  // namespace reasched

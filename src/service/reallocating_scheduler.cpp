@@ -1,4 +1,4 @@
-#include "core/reallocating_scheduler.hpp"
+#include "service/reallocating_scheduler.hpp"
 
 #include "core/alignment.hpp"
 #include "core/reservation_scheduler.hpp"
@@ -12,7 +12,7 @@ ReallocatingScheduler::ReallocatingScheduler(unsigned machines, SchedulerOptions
       label_("reallocating-scheduler[m=" + std::to_string(machines) + "]") {}
 
 ReallocatingScheduler::ReallocatingScheduler(unsigned machines,
-                                             const MultiMachineScheduler::Factory& factory,
+                                             const ShardedScheduler::Factory& factory,
                                              std::string label)
     : inner_(machines, factory), label_(std::move(label)) {}
 

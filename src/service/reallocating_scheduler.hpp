@@ -3,14 +3,15 @@
 //
 // For any m-machine γ-underallocated request sequence (γ the paper's
 // constant), each request causes O(min{log* n, log* Δ}) reallocations and
-// at most one machine migration.
+// at most one machine migration. The §3 delegation is ShardedScheduler's
+// sequential path, with one shard and no WAL.
 #pragma once
 
 #include <string>
 
-#include "core/multi_machine.hpp"
 #include "core/scheduler_options.hpp"
 #include "schedule/scheduler_interface.hpp"
+#include "service/sharded_scheduler.hpp"
 
 namespace reasched {
 
@@ -21,7 +22,7 @@ class ReallocatingScheduler final : public IReallocScheduler {
 
   /// Custom inner scheduler (e.g. NaiveScheduler) behind the same
   /// align-and-delegate front end; used by benchmarks for fair comparison.
-  ReallocatingScheduler(unsigned machines, const MultiMachineScheduler::Factory& factory,
+  ReallocatingScheduler(unsigned machines, const ShardedScheduler::Factory& factory,
                         std::string label);
 
   RequestStats insert(JobId id, Window window) override;
@@ -32,10 +33,10 @@ class ReallocatingScheduler final : public IReallocScheduler {
   [[nodiscard]] unsigned machines() const override { return inner_.machines(); }
   [[nodiscard]] std::string name() const override { return label_; }
 
-  [[nodiscard]] MultiMachineScheduler& balancer() noexcept { return inner_; }
+  [[nodiscard]] ShardedScheduler& balancer() noexcept { return inner_; }
 
  private:
-  MultiMachineScheduler inner_;
+  ShardedScheduler inner_;
   std::string label_;
 };
 

@@ -80,8 +80,8 @@ RequestStats ShardedScheduler::insert(JobId id, Window window) {
   log_request(RequestKind::kInsert, id, window);
 
   const MachineId machine = ledger_.plan_insert(window);
-  // Ledger commits only after the machine accepted (MultiMachineScheduler
-  // semantics: a rejected insert leaves no trace).
+  // The ledger commits only after the machine accepted, so a rejected
+  // insert leaves no trace.
   const RequestStats stats = machines_[machine]->insert(id, window);
   ledger_.commit_insert(id, window, machine);
   jobs_[id] = JobInfo{window, machine};
@@ -95,6 +95,8 @@ RequestStats ShardedScheduler::erase(JobId id) {
   const MachineId machine = info->machine;
   log_request(RequestKind::kDelete, id, window);  // write-ahead
 
+  // Rebalance: the latest-extra machine donates one W-job to the machine
+  // that lost one — the single migration Theorem 1 allows per request.
   const BalanceLedger::Migration migration = ledger_.plan_erase(window, machine);
   RequestStats stats = machines_[machine]->erase(id);
   ledger_.commit_erase(id, window, machine);
@@ -105,6 +107,8 @@ RequestStats ShardedScheduler::erase(JobId id) {
     try {
       stats += machines_[machine]->insert(migration.moved, window);
     } catch (...) {
+      // Restore the donor's copy so the schedule stays complete, then
+      // propagate the failure.
       machines_[migration.donor]->insert(migration.moved, window);
       throw;
     }
@@ -418,23 +422,8 @@ void ShardedScheduler::replay_subbatch(std::span<const Request> batch,
                                        FlatHashSet<JobId>& rejected_ids) {
   for (std::size_t i = first; i < end; ++i) {
     if (status[i] == kRejected) continue;  // scan-level rejection stands
-    const Request& request = batch[i];
     stats[i] = RequestStats{};
-    if (request.kind == RequestKind::kInsert) {
-      try {
-        stats[i] = insert(request.job, request.window);
-      } catch (const InfeasibleError&) {
-        status[i] = kRejected;
-        rejected_ids.insert(request.job);
-      }
-    } else {
-      if (rejected_ids.contains(request.job)) {
-        rejected_ids.erase(request.job);
-        status[i] = kRejected;
-        continue;
-      }
-      stats[i] = erase(request.job);
-    }
+    if (!serve_request(*this, batch[i], rejected_ids, stats[i])) status[i] = kRejected;
   }
 }
 

@@ -1,11 +1,17 @@
-// Sharded batch-scheduling service (service layer over the §3 reduction).
+// Sharded batch-scheduling service: the repository's one implementation of
+// the §3 multi-machine → single-machine reduction.
 //
-// A ShardedScheduler owns the same per-machine single-machine schedulers as
-// MultiMachineScheduler, partitioned into contiguous *shards* of machines;
-// shard k's *home* worker is the caller for k = 0 and pool worker k - 1 of
-// a ShardedThreadPool otherwise. Delegation state is the reduction's own:
-// one BalanceLedger and one JobId → JobInfo directory, touched only by the
-// caller thread.
+// A ShardedScheduler owns one single-machine scheduler per machine,
+// partitioned into contiguous *shards* of machines; shard k's *home* worker
+// is the caller for k = 0 and pool worker k - 1 of a ShardedThreadPool
+// otherwise. Delegation state is the reduction's own: one BalanceLedger and
+// one JobId → JobInfo directory, touched only by the caller thread.
+//
+// insert()/erase() are the sequential reduction, one request at a time:
+// round-robin delegation per window, and on a delete at most one rebalance
+// migration (Lemma 3). ReallocatingScheduler (service/
+// reallocating_scheduler.hpp) serves the paper's pipeline through them
+// with one shard and no WAL; the golden digests pin this path.
 //
 // apply(batch) serves a whole request batch in three phases:
 //
@@ -33,7 +39,7 @@
 //
 // Determinism: for a batch in which no insert is rejected, the resulting
 // schedules, per-request stats, and ledger state are identical to feeding
-// the same requests one at a time to MultiMachineScheduler, for ANY shard
+// the same requests one at a time to insert()/erase(), for ANY shard
 // count and batch size — the plan makes the sequential reduction's
 // decisions in the sequential order, and every per-machine scheduler sees
 // exactly the sequential order of its own operations (tested in
@@ -43,8 +49,9 @@
 // (InfeasibleError), the optimistically applied sub-batch is rolled back
 // (machine operations inverted in reverse order, ledger commits unwound in
 // reverse) and the sub-batch is replayed through the sequential
-// per-request path. The rolled-back machine state is *equivalent* (same
-// job set, feasible, balance invariant intact) but — because per-machine
+// per-request path (serve_request). The rolled-back machine state is
+// *equivalent* (same job set, feasible, balance invariant intact) but —
+// because per-machine
 // placement is not history independent (see bench_e8) — not necessarily
 // bit-identical to the pre-batch state, so after a batch WITH rejections,
 // placements and stats may differ from a never-batched run in internal
@@ -135,7 +142,7 @@ class ShardedScheduler final : public IReallocScheduler {
 
   /// Registers the service's Lemma 3 check ("svc.L3.balance-shares").
   void register_invariants(audit::InvariantTable& table) const {
-    ledger_.register_invariants(table, "svc", "ShardedScheduler");
+    ledger_.register_invariants(table);
   }
 
   /// Deliberate ledger corruption for the differential audit tests

@@ -24,10 +24,6 @@ struct TelemetryOptions {
   /// debugging tier, priced separately from `enabled` (EXPERIMENTS.md
   /// §E18); implies `enabled`.
   bool trace = false;
-  /// Per-thread TraceRing capacity in events (rounded up to a power of
-  /// two). Applies to rings created after enable(); existing rings keep
-  /// their size.
-  std::uint32_t ring_capacity = 8192;
   /// Background Scraper cadence (telemetry/scraper.hpp): snapshot the
   /// registry every this many milliseconds and compute delta-since-last-
   /// scrape rates. 0 (the default) means no scraper thread; harnesses that

@@ -206,10 +206,6 @@ std::uint32_t Registry::intern_histogram(std::string_view name, Unit unit) {
 }
 
 void Registry::enable(const TelemetryOptions& options) {
-  {
-    std::lock_guard lock(mutex_);
-    ring_capacity_ = options.ring_capacity;
-  }
   if (options.enabled || options.trace) {
     detail::g_metrics_on.store(true, std::memory_order_relaxed);
   }
@@ -226,7 +222,6 @@ detail::ThreadShard* Registry::register_shard() {
   auto* shard = new detail::ThreadShard();
   std::lock_guard lock(mutex_);
   shard->tid = next_tid_++;
-  shard->ring.set_capacity(ring_capacity_);
   shards_.push_back(shard);
   return shard;
 }

@@ -136,6 +136,9 @@ struct HistShard {
   }
 };
 
+/// Per-thread TraceRing capacity in events.
+inline constexpr std::uint32_t kTraceRingCapacity = 8192;
+
 /// One recording thread's slice of every metric. Written only by the
 /// owning thread (relaxed atomics so the scrape thread may read
 /// concurrently); listed in the registry until the thread exits, at which
@@ -144,7 +147,7 @@ struct ThreadShard {
   std::array<std::atomic<std::uint64_t>, kMaxCounters> counters{};
   std::array<std::atomic<std::int64_t>, kMaxGauges> gauges{};
   std::array<std::atomic<HistShard*>, kMaxHistograms> hists{};
-  TraceRing ring;
+  TraceRing ring{kTraceRingCapacity};
   std::uint32_t tid = 0;
 
   ~ThreadShard() {
@@ -292,7 +295,6 @@ class Registry {
   Retired retired_;
   std::vector<RetiredEvent> retired_events_;
   std::uint32_t next_tid_ = 0;
-  std::uint32_t ring_capacity_ = 8192;
 };
 
 /// Process-wide convenience: Registry::global().enable(options).

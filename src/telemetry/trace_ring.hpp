@@ -33,27 +33,16 @@ class TraceRing {
  public:
   /// Capacity is rounded up to a power of two; the buffer is allocated
   /// lazily on the first push, so idle threads cost nothing.
-  explicit TraceRing(std::uint32_t capacity = 8192) noexcept {
-    set_capacity(capacity);
+  explicit TraceRing(std::uint32_t capacity) noexcept {
+    while (capacity_ < capacity && capacity_ < (1u << 24)) capacity_ <<= 1;
   }
 
   TraceRing(const TraceRing&) = delete;
   TraceRing& operator=(const TraceRing&) = delete;
 
-  /// Takes effect at the next buffer allocation (i.e. before any push, or
-  /// after clear()).
-  void set_capacity(std::uint32_t capacity) noexcept {
-    std::uint32_t pow2 = 1;
-    while (pow2 < capacity && pow2 < (1u << 24)) pow2 <<= 1;
-    requested_ = pow2;
-  }
-
   void push(const TraceEvent& event) {
     std::lock_guard lock(mutex_);
-    if (buffer_ == nullptr) {
-      capacity_ = requested_;
-      buffer_ = std::make_unique<TraceEvent[]>(capacity_);
-    }
+    if (buffer_ == nullptr) buffer_ = std::make_unique<TraceEvent[]>(capacity_);
     buffer_[head_ & (capacity_ - 1)] = event;
     ++head_;
   }
@@ -74,7 +63,6 @@ class TraceRing {
   void clear() {
     std::lock_guard lock(mutex_);
     buffer_.reset();
-    capacity_ = 0;
     head_ = 0;
   }
 
@@ -87,8 +75,7 @@ class TraceRing {
  private:
   mutable std::mutex mutex_;
   std::unique_ptr<TraceEvent[]> buffer_;
-  std::uint32_t capacity_ = 0;
-  std::uint32_t requested_ = 8192;
+  std::uint32_t capacity_ = 1;  // power of two
   std::uint64_t head_ = 0;
 };
 

@@ -5,8 +5,8 @@
 #include "baseline/greedy_repair_scheduler.hpp"
 #include "baseline/opt_rebuild_scheduler.hpp"
 #include "core/naive_scheduler.hpp"
-#include "core/reallocating_scheduler.hpp"
 #include "feasibility/underallocation.hpp"
+#include "service/reallocating_scheduler.hpp"
 #include "sim/driver.hpp"
 #include "workload/adversary.hpp"
 

@@ -12,8 +12,8 @@
 #include "audit/invariant_check.hpp"
 #include "baseline/rigid_block_sim.hpp"
 #include "core/incremental_rebuild.hpp"
-#include "core/multi_machine.hpp"
 #include "core/reservation_scheduler.hpp"
+#include "service/sharded_scheduler.hpp"
 #include "sim/driver.hpp"
 #include "util/rng.hpp"
 #include "workload/churn.hpp"
@@ -348,8 +348,7 @@ TEST(AuditEngine, ComponentAuditsEnumerableFromOneTable) {
   ASSERT_TRUE(sim.insert(JobId{1}, 2, Window{0, 8}).has_value());
   ASSERT_TRUE(sim.insert(JobId{2}, 1, Window{0, 8}).has_value());
 
-  MultiMachineScheduler machines(
-      3, [] { return std::make_unique<ReservationScheduler>(); });
+  ShardedScheduler machines(3, [] { return std::make_unique<ReservationScheduler>(); });
   for (std::uint64_t i = 1; i <= 9; ++i) {
     machines.insert(JobId{i}, Window{0, 64});
   }
@@ -364,7 +363,7 @@ TEST(AuditEngine, ComponentAuditsEnumerableFromOneTable) {
   rebuild.register_invariants(table);
   EXPECT_NE(table.find("rbs.blocks-on-slot-map"), nullptr);
   EXPECT_NE(table.find("rbs.no-orphan-slots"), nullptr);
-  EXPECT_NE(table.find("mm.L3.balance-shares"), nullptr);
+  EXPECT_NE(table.find("svc.L3.balance-shares"), nullptr);
   EXPECT_NE(table.find("irs.generations"), nullptr);
   table.run_all();
 

@@ -8,8 +8,8 @@
 #include <vector>
 
 #include "core/naive_scheduler.hpp"
-#include "core/reallocating_scheduler.hpp"
 #include "core/reservation_scheduler.hpp"
+#include "service/reallocating_scheduler.hpp"
 #include "sim/driver.hpp"
 #include "workload/churn.hpp"
 

@@ -28,12 +28,12 @@
 #include <unordered_map>
 #include <vector>
 
-#include "core/reallocating_scheduler.hpp"
 #include "core/reservation_scheduler.hpp"
 #include "durability/crashpoint.hpp"
 #include "durability/durable_scheduler.hpp"
 #include "durability/recovery.hpp"
 #include "durability/wal.hpp"
+#include "service/reallocating_scheduler.hpp"
 #include "service/sharded_scheduler.hpp"
 #include "util/rng.hpp"
 #include "workload/churn.hpp"

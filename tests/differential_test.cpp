@@ -10,8 +10,8 @@
 #include "baseline/opt_rebuild_scheduler.hpp"
 #include "core/incremental_rebuild.hpp"
 #include "core/naive_scheduler.hpp"
-#include "core/reallocating_scheduler.hpp"
 #include "core/reservation_scheduler.hpp"
+#include "service/reallocating_scheduler.hpp"
 #include "sim/driver.hpp"
 #include "sim/sweep.hpp"
 #include "workload/churn.hpp"

@@ -18,13 +18,13 @@
 #include <unordered_map>
 #include <vector>
 
-#include "core/reallocating_scheduler.hpp"
 #include "core/reservation_scheduler.hpp"
 #include "durability/durable_scheduler.hpp"
 #include "durability/recovery.hpp"
 #include "durability/snapshot.hpp"
 #include "durability/wal.hpp"
 #include "schedule/validator.hpp"
+#include "service/reallocating_scheduler.hpp"
 #include "service/sharded_scheduler.hpp"
 #include "sim/driver.hpp"
 #include "util/crc32c.hpp"
@@ -588,6 +588,50 @@ TEST(Recovery, AuditEngineReseedsAfterRecovery) {
   EXPECT_EQ(after_churn.full_sweeps, after_first.full_sweeps);
   EXPECT_GT(after_churn.incremental_audits, after_first.incremental_audits);
   rs.audit();  // and the full sweep agrees
+}
+
+TEST(Recovery, BatchRejectionRuleSurvivesReopen) {
+  // DurableScheduler::apply under kThrow: a rejected insert is logged and
+  // consumes a CSN, its moot erase in the same batch is neither served nor
+  // logged, and a feasible retry of the same id is served. A reopen replays
+  // exactly that log to the same state.
+  TempDir dir;
+  SchedulerOptions options;
+  options.trimming = false;
+  options.overflow = OverflowPolicy::kThrow;
+  DurabilityPolicy policy;
+  policy.dir = dir.path;
+  policy.snapshot_on_flip = false;  // every record is replayed on reopen
+  Schedule served;
+  {
+    DurableScheduler durable(policy, options);
+    const BatchResult setup =
+        durable.apply(std::vector<Request>{Request::insert(JobId{10}, Window{8, 16})});
+    ASSERT_TRUE(setup.all_served());
+    EXPECT_EQ(setup.first_csn, 1u);
+    EXPECT_EQ(setup.last_csn, 1u);
+
+    // Window [0,1) holds one job on one machine.
+    const std::vector<Request> batch = {
+        Request::insert(JobId{1}, Window{0, 1}),  // CSN 2
+        Request::insert(JobId{2}, Window{0, 1}),  // CSN 3, rejected: slot taken
+        Request::erase(JobId{2}),                 // moot: no CSN
+        Request::erase(JobId{1}),                 // CSN 4
+        Request::insert(JobId{2}, Window{0, 1}),  // CSN 5, the retry fits
+    };
+    const BatchResult result = durable.apply(batch);
+    EXPECT_EQ(result.rejected, (std::vector<std::uint32_t>{1, 2}));
+    EXPECT_EQ(result.first_csn, 2u);
+    EXPECT_EQ(result.last_csn, 5u);
+    EXPECT_EQ(durable.csn(), 5u);
+    EXPECT_EQ(durable.active_jobs(), 2u);
+    served = durable.snapshot();
+  }
+  DurableScheduler recovered(policy, options);
+  EXPECT_EQ(recovered.recovery_report().replayed, 5u);
+  EXPECT_EQ(recovered.recovery_report().rejected_replays, 1u);
+  EXPECT_EQ(recovered.csn(), 5u);
+  expect_identical_schedules(served, recovered.snapshot(), "batch-rejection");
 }
 
 // --------------------------------------------------------- generic wrapper

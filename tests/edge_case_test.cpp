@@ -4,9 +4,9 @@
 
 #include "core/incremental_rebuild.hpp"
 #include "core/naive_scheduler.hpp"
-#include "core/reallocating_scheduler.hpp"
 #include "core/reservation_scheduler.hpp"
 #include "schedule/validator.hpp"
+#include "service/reallocating_scheduler.hpp"
 
 namespace reasched {
 namespace {

@@ -36,11 +36,11 @@
 #include <utility>
 #include <vector>
 
-#include "core/reallocating_scheduler.hpp"
 #include "core/reservation_scheduler.hpp"
 #include "durability/durable_scheduler.hpp"
 #include "durability/wal.hpp"
 #include "ingest/ingest_service.hpp"
+#include "service/reallocating_scheduler.hpp"
 #include "service/sharded_scheduler.hpp"
 #include "workload/churn.hpp"
 

@@ -22,7 +22,6 @@
 #include <thread>
 #include <vector>
 
-#include "core/multi_machine.hpp"
 #include "core/naive_scheduler.hpp"
 #include "core/reservation_scheduler.hpp"
 #include "ingest/ingest_service.hpp"

@@ -7,8 +7,8 @@
 
 #include "baseline/greedy_repair_scheduler.hpp"
 #include "core/naive_scheduler.hpp"
-#include "core/reallocating_scheduler.hpp"
 #include "core/reservation_scheduler.hpp"
+#include "service/reallocating_scheduler.hpp"
 #include "sim/driver.hpp"
 #include "util/bits.hpp"
 #include "util/rng.hpp"

@@ -8,8 +8,8 @@
 #include <memory>
 
 #include "core/naive_scheduler.hpp"
-#include "core/reallocating_scheduler.hpp"
 #include "feasibility/underallocation.hpp"
+#include "service/reallocating_scheduler.hpp"
 #include "workload/churn.hpp"
 
 namespace reasched {

@@ -10,7 +10,6 @@
 #include <memory>
 #include <vector>
 
-#include "core/multi_machine.hpp"
 #include "core/reservation_scheduler.hpp"
 #include "metrics/collector.hpp"
 #include "service/sharded_scheduler.hpp"
@@ -100,7 +99,7 @@ TEST(MetricsMergeTest, ShardedRunRoundTripsAgainstSequentialTwin) {
   };
 
   // Sequential twin: one collector, per-request path.
-  MultiMachineScheduler sequential(kMachines, factory);
+  ShardedScheduler sequential(kMachines, factory);
   SimOptions seq_options;
   seq_options.record_latency = true;
   const SimReport seq_report = replay_trace(sequential, trace, seq_options);

@@ -1,21 +1,24 @@
+// The §3 reduction's sequential path (ShardedScheduler::insert/erase, one
+// shard): round-robin delegation, extras on the earliest machines, at most
+// one migration per delete, and a clean ledger after a rejected insert.
 #include <gtest/gtest.h>
 
 #include <memory>
 
-#include "core/multi_machine.hpp"
 #include "core/naive_scheduler.hpp"
 #include "core/reservation_scheduler.hpp"
 #include "schedule/validator.hpp"
+#include "service/sharded_scheduler.hpp"
 
 namespace reasched {
 namespace {
 
-MultiMachineScheduler::Factory naive_factory() {
+ShardedScheduler::Factory naive_factory() {
   return [] { return std::make_unique<NaiveScheduler>(); };
 }
 
 TEST(MultiMachine, RoundRobinDelegation) {
-  MultiMachineScheduler s(4, naive_factory());
+  ShardedScheduler s(4, naive_factory());
   for (unsigned i = 0; i < 8; ++i) s.insert(JobId{i + 1}, Window{0, 32});
   const auto snap = s.snapshot();
   std::vector<unsigned> per_machine(4, 0);
@@ -27,7 +30,7 @@ TEST(MultiMachine, RoundRobinDelegation) {
 }
 
 TEST(MultiMachine, ExtrasOnEarliestMachines) {
-  MultiMachineScheduler s(4, naive_factory());
+  ShardedScheduler s(4, naive_factory());
   for (unsigned i = 0; i < 6; ++i) s.insert(JobId{i + 1}, Window{0, 32});
   const auto snap = s.snapshot();
   std::vector<unsigned> per_machine(4, 0);
@@ -40,7 +43,7 @@ TEST(MultiMachine, ExtrasOnEarliestMachines) {
 }
 
 TEST(MultiMachine, DeleteCausesAtMostOneMigration) {
-  MultiMachineScheduler s(4, naive_factory());
+  ShardedScheduler s(4, naive_factory());
   for (unsigned i = 0; i < 16; ++i) s.insert(JobId{i + 1}, Window{0, 32});
   for (unsigned i = 0; i < 16; ++i) {
     const auto stats = s.erase(JobId{i + 1});
@@ -50,7 +53,7 @@ TEST(MultiMachine, DeleteCausesAtMostOneMigration) {
 }
 
 TEST(MultiMachine, InsertNeverMigrates) {
-  MultiMachineScheduler s(3, naive_factory());
+  ShardedScheduler s(3, naive_factory());
   for (unsigned i = 0; i < 30; ++i) {
     const auto stats = s.insert(JobId{i + 1}, Window{0, 64});
     EXPECT_EQ(stats.migrations, 0u);
@@ -58,7 +61,7 @@ TEST(MultiMachine, InsertNeverMigrates) {
 }
 
 TEST(MultiMachine, BalanceHoldsUnderChurnAcrossWindows) {
-  MultiMachineScheduler s(2, naive_factory());
+  ShardedScheduler s(2, naive_factory());
   std::unordered_map<JobId, Window> active;
   std::uint64_t next = 1;
   const std::vector<Window> windows = {{0, 32}, {32, 64}, {0, 64}, {64, 96}};
@@ -87,7 +90,7 @@ TEST(MultiMachine, BalanceHoldsUnderChurnAcrossWindows) {
 }
 
 TEST(MultiMachine, SingleMachineDegeneratesGracefully) {
-  MultiMachineScheduler s(1, naive_factory());
+  ShardedScheduler s(1, naive_factory());
   for (unsigned i = 0; i < 8; ++i) {
     const auto stats = s.insert(JobId{i + 1}, Window{0, 16});
     EXPECT_EQ(stats.migrations, 0u);
@@ -99,7 +102,7 @@ TEST(MultiMachine, SingleMachineDegeneratesGracefully) {
 }
 
 TEST(MultiMachine, FailedInsertLeavesLedgerClean) {
-  MultiMachineScheduler s(2, naive_factory());
+  ShardedScheduler s(2, naive_factory());
   // Window [0,1): one slot per machine → jobs 1 and 2 fit, 3 cannot.
   s.insert(JobId{1}, Window{0, 1});
   s.insert(JobId{2}, Window{0, 1});
@@ -114,7 +117,7 @@ TEST(MultiMachine, FailedInsertLeavesLedgerClean) {
 TEST(MultiMachine, WorksWithReservationScheduler) {
   SchedulerOptions options;
   options.audit_policy.mode = audit::Mode::kFull;
-  MultiMachineScheduler s(
+  ShardedScheduler s(
       2, [&] { return std::make_unique<ReservationScheduler>(options); });
   std::unordered_map<JobId, Window> active;
   for (unsigned i = 0; i < 24; ++i) {
@@ -129,10 +132,6 @@ TEST(MultiMachine, WorksWithReservationScheduler) {
   }
   EXPECT_TRUE(validate_schedule(s.snapshot(), active).ok());
   s.audit_balance();
-}
-
-TEST(MultiMachine, RejectsZeroMachines) {
-  EXPECT_THROW(MultiMachineScheduler(0, naive_factory()), ContractViolation);
 }
 
 }  // namespace

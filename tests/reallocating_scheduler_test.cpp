@@ -3,8 +3,8 @@
 #include <memory>
 
 #include "core/naive_scheduler.hpp"
-#include "core/reallocating_scheduler.hpp"
 #include "schedule/validator.hpp"
+#include "service/reallocating_scheduler.hpp"
 #include "util/rng.hpp"
 
 namespace reasched {

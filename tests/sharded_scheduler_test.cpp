@@ -1,7 +1,9 @@
-// Service-layer differential tests: the sharded batch scheduler must be
-// indistinguishable from the sequential MultiMachineScheduler — identical
-// snapshots, identical per-request stats, identical ledger invariants — for
-// every shard count and batch size, because delegation is
+// Service-layer differential tests: the sharded batch path must be
+// indistinguishable from the sequential reduction — a one-shard
+// ShardedScheduler served per request through insert()/erase() (or the
+// default IReallocScheduler::apply loop), whose schedules the golden
+// digests pin — with identical snapshots, per-request stats and ledger
+// invariants for every shard count and batch size, because delegation is
 // fixed by the §3 round-robin rule. Rejection handling (rollback + exact
 // sequential replay) is exercised separately with deliberately infeasible
 // batches.
@@ -10,7 +12,6 @@
 #include <memory>
 #include <vector>
 
-#include "core/multi_machine.hpp"
 #include "core/naive_scheduler.hpp"
 #include "core/reservation_scheduler.hpp"
 #include "schedule/validator.hpp"
@@ -63,9 +64,9 @@ void expect_same_schedule(const Schedule& want, const Schedule& got) {
   }
 }
 
-/// Replays `trace` per-request through a sequential MultiMachineScheduler,
+/// Replays `trace` per-request through the sequential insert()/erase() path,
 /// returning every request's stats.
-std::vector<RequestStats> sequential_reference(MultiMachineScheduler& scheduler,
+std::vector<RequestStats> sequential_reference(ShardedScheduler& scheduler,
                                                const std::vector<Request>& trace) {
   std::vector<RequestStats> stats;
   stats.reserve(trace.size());
@@ -98,7 +99,7 @@ TEST(ShardedScheduler, MatchesSequentialAtEveryShardCount) {
   for (const WindowPlacement placement :
        {WindowPlacement::kUniform, WindowPlacement::kNestedHotspots}) {
     const auto trace = churn_trace(17, 8, placement, 3000);
-    MultiMachineScheduler reference(8, reservation_factory());
+    ShardedScheduler reference(8, reservation_factory());
     const auto want = sequential_reference(reference, trace);
     reference.audit_balance();
 
@@ -121,7 +122,7 @@ TEST(ShardedScheduler, MatchesSequentialAtEveryShardCount) {
 
 TEST(ShardedScheduler, BatchSizeIsInvisible) {
   const auto trace = churn_trace(23, 8, WindowPlacement::kNestedHotspots, 2000);
-  MultiMachineScheduler reference(8, reservation_factory());
+  ShardedScheduler reference(8, reservation_factory());
   const auto want = sequential_reference(reference, trace);
 
   for (const std::size_t batch : {std::size_t{1}, std::size_t{7}, std::size_t{256}}) {
@@ -136,26 +137,6 @@ TEST(ShardedScheduler, BatchSizeIsInvisible) {
     expect_same_schedule(reference.snapshot(), sharded.snapshot());
     sharded.audit_balance();
   }
-}
-
-TEST(ShardedScheduler, SequentialEntryPointsMatchMultiMachine) {
-  const auto trace = churn_trace(5, 3, WindowPlacement::kUniform, 1200);
-  MultiMachineScheduler reference(3, reservation_factory());
-  const auto want = sequential_reference(reference, trace);
-
-  ShardedScheduler::Options options;
-  options.shards = 2;  // uneven machine ranges: {0}, {1, 2}
-  ShardedScheduler sharded(3, reservation_factory(), options);
-  std::vector<RequestStats> got;
-  got.reserve(trace.size());
-  for (const Request& request : trace) {
-    got.push_back(request.kind == RequestKind::kInsert
-                      ? sharded.insert(request.job, request.window)
-                      : sharded.erase(request.job));
-  }
-  for (std::size_t i = 0; i < want.size(); ++i) expect_same_stats(want[i], got[i], i);
-  expect_same_schedule(reference.snapshot(), sharded.snapshot());
-  sharded.audit_balance();
 }
 
 TEST(ShardedScheduler, BatchedReplayThroughDriverStaysClean) {
@@ -182,8 +163,8 @@ TEST(ShardedScheduler, RejectionRollsBackAndReplaysSequentially) {
       Request::insert(JobId{2}, Window{0, 1}),
       Request::insert(JobId{3}, Window{0, 1}),
   };
-  MultiMachineScheduler reference(2, naive_factory());
-  const BatchResult want = reference.apply(batch);
+  ShardedScheduler reference(2, naive_factory());
+  const BatchResult want = reference.IReallocScheduler::apply(batch);
 
   ShardedScheduler::Options options;
   options.shards = 2;
@@ -230,8 +211,8 @@ TEST(ShardedScheduler, RejectedIdMayBeRetriedWithinTheBatch) {
       Request::insert(JobId{2}, Window{0, 1}),  // now feasible
       Request::erase(JobId{2}),
   };
-  MultiMachineScheduler reference(1, naive_factory());
-  const BatchResult want = reference.apply(batch);
+  ShardedScheduler reference(1, naive_factory());
+  const BatchResult want = reference.IReallocScheduler::apply(batch);
 
   ShardedScheduler sharded(1, naive_factory(), {});
   const BatchResult got = sharded.apply(batch);
@@ -275,9 +256,9 @@ TEST(ShardedScheduler, RejectionUnwindsEraseAndMigration) {
       Request::insert(JobId{12}, Window{100, 101}),  // rejected
       Request::insert(JobId{13}, Window{0, 64}),
   };
-  MultiMachineScheduler reference(2, factory);
-  ASSERT_TRUE(reference.apply(setup).all_served());
-  const BatchResult want = reference.apply(batch);
+  ShardedScheduler reference(2, factory);
+  ASSERT_TRUE(reference.IReallocScheduler::apply(setup).all_served());
+  const BatchResult want = reference.IReallocScheduler::apply(batch);
 
   ShardedScheduler::Options options;
   options.shards = 2;
@@ -314,9 +295,9 @@ TEST(ShardedScheduler, IdReuseUnderNewWindowWithinOneSubBatch) {
       Request::insert(JobId{1}, Window{0, 64}),
       Request::erase(JobId{3}),
   };
-  MultiMachineScheduler reference(2, reservation_factory());
-  ASSERT_TRUE(reference.apply(setup).all_served());
-  const BatchResult want = reference.apply(batch);
+  ShardedScheduler reference(2, reservation_factory());
+  ASSERT_TRUE(reference.IReallocScheduler::apply(setup).all_served());
+  const BatchResult want = reference.IReallocScheduler::apply(batch);
 
   ShardedScheduler::Options options;
   options.shards = 2;

@@ -1,7 +1,7 @@
 #include <gtest/gtest.h>
 
 #include "baseline/greedy_repair_scheduler.hpp"
-#include "core/reallocating_scheduler.hpp"
+#include "service/reallocating_scheduler.hpp"
 #include "sim/driver.hpp"
 #include "workload/churn.hpp"
 

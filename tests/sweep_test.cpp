@@ -1,6 +1,6 @@
 #include <gtest/gtest.h>
 
-#include "core/reallocating_scheduler.hpp"
+#include "service/reallocating_scheduler.hpp"
 #include "sim/sweep.hpp"
 #include "workload/churn.hpp"
 
