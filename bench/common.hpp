@@ -13,12 +13,17 @@
 #include <iostream>
 #include <memory>
 #include <string>
+#include <thread>
 #include <type_traits>
 #include <utility>
 #include <vector>
 
 #include "reasched/reasched.hpp"
 #include "util/probe_group.hpp"
+
+#ifndef REASCHED_BUILD_TYPE
+#define REASCHED_BUILD_TYPE "unknown"  // set by CMakeLists.txt
+#endif
 
 namespace reasched::bench {
 
@@ -49,7 +54,8 @@ inline Args parse_args(int argc, char** argv) {
 /// Covers exactly what the BENCH_*.json baselines need — no dependency, no
 /// nesting, insertion order preserved. The meta object records the build
 /// flavor the numbers were produced under (probe dispatch arm, telemetry
-/// compile gate) so a bench-gate failure names the baseline's provenance;
+/// compile gate, build type) and the host (core count, CPU model, as E21
+/// records them) so a bench-gate failure names the baseline's provenance;
 /// tools/bench_compare.py prints it and tolerates baselines that predate
 /// it.
 class JsonRows {
@@ -57,6 +63,9 @@ class JsonRows {
   explicit JsonRows(std::string bench_name) : bench_(std::move(bench_name)) {
     meta_.emplace_back("probe_backend", quote(probe::kBackendName));
     meta_.emplace_back("telemetry", quote(RS_TELEM_COMPILED ? "on" : "off"));
+    meta_.emplace_back("build_type", quote(REASCHED_BUILD_TYPE));
+    meta_.emplace_back("nproc", std::to_string(std::thread::hardware_concurrency()));
+    meta_.emplace_back("cpu_model", quote(cpu_model()));
   }
 
   JsonRows& row() {
@@ -116,6 +125,22 @@ class JsonRows {
   }
 
  private:
+  /// The first "model name" line of /proc/cpuinfo ("Model" on ARM), or
+  /// "unknown".
+  static std::string cpu_model() {
+    std::ifstream in("/proc/cpuinfo");
+    std::string line;
+    while (std::getline(in, line)) {
+      if (line.rfind("model name", 0) != 0 && line.rfind("Model", 0) != 0) continue;
+      const std::size_t colon = line.find(':');
+      const std::size_t value = line.find_first_not_of(" \t", colon + 1);
+      if (colon != std::string::npos && value != std::string::npos) {
+        return line.substr(value);
+      }
+    }
+    return "unknown";
+  }
+
   static std::string quote(const std::string& s) {
     std::string out = "\"";
     for (const char c : s) {

@@ -2,9 +2,6 @@
 
 #include <algorithm>
 #include <atomic>
-#include <chrono>
-#include <exception>
-#include <future>
 #include <utility>
 
 #include "telemetry/registry.hpp"
@@ -36,11 +33,6 @@ ShardedScheduler::ShardedScheduler(unsigned machines, const Factory& factory,
     RS_REQUIRE(scheduler->machines() == 1,
                "ShardedScheduler: inner schedulers must be single-machine");
     machines_.push_back(std::move(scheduler));
-  }
-  shard_begin_.resize(shards_ + 1);
-  for (unsigned k = 0; k <= shards_; ++k) {
-    shard_begin_[k] = static_cast<unsigned>(
-        static_cast<std::uint64_t>(k) * machines / shards_);
   }
   label_ = "sharded[s=" + std::to_string(shards_) + "," + std::to_string(machines) +
            "x " + machines_.front()->name() + "]";
@@ -132,40 +124,6 @@ Schedule ShardedScheduler::snapshot() const {
 }
 
 // --------------------------------------------------------------- batch path
-
-void ShardedScheduler::run_per_machine(const std::vector<unsigned>& work_machines,
-                                       const std::function<void(unsigned)>& task) {
-  if (shards_ == 1) {
-    for (const unsigned machine : work_machines) task(machine);
-    return;
-  }
-  std::vector<std::future<void>> futures;
-  futures.reserve(work_machines.size());
-  for (const unsigned machine : work_machines) {
-    // Shard 0's share is the caller's; park it on pool worker 0 (shard 1's
-    // worker) — home placement is a cache preference, never a requirement.
-    const auto it = std::upper_bound(shard_begin_.begin(), shard_begin_.end(), machine);
-    const auto home = static_cast<std::size_t>(it - shard_begin_.begin()) - 1;
-    const std::size_t worker = home == 0 ? 0 : home - 1;
-    futures.push_back(pool_.submit_stealable(worker, [&task, machine] { task(machine); }));
-  }
-  // The caller lends its cycles instead of idling on the joins.
-  std::exception_ptr first;
-  for (auto& future : futures) {
-    while (future.wait_for(std::chrono::seconds(0)) !=
-           std::future_status::ready) {
-      if (!pool_.try_run_stealable()) {
-        future.wait_for(std::chrono::microseconds(50));
-      }
-    }
-    try {
-      future.get();
-    } catch (...) {
-      if (!first) first = std::current_exception();
-    }
-  }
-  if (first) std::rethrow_exception(first);
-}
 
 BatchResult ShardedScheduler::apply(std::span<const Request> batch) {
   BatchResult result;
@@ -312,18 +270,19 @@ void ShardedScheduler::apply_subbatch(std::span<const Request> batch,
   }
 
   // ---- apply: execute the per-machine op lists ----
-  // Each machine's list runs on exactly one thread; the unit is the
-  // machine (home = owning shard's worker), so a hotspot shard's machines
-  // spread to idle siblings instead of serializing behind one worker.
+  // Each machine's list runs on exactly one thread, in order. The caller
+  // and the pool's workers claim machines from one shared counter, so a
+  // hotspot's machines spread over whichever threads are free.
   std::vector<std::size_t> applied(machines_.size(), 0);
   std::atomic<bool> failed{false};
   std::vector<unsigned> work_machines;
   for (unsigned machine = 0; machine < machines_.size(); ++machine) {
     if (!machine_ops[machine].empty()) work_machines.push_back(machine);
   }
-  run_per_machine(work_machines, [&](unsigned machine) {
+  const std::size_t ran = pool_.parallel_for(work_machines.size(), [&](std::size_t w) {
     RS_TELEM_DURATION(kApplyHist, "svc.apply");
     RS_TELEM_SPAN(apply_span, kApplyHist, "svc.apply");
+    const unsigned machine = work_machines[w];
     std::vector<Op>& ops = machine_ops[machine];
     for (std::size_t k = 0; k < ops.size(); ++k) {
       if (failed.load(std::memory_order_relaxed)) return;
@@ -341,6 +300,7 @@ void ShardedScheduler::apply_subbatch(std::span<const Request> batch,
       applied[machine] = k + 1;
     }
   });
+  if (pool_.size() > 0) caller_tasks_ += ran;  // see steal_count()
 
   if (failed.load()) {
     // Rare path: a machine rejected an optimistically planned insert. Undo

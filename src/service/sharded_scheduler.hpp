@@ -1,11 +1,11 @@
 // Sharded batch-scheduling service: the repository's one implementation of
 // the §3 multi-machine → single-machine reduction.
 //
-// A ShardedScheduler owns one single-machine scheduler per machine,
-// partitioned into contiguous *shards* of machines; shard k's *home* worker
-// is the caller for k = 0 and pool worker k - 1 of a ShardedThreadPool
-// otherwise. Delegation state is the reduction's own: one BalanceLedger and
-// one JobId → JobInfo directory, touched only by the caller thread.
+// A ShardedScheduler owns one single-machine scheduler per machine and a
+// ThreadPool (util/thread_pool.hpp) of shards - 1 workers; with the caller,
+// `shards` threads run the apply phase. Delegation state is the reduction's
+// own: one BalanceLedger and one JobId → JobInfo directory, touched only by
+// the caller thread.
 //
 // insert()/erase() are the sequential reduction, one request at a time:
 // round-robin delegation per window, and on a delete at most one rebalance
@@ -26,14 +26,14 @@
 //      request order. Lemma 3 delegation is O(1) bookkeeping per request;
 //      the per-machine schedulers are untouched.
 //   3. apply (parallel over machines): each machine's op list runs as one
-//      task. Per-request fixed costs are amortized: one pool handoff per
-//      machine per batch, and audit cadence becomes per-batch instead of
-//      per-request (EXPERIMENTS.md §E13).
+//      task. Per-request fixed costs are amortized: one pool fan-out per
+//      batch, and audit cadence becomes per-batch instead of per-request
+//      (EXPERIMENTS.md §E13).
 //
-// The apply fan-out submits *stealable* tasks (ShardedThreadPool::
-// submit_stealable), each homed on its machine's shard worker, so an idle
-// worker, or the calling thread, helps a backlogged sibling when hotspot
-// placement skews ops toward one contiguous machine→shard range. Which
+// The apply fan-out is one ThreadPool::parallel_for over the machines that
+// have work: the caller and the workers claim machines from one shared
+// counter, so no machine has a home thread and a hotspot that skews ops
+// toward a few machines spreads over whichever threads are free. Which
 // thread runs a task never changes a result: each machine's op list is
 // executed by exactly one thread, in order.
 //
@@ -92,8 +92,8 @@ class ShardedScheduler final : public IReallocScheduler {
   using Factory = std::function<std::unique_ptr<IReallocScheduler>()>;
 
   struct Options {
-    /// Worker shards; clamped to [1, machines]. Shard k owns the contiguous
-    /// machine range [k·m/S, (k+1)·m/S).
+    /// Threads that run the apply phase: the caller plus shards - 1 pool
+    /// workers. Clamped to [1, machines]; 1 runs every task on the caller.
     unsigned shards = 1;
     /// Durability tier (DESIGN.md §9): when set, every request is appended
     /// write-ahead, in CSN order on the caller thread, to the single log
@@ -107,9 +107,9 @@ class ShardedScheduler final : public IReallocScheduler {
     std::optional<durability::DurabilityPolicy> wal;
     /// Runtime gate for the telemetry tier (src/telemetry/, DESIGN.md §10):
     /// construction flips the process-wide recording switches (turn-on
-    /// only). The pipeline spans (svc.scan/svc.plan/svc.apply), per-shard
-    /// queue-depth gauges, and every per-machine scheduler's record sites
-    /// then feed telemetry::Registry::global().
+    /// only). The pipeline spans (svc.scan/svc.plan/svc.apply) and every
+    /// per-machine scheduler's record sites then feed
+    /// telemetry::Registry::global().
     telemetry::TelemetryOptions telemetry;
   };
 
@@ -127,9 +127,10 @@ class ShardedScheduler final : public IReallocScheduler {
     return static_cast<unsigned>(machines_.size());
   }
   [[nodiscard]] unsigned shards() const noexcept { return shards_; }
-  /// Stealable tasks executed off their home worker so far (monotone; 0
-  /// when shards == 1, where every task runs inline on the caller).
-  [[nodiscard]] std::uint64_t steal_count() const noexcept { return pool_.steals(); }
+  /// Apply tasks (one machine's op list each) the calling thread ran while
+  /// the pool had workers to share them with (monotone; 0 when shards == 1,
+  /// where the caller runs every task). Caller thread only.
+  [[nodiscard]] std::uint64_t steal_count() const noexcept { return caller_tasks_; }
   [[nodiscard]] std::string name() const override;
 
   /// Balancing invariant check (Lemma 3); throws InternalError on violation.
@@ -185,14 +186,6 @@ class ShardedScheduler final : public IReallocScheduler {
 
   enum Status : std::uint8_t { kServed = 0, kRejected = 1 };
 
-  /// Runs task(machine) for every listed machine as a stealable pool task
-  /// homed on the machine's shard worker; the caller lends its own cycles
-  /// via try_run_stealable while it waits. Joins all before returning.
-  /// With one shard the pool has no worker, so the tasks run inline on the
-  /// caller in list order.
-  void run_per_machine(const std::vector<unsigned>& work_machines,
-                       const std::function<void(unsigned)>& task);
-
   /// Assigns the next CSN and appends the request's record to the log,
   /// write-ahead on the caller thread. No-op while logging is suspended
   /// (recovery replay, sub-batch sequential re-run).
@@ -217,8 +210,8 @@ class ShardedScheduler final : public IReallocScheduler {
   unsigned shards_ = 1;
   BalanceLedger ledger_;
   FlatHashMap<JobId, JobInfo> jobs_;
-  std::vector<unsigned> shard_begin_;  // size shards_+1: machine range bounds
-  ShardedThreadPool pool_;
+  ThreadPool pool_;                 // shards_ - 1 workers
+  std::uint64_t caller_tasks_ = 0;  // steal_count()
   std::string label_;
 
   // Durability tier (closed/zero when Options::wal is unset).

@@ -1,5 +1,8 @@
 #include "sim/sweep.hpp"
 
+#include <algorithm>
+#include <thread>
+
 #include "util/assert.hpp"
 #include "util/thread_pool.hpp"
 
@@ -12,7 +15,8 @@ std::vector<SimReport> replay_sweep(const std::vector<SweepJob>& jobs,
                "replay_sweep: incomplete job");
   }
   std::vector<SimReport> reports(jobs.size());
-  ThreadPool pool(threads);
+  if (threads == 0) threads = std::max(1u, std::thread::hardware_concurrency());
+  ThreadPool pool(threads - 1);  // the caller is the last thread
   pool.parallel_for(jobs.size(), [&](std::size_t index) {
     const SweepJob& job = jobs[index];
     const auto scheduler = job.make_scheduler();

@@ -22,9 +22,10 @@
 //     single request pays the teardown.
 //
 // Not thread-safe; each arena is owned by exactly one scheduler instance.
-// In the sharded service layer every per-machine scheduler (and hence every
-// arena) is private to one shard worker — arenas are shard-local by
-// construction and need no locking (DESIGN.md §6).
+// In the sharded service layer a per-machine scheduler (and hence each of
+// its arenas) is touched by one apply task per batch, on whichever thread
+// claims that machine, and the phase is joined before the next batch, so
+// arenas need no locking (DESIGN.md §6).
 #pragma once
 
 #include <cstddef>

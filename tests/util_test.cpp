@@ -3,10 +3,9 @@
 #include <atomic>
 #include <chrono>
 #include <functional>
-#include <future>
-#include <memory>
 #include <set>
 #include <sstream>
+#include <stdexcept>
 #include <string>
 #include <thread>
 #include <vector>
@@ -16,7 +15,6 @@
 #include "util/rng.hpp"
 #include "util/stats.hpp"
 #include "util/table.hpp"
-#include "telemetry/registry.hpp"
 #include "util/thread_pool.hpp"
 
 namespace reasched {
@@ -212,147 +210,87 @@ TEST(ThreadPool, RunsAllTasks) {
   EXPECT_EQ(counter.load(), 100);
 }
 
-TEST(ThreadPool, SubmitReturnsValue) {
-  ThreadPool pool(2);
-  auto f = pool.submit([] { return 41 + 1; });
-  EXPECT_EQ(f.get(), 42);
-}
-
-/// Submits a stealable blocker homed on `home` that runs `hold`, and
-/// returns once it has started — it can no longer be stolen, and tasks
-/// submitted afterwards queue on the home deque behind it.
-std::future<void> block_worker(ShardedThreadPool& pool, std::size_t home,
-                               std::function<void()> hold) {
-  auto started = std::make_shared<std::atomic<bool>>(false);
-  auto blocker = pool.submit_stealable(home, [started, hold = std::move(hold)] {
-    started->store(true, std::memory_order_release);
-    hold();
-  });
-  while (!started->load(std::memory_order_acquire)) std::this_thread::yield();
-  return blocker;
-}
-
-/// A blocker body that spins until `release` is set.
-std::function<void()> until(const std::atomic<bool>& release) {
-  return [&release] {
-    while (!release.load(std::memory_order_acquire)) std::this_thread::yield();
-  };
-}
-
-TEST(ShardedThreadPool, WorkersRunIndependently) {
-  ShardedThreadPool pool(4);
-  EXPECT_EQ(pool.size(), 4u);
-  std::atomic<int> counter{0};
-  std::vector<std::future<void>> futures;
-  for (std::size_t w = 0; w < 4; ++w) {
-    for (int i = 0; i < 25; ++i) {
-      futures.push_back(pool.submit_stealable(w, [&counter] { ++counter; }));
+TEST(ThreadPool, EveryIndexRunsExactlyOnce) {
+  for (const std::size_t workers : {0u, 1u, 3u}) {
+    ThreadPool pool(workers);
+    EXPECT_EQ(pool.size(), workers);
+    for (const std::size_t count : {0u, 1u, 2u, 64u}) {
+      std::vector<std::atomic<int>> hits(count);
+      const std::size_t ran =
+          pool.parallel_for(count, [&](std::size_t i) { ++hits[i]; });
+      EXPECT_LE(ran, count);
+      for (std::size_t i = 0; i < count; ++i) {
+        EXPECT_EQ(hits[i].load(), 1) << "workers " << workers << " index " << i;
+      }
     }
   }
-  for (auto& f : futures) f.get();
-  EXPECT_EQ(counter.load(), 100);
 }
 
-TEST(ShardedThreadPool, ZeroWorkersIsValid) {
-  ShardedThreadPool pool(0);
-  EXPECT_EQ(pool.size(), 0u);
-  EXPECT_THROW(pool.submit_stealable(0, [] {}), ContractViolation);
-  EXPECT_FALSE(pool.try_run_stealable());
+TEST(ThreadPool, ZeroWorkersRunsEverythingOnTheCaller) {
+  ThreadPool pool(0);
+  const auto caller = std::this_thread::get_id();
+  std::atomic<int> elsewhere{0};
+  EXPECT_EQ(pool.parallel_for(10, [&](std::size_t) {
+              if (std::this_thread::get_id() != caller) ++elsewhere;
+            }),
+            10u);
+  EXPECT_EQ(elsewhere.load(), 0);
 }
 
-TEST(ShardedThreadPool, StealableTasksAllRunExactlyOnce) {
-  ShardedThreadPool pool(3);
-  std::atomic<int> counter{0};
-  std::vector<std::future<void>> futures;
-  // Everything homed on worker 0: completion of all 64 with a nonzero
-  // steals() would prove migration, but even without steals the contract
-  // is exactly-once execution.
-  for (int i = 0; i < 64; ++i) {
-    futures.push_back(pool.submit_stealable(0, [&counter] { ++counter; }));
-  }
-  for (auto& f : futures) f.get();
-  EXPECT_EQ(counter.load(), 64);
-}
-
-TEST(ShardedThreadPool, IdleWorkersStealFromALoadedHome) {
-  ShardedThreadPool pool(4);
-  std::atomic<int> counter{0};
-  std::vector<std::future<void>> futures;
-  // A slow blocker occupies one worker while the backlog queues on the
-  // home deque; the idle workers must drain it — the futures cannot all
-  // complete before the sleeper otherwise, so the time bound is the proof.
-  const auto t0 = std::chrono::steady_clock::now();
-  auto blocker = block_worker(pool, 0, [] {
-    std::this_thread::sleep_for(std::chrono::milliseconds(200));
+TEST(ThreadPool, CallerFinishesWhileEveryWorkerIsBusy) {
+  // Every worker is parked inside another thread's call, so the helpers
+  // this call queues cannot start: the caller must run all 64 indices
+  // itself and return without waiting for them.
+  ThreadPool pool(3);
+  std::atomic<int> started{0};
+  std::atomic<bool> release{false};
+  std::thread blocker([&] {
+    pool.parallel_for(4, [&](std::size_t) {
+      ++started;
+      while (!release.load(std::memory_order_acquire)) std::this_thread::yield();
+    });
   });
-  for (int i = 0; i < 32; ++i) {
-    futures.push_back(pool.submit_stealable(0, [&counter] {
-      std::this_thread::sleep_for(std::chrono::milliseconds(1));
-      ++counter;
-    }));
-  }
-  for (auto& f : futures) f.get();
-  const auto stolen_done = std::chrono::steady_clock::now() - t0;
-  blocker.get();
-  EXPECT_EQ(counter.load(), 32);
-  EXPECT_GE(pool.steals(), 1u);
-  EXPECT_LT(stolen_done, std::chrono::milliseconds(200))
-      << "stealable backlog waited for the busy home worker";
-}
-
-TEST(ShardedThreadPool, CallerCanRunStealableWork) {
-  ShardedThreadPool pool(1);
+  while (started.load() < 4) std::this_thread::yield();  // 3 workers + blocker
   std::atomic<int> counter{0};
-  std::vector<std::future<void>> futures;
-  // Block the only worker so the caller is the sole source of progress.
-  std::atomic<bool> release{false};
-  auto blocker = block_worker(pool, 0, until(release));
-  for (int i = 0; i < 8; ++i) {
-    futures.push_back(pool.submit_stealable(0, [&counter] { ++counter; }));
-  }
-  while (counter.load() < 8) {
-    if (!pool.try_run_stealable()) std::this_thread::yield();
-  }
-  EXPECT_FALSE(pool.try_run_stealable());  // queue is empty now
+  EXPECT_EQ(pool.parallel_for(64, [&](std::size_t) { ++counter; }), 64u);
+  EXPECT_EQ(counter.load(), 64);
   release.store(true, std::memory_order_release);
-  blocker.get();
-  for (auto& f : futures) f.get();
-  EXPECT_EQ(counter.load(), 8);
-  EXPECT_GE(pool.steals(), 8u);
+  blocker.join();
 }
 
-#if RS_TELEM_COMPILED
-std::int64_t gauge_value(const std::string& name) {
-  const telemetry::Registry::Snapshot snap = telemetry::Registry::global().snapshot();
-  for (const auto& [gauge, value] : snap.gauges) {
-    if (gauge == name) return value;
+TEST(ThreadPool, LateHelpersDropTheirJobAfterTheCallReturned) {
+  // Short calls return before some of their helpers wake; a late helper
+  // must touch only the job state it shares, never the caller's frame (the
+  // ASan lane runs this).
+  ThreadPool pool(3);
+  for (int call = 0; call < 1000; ++call) {
+    std::vector<int> slots(4, 0);
+    pool.parallel_for(slots.size(), [&](std::size_t i) { slots[i] = call; });
+    for (const int value : slots) ASSERT_EQ(value, call);
   }
-  return 0;
 }
 
-TEST(ShardedThreadPool, QueueDepthGaugeTracksTheHomeDeque) {
-  // "svc.queue.depth.<k>" counts the tasks waiting in worker k's deque:
-  // +1 on submit, -1 when the owner or a thief pops. Measured as a delta —
-  // the gauge is process-wide and earlier pools share the name.
-  const bool was_on = telemetry::Registry::metrics_enabled();
-  telemetry::Registry::set_metrics_enabled(true);
-  ShardedThreadPool pool(1);
-  const std::int64_t base = gauge_value("svc.queue.depth.0");
-  std::atomic<bool> release{false};
-  auto blocker = block_worker(pool, 0, until(release));
-  EXPECT_EQ(gauge_value("svc.queue.depth.0"), base);  // running, not waiting
-  std::vector<std::future<void>> futures;
-  for (int i = 0; i < 8; ++i) futures.push_back(pool.submit_stealable(0, [] {}));
-  EXPECT_EQ(gauge_value("svc.queue.depth.0"), base + 8);
-  while (pool.try_run_stealable()) {
+TEST(ThreadPool, FirstExceptionIsRethrownAfterEveryIndexRan) {
+  std::atomic<int> entered{0};
+  std::atomic<int> finished{0};
+  const std::function<void(std::size_t)> fn = [&](std::size_t i) {
+    ++entered;
+    if (i == 0) throw std::runtime_error("index 0");
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+    ++finished;
+  };
+  ThreadPool pool(2);  // joined before fn and the counters go out of scope
+  int entered_at_throw = -1;
+  int finished_at_throw = -1;
+  try {
+    pool.parallel_for(16, fn);
+  } catch (const std::runtime_error&) {
+    entered_at_throw = entered.load();
+    finished_at_throw = finished.load();
   }
-  EXPECT_EQ(gauge_value("svc.queue.depth.0"), base);
-  release.store(true, std::memory_order_release);
-  blocker.get();
-  for (auto& f : futures) f.get();
-  telemetry::Registry::set_metrics_enabled(was_on);
+  EXPECT_EQ(entered_at_throw, 16);
+  EXPECT_EQ(finished_at_throw, 15);
 }
-#endif
 
 TEST(Contracts, RequireThrowsContractViolation) {
   EXPECT_THROW(RS_REQUIRE(false, "boom"), ContractViolation);
