@@ -9,66 +9,39 @@
 namespace reasched::durability {
 
 DurableScheduler::DurableScheduler(DurabilityPolicy policy, SchedulerOptions options)
-    : DurableScheduler(std::move(policy), [options] {
-        return std::make_unique<ReservationScheduler>(options);
-      }) {}
-
-DurableScheduler::DurableScheduler(DurabilityPolicy policy, const Factory& factory)
     : policy_(std::move(policy)) {
-  // Newest loadable snapshot wins; corrupt ones are skipped. Snapshot-
-  // capable factories get this fast path; a failed load leaves the target
-  // half-written, so each attempt rebuilds from scratch.
+  // Newest loadable snapshot wins; corrupt ones are skipped. A failed load
+  // leaves the target half-written, so each attempt starts from scratch.
   for (const std::uint64_t csn : list_snapshots(policy_.dir)) {
-    std::unique_ptr<IReallocScheduler> candidate = factory();
-    auto* reservation = dynamic_cast<ReservationScheduler*>(candidate.get());
-    if (reservation == nullptr) break;  // WAL-only tier; snapshots ignored
-    if (load_snapshot(snapshot_path(policy_.dir, csn), *reservation)) {
+    auto candidate = std::make_unique<ReservationScheduler>(options);
+    if (load_snapshot(snapshot_path(policy_.dir, csn), *candidate)) {
       inner_ = std::move(candidate);
-      reservation_ = reservation;
       report_.snapshot_csn = csn;
       report_.last_csn = csn;
       break;
     }
     ++report_.snapshots_skipped;
   }
-  if (!inner_) {
-    inner_ = factory();
-    reservation_ = dynamic_cast<ReservationScheduler*>(inner_.get());
-  }
+  if (!inner_) inner_ = std::make_unique<ReservationScheduler>(options);
   recover_log(policy_, *inner_, report_, wal_);
   csn_ = report_.last_csn;
-  seed_live_set();
-}
-
-void DurableScheduler::seed_live_set() {
-  // Reservation mode asks the inner scheduler directly (contains() is an
-  // O(1) table lookup), so there is no mirror to seed — only the generic
-  // tier keeps its own live set.
-  if (reservation_ != nullptr) return;
-  // Materialize the Schedule: snapshot() returns by value, and iterating
-  // `snapshot().assignments()` directly would walk a map inside an
-  // already-destroyed temporary (the C++20 range-for dangling-range trap).
-  const Schedule schedule = inner_->snapshot();
-  for (const auto& [job, placement] : schedule.assignments()) {
-    static_cast<void>(placement);
-    live_.insert(job);
-  }
 }
 
 DurableScheduler::~DurableScheduler() = default;  // WalWriter flushes on close
+
+Schedule DurableScheduler::snapshot() const { return inner_->snapshot(); }
+
+std::size_t DurableScheduler::active_jobs() const { return inner_->active_jobs(); }
 
 std::string DurableScheduler::name() const { return "durable(" + inner_->name() + ")"; }
 
 RequestStats DurableScheduler::insert(JobId id, Window window) {
   RS_REQUIRE(window.valid(), "DurableScheduler::insert: empty window");
-  // Precondition gate in front of the log. Reservation mode relies on the
-  // inner scheduler's own fresh-id check instead of a lookup here: the
-  // record is only buffered until commit_record(), so a ContractViolation
-  // from the inner insert rolls it back — nothing precondition-violating
-  // ever reaches disk, with zero extra hash probes on the hot path.
-  if (reservation_ == nullptr) {
-    RS_REQUIRE(!live_.contains(id), "DurableScheduler::insert: job already active");
-  }
+  // No precondition lookup in front of the log: the record is only
+  // buffered until commit_record(), so a ContractViolation from the inner
+  // scheduler's own fresh-id check rolls it back — nothing
+  // precondition-violating ever reaches disk, with zero extra hash probes
+  // on the hot path.
   ++csn_;
   RS_TELEM_SET_CSN(csn_);
   const std::size_t mark = wal_.mark();
@@ -88,15 +61,11 @@ RequestStats DurableScheduler::insert(JobId id, Window window) {
     throw;
   }
   wal_.commit_record();
-  if (reservation_ == nullptr) live_.insert(id);
   maybe_snapshot(stats);
   return stats;
 }
 
 RequestStats DurableScheduler::erase(JobId id) {
-  if (reservation_ == nullptr) {
-    RS_REQUIRE(live_.contains(id), "DurableScheduler::erase: job not active");
-  }
   ++csn_;
   RS_TELEM_SET_CSN(csn_);
   const std::size_t mark = wal_.mark();
@@ -113,7 +82,6 @@ RequestStats DurableScheduler::erase(JobId id) {
     throw;
   }
   wal_.commit_record();
-  if (reservation_ == nullptr) live_.erase(id);
   maybe_snapshot(stats);
   return stats;
 }
@@ -133,11 +101,10 @@ BatchResult DurableScheduler::apply(std::span<const Request> batch) {
 }
 
 void DurableScheduler::maybe_snapshot(const RequestStats& stats) {
-  if (reservation_ == nullptr) return;
   if (policy_.snapshot_every > 0 && csn_ % policy_.snapshot_every == 0) {
     snapshot_pending_ = true;  // deferred while a migration is in flight
   }
-  const bool quiescent = !reservation_->rebuild_in_flight();
+  const bool quiescent = !inner_->rebuild_in_flight();
   const bool flip = policy_.snapshot_on_flip && stats.rebuilt && quiescent;
   if (!flip && !(snapshot_pending_ && quiescent)) return;
   write_snapshot_now();
@@ -157,13 +124,13 @@ void DurableScheduler::write_snapshot_now() {
     // from the previous snapshot plus the full surviving suffix.
     CrashPoint::die();
   }
-  write_snapshot(policy_.dir, csn_, *reservation_, policy_);
+  write_snapshot(policy_.dir, csn_, *inner_, policy_);
   ++snapshots_written_;
 }
 
 bool DurableScheduler::checkpoint() {
   wal_.sync();
-  if (reservation_ == nullptr || reservation_->rebuild_in_flight()) return false;
+  if (inner_->rebuild_in_flight()) return false;
   write_snapshot_now();
   snapshot_pending_ = false;
   return true;

@@ -1,7 +1,7 @@
-// DurableScheduler: the durability tier's front door (DESIGN.md §9).
+// DurableScheduler: the single-machine durability front end (DESIGN.md §9).
 //
-// Wraps any IReallocScheduler with write-ahead logging and — when the
-// inner scheduler is a ReservationScheduler — generation snapshots:
+// Wraps one ReservationScheduler with write-ahead logging and generation
+// snapshots:
 //
 //   * every insert/erase is assigned the next CSN and appended to the WAL
 //     *before* the inner scheduler sees it (write-ahead); frames are cut
@@ -23,23 +23,22 @@
 // (duplicate id on insert, non-live id on erase) never reach the log: the
 // record is buffered but not committed until the inner scheduler accepts
 // the request, and the inner scheduler's own precondition check throwing
-// rolls it back out of the frame buffer (generic mode additionally gates
-// on a mirrored live set, since an arbitrary inner scheduler's exception
-// guarantees are unknown).
+// rolls it back out of the frame buffer.
 //
-// Threading: single-caller discipline, like every scheduler here. For the
-// sharded service's log see ShardedScheduler::Options::wal.
+// Threading: single-caller discipline, like every scheduler here.
+// Multi-machine logging is ShardedScheduler::Options::wal: one CSN-ordered
+// log written by the sharded service and recovered through the same
+// recover_log. Both writers produce byte-identical logs for the same
+// request stream on one machine (tests/golden_digest_test.cpp).
 #pragma once
 
 #include <cstdint>
-#include <functional>
 #include <memory>
 #include <string>
 
 #include "core/scheduler_options.hpp"
 #include "durability/recovery.hpp"
 #include "durability/wal.hpp"
-#include "util/flat_hash.hpp"
 
 namespace reasched {
 
@@ -49,20 +48,10 @@ namespace durability {
 
 class DurableScheduler final : public IReallocScheduler {
  public:
-  using Factory = std::function<std::unique_ptr<IReallocScheduler>()>;
-
-  /// Single-machine mode: generic mode over a ReservationScheduler factory
-  /// — recovers (or cold-starts) from `policy.dir`, snapshots + WAL
-  /// suffix, and resumes logging. The directory is created if missing.
+  /// Recovers (or cold-starts) from `policy.dir` — newest loadable
+  /// snapshot, then the WAL suffix — and resumes logging. The directory is
+  /// created if missing.
   explicit DurableScheduler(DurabilityPolicy policy, SchedulerOptions options = {});
-
-  /// Generic mode: the factory builds the inner scheduler (fresh), and
-  /// recovery replays the whole surviving WAL through it. If the factory
-  /// produces a ReservationScheduler, snapshots seed it and only the log
-  /// suffix is replayed (detected at runtime); for anything else —
-  /// e.g. ReallocatingScheduler's ShardedScheduler-backed pipeline —
-  /// the tier is WAL-only and recovery cost grows with the log.
-  DurableScheduler(DurabilityPolicy policy, const Factory& factory);
 
   ~DurableScheduler() override;
 
@@ -70,11 +59,9 @@ class DurableScheduler final : public IReallocScheduler {
   RequestStats erase(JobId id) override;
   BatchResult apply(std::span<const Request> batch) override;
 
-  [[nodiscard]] Schedule snapshot() const override { return inner_->snapshot(); }
-  [[nodiscard]] std::size_t active_jobs() const override {
-    return inner_->active_jobs();
-  }
-  [[nodiscard]] unsigned machines() const override { return inner_->machines(); }
+  [[nodiscard]] Schedule snapshot() const override;
+  [[nodiscard]] std::size_t active_jobs() const override;
+  [[nodiscard]] unsigned machines() const override { return 1; }
   [[nodiscard]] std::string name() const override;
 
   /// What construction-time recovery found (cold start: all zeros).
@@ -91,31 +78,22 @@ class DurableScheduler final : public IReallocScheduler {
   }
   [[nodiscard]] const DurabilityPolicy& policy() const noexcept { return policy_; }
 
-  [[nodiscard]] IReallocScheduler& inner() noexcept { return *inner_; }
-  /// The inner ReservationScheduler, or nullptr in WAL-only generic mode.
-  [[nodiscard]] ReservationScheduler* reservation() noexcept { return reservation_; }
+  [[nodiscard]] ReservationScheduler& inner() noexcept { return *inner_; }
 
   /// Flushes and fsyncs the log (everything logged so far is durable).
   void sync() { wal_.sync(); }
-  /// sync() + an immediate snapshot when snapshot-capable and quiescent.
-  /// Returns true when a snapshot was written.
+  /// sync() + an immediate snapshot when quiescent (no partitioned rebuild
+  /// in flight). Returns true when a snapshot was written.
   bool checkpoint();
 
  private:
-  void seed_live_set();
   void maybe_snapshot(const RequestStats& stats);
   void write_snapshot_now();
 
   DurabilityPolicy policy_;
   RecoveryReport report_;
-  std::unique_ptr<IReallocScheduler> inner_;
-  ReservationScheduler* reservation_ = nullptr;
+  std::unique_ptr<ReservationScheduler> inner_;
   WalWriter wal_;
-  /// Live job ids — precondition gate in front of the log (see header
-  /// comment). Generic mode only: in reservation mode the inner
-  /// scheduler's own O(1) contains() answers, with no mirror to maintain
-  /// on the hot path. Seeded from the recovered schedule.
-  FlatHashSet<JobId> live_;
   std::uint64_t csn_ = 0;
   std::uint64_t snapshots_written_ = 0;
   bool snapshot_pending_ = false;

@@ -3,13 +3,14 @@
 // Recovery never trusts any single artifact. Snapshots are tried newest
 // first and any corrupt one is skipped (falling back to an older snapshot,
 // or to an empty scheduler with full-log replay) — that scan lives in
-// DurableScheduler, the only front end that snapshots. The log half is
-// shared by every durable front end: the WAL's torn tail is truncated at
-// the last valid checksum and the surviving record suffix is pushed
-// through the scheduler's *normal* request path — the same determinism the
-// partitioned-rebuild differentials rest on makes the recovered instance
-// byte-identical to an uninterrupted twin that served exactly the
-// surviving prefix (tests/crash_recovery_test.cpp).
+// DurableScheduler, the single-machine front end and the only one that
+// snapshots; the sharded service (ShardedScheduler::Options::wal)
+// recovers from its log alone. The log half is shared by both: the WAL's
+// torn tail is truncated at the last valid checksum and the surviving
+// record suffix is pushed through the scheduler's *normal* request path —
+// the same determinism the partitioned-rebuild differentials rest on
+// makes the recovered instance byte-identical to an uninterrupted twin
+// that served exactly the surviving prefix (tests/crash_recovery_test.cpp).
 #pragma once
 
 #include <cstdint>

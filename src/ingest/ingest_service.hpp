@@ -34,9 +34,9 @@
 // requests or Options::batch_deadline_us elapsed since the batch opened,
 // whichever comes first: under light load the deadline caps sojourn; under
 // backlog the batch grows toward max_batch and the service rides the batch
-// amortization curve of EXPERIMENTS.md §E13 (this is what lets the open
-// -loop tier sustain higher offered load than fixed-size single-caller
-// batching at equal p99 — §E19).
+// amortization curve of EXPERIMENTS.md §E13. The E21 serving benchmark
+// (servebench/README.md) measures both regimes end to end: paced sojourn
+// (p50_us, ingest.wait_us) and saturation throughput (drain_rps).
 //
 // Backpressure. A full lane never blocks inside the ring: push loops
 // try_push with exponential backoff, so producers *stall* (bounded memory)

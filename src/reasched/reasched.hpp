@@ -58,7 +58,6 @@
 
 #include "metrics/collector.hpp"
 #include "sim/driver.hpp"
-#include "sim/open_loop.hpp"
 #include "sim/sweep.hpp"
 
 #include "telemetry/histogram.hpp"

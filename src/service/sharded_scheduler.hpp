@@ -95,15 +95,18 @@ class ShardedScheduler final : public IReallocScheduler {
     /// Threads that run the apply phase: the caller plus shards - 1 pool
     /// workers. Clamped to [1, machines]; 1 runs every task on the caller.
     unsigned shards = 1;
-    /// Durability tier (DESIGN.md §9): when set, every request is appended
-    /// write-ahead, in CSN order on the caller thread, to the single log
-    /// wal->dir/wal-000.log, and *construction is recovery* — the log's
-    /// intact prefix is replayed through the sequential request path by
-    /// durability::recover_log (DurableScheduler's routine) before any new
-    /// request is accepted. BatchResult::first_csn / last_csn report each
-    /// batch's CSN range. Snapshots are not taken at this layer
-    /// (per-machine generation boundaries are not service-wide quiescent
-    /// points); recovery cost grows with the log.
+    /// Durability tier (DESIGN.md §9) — the multi-machine log writer: when
+    /// set, every request is appended write-ahead, in CSN order on the
+    /// caller thread, to the single log wal->dir/wal-000.log, and
+    /// *construction is recovery* — the log's intact prefix is replayed
+    /// through the sequential request path by durability::recover_log
+    /// (DurableScheduler's routine) before any new request is accepted.
+    /// BatchResult::first_csn / last_csn report each batch's CSN range.
+    /// On one machine, served one request at a time, the log is
+    /// byte-identical to DurableScheduler's (golden_digest_test).
+    /// Snapshots are not taken at this layer (per-machine generation
+    /// boundaries are not service-wide quiescent points); recovery cost
+    /// grows with the log.
     std::optional<durability::DurabilityPolicy> wal;
     /// Runtime gate for the telemetry tier (src/telemetry/, DESIGN.md §10):
     /// construction flips the process-wide recording switches (turn-on

@@ -7,10 +7,10 @@
 // through any of those structs flips the process-wide recording switches at
 // construction/replay time — see telemetry::enable() in registry.hpp for
 // the exact semantics (turn-on only; never silently disables a concurrent
-// user).
+// user). A background scraper is not a recording switch: harnesses that
+// want one (trace_replay's --scrape-interval, bench_e21_serve) build
+// telemetry::Scraper::Options themselves (telemetry/scraper.hpp).
 #pragma once
-
-#include <cstdint>
 
 namespace reasched::telemetry {
 
@@ -24,13 +24,6 @@ struct TelemetryOptions {
   /// debugging tier, priced separately from `enabled` (EXPERIMENTS.md
   /// §E18); implies `enabled`.
   bool trace = false;
-  /// Background Scraper cadence (telemetry/scraper.hpp): snapshot the
-  /// registry every this many milliseconds and compute delta-since-last-
-  /// scrape rates. 0 (the default) means no scraper thread; harnesses that
-  /// honor the knob (sim/open_loop, trace_replay) start one when set. The
-  /// scraper reads merged shards on its own thread — record sites never
-  /// see it.
-  std::uint32_t scrape_interval_ms = 0;
 };
 
 }  // namespace reasched::telemetry

@@ -1,9 +1,9 @@
 // Background telemetry scraper (DESIGN.md §12): a thread that snapshots
-// the registry on a fixed cadence (TelemetryOptions::scrape_interval_ms)
-// and computes *delta-since-last-scrape* — counter deltas and rates, the
-// gauge values, and per-interval histograms — against the retained
-// previous snapshot. The cumulative registry answers "how much ever"; the
-// scraper answers the operator's question, "how much per second, now".
+// the registry on a fixed cadence (Options::interval_ms) and computes
+// *delta-since-last-scrape* — counter deltas and rates, the gauge values,
+// and per-interval histograms — against the retained previous snapshot.
+// The cumulative registry answers "how much ever"; the scraper answers
+// the operator's question, "how much per second, now".
 //
 // Record-path discipline: the scraper only ever calls Registry::snapshot()
 // (merge under the registry mutex, which record sites never take) from its

@@ -159,11 +159,10 @@ void verify_recovery(const std::string& dir, const std::vector<Request>& trace,
   for (std::uint64_t i = 0; i < cut; ++i) serve_tolerant(twin, trace[i]);
 
   expect_identical_schedules(twin.snapshot(), recovered.snapshot(), where);
-  ASSERT_NE(recovered.reservation(), nullptr) << where;
-  EXPECT_EQ(twin.n_star(), recovered.reservation()->n_star()) << where;
-  EXPECT_EQ(twin.parked_jobs(), recovered.reservation()->parked_jobs()) << where;
+  EXPECT_EQ(twin.n_star(), recovered.inner().n_star()) << where;
+  EXPECT_EQ(twin.parked_jobs(), recovered.inner().parked_jobs()) << where;
   EXPECT_EQ(twin.active_jobs(), recovered.active_jobs()) << where;
-  recovered.reservation()->audit();
+  recovered.inner().audit();
 
   for (std::uint64_t i = cut; i < trace.size(); ++i) {
     serve_tolerant(twin, trace[i]);
@@ -171,7 +170,7 @@ void verify_recovery(const std::string& dir, const std::vector<Request>& trace,
   }
   expect_identical_schedules(twin.snapshot(), recovered.snapshot(),
                              where + " (post-crash suffix)");
-  recovered.reservation()->audit();
+  recovered.inner().audit();
 }
 
 constexpr const char* kSites[] = {"wal.frame", "snapshot.mid", "snapshot.rename",

@@ -16,6 +16,7 @@
 #include <memory>
 #include <string>
 #include <unordered_map>
+#include <utility>
 #include <vector>
 
 #include "core/reservation_scheduler.hpp"
@@ -476,8 +477,7 @@ TEST(Recovery, WalOnlyReplayMatchesTwin) {
   ReservationScheduler twin(options);
   for (const Request& r : trace) serve(twin, r);
   expect_identical_schedules(twin.snapshot(), recovered.snapshot(), "wal-only");
-  ASSERT_NE(recovered.reservation(), nullptr);
-  recovered.reservation()->audit();
+  recovered.inner().audit();
 }
 
 TEST(Recovery, SnapshotPlusSuffixMatchesTwinAndContinues) {
@@ -503,8 +503,8 @@ TEST(Recovery, SnapshotPlusSuffixMatchesTwinAndContinues) {
   ReservationScheduler twin(options);
   for (const Request& r : trace) serve(twin, r);
   expect_identical_schedules(twin.snapshot(), recovered.snapshot(), "snap+suffix");
-  EXPECT_EQ(twin.n_star(), recovered.reservation()->n_star());
-  EXPECT_EQ(twin.parked_jobs(), recovered.reservation()->parked_jobs());
+  EXPECT_EQ(twin.n_star(), recovered.inner().n_star());
+  EXPECT_EQ(twin.parked_jobs(), recovered.inner().parked_jobs());
 
   // Keep running BOTH — the recovered instance and the twin must stay in
   // lockstep on a fresh suffix (and keep logging: a second recovery works).
@@ -518,7 +518,7 @@ TEST(Recovery, SnapshotPlusSuffixMatchesTwinAndContinues) {
     }
   }
   expect_identical_schedules(twin.snapshot(), recovered.snapshot(), "post-continue");
-  recovered.reservation()->audit();
+  recovered.inner().audit();
 }
 
 TEST(Recovery, CorruptNewestSnapshotFallsBackToOlder) {
@@ -567,8 +567,7 @@ TEST(Recovery, AuditEngineReseedsAfterRecovery) {
     durable.sync();
   }
   DurableScheduler recovered(policy, options);
-  ASSERT_NE(recovered.reservation(), nullptr);
-  ReservationScheduler& rs = *recovered.reservation();
+  ReservationScheduler& rs = recovered.inner();
 
   // The loader escalated via mark_all: the first incremental audit after
   // recovery is a full sweep that reseeds the dirty-tracking shadows.
@@ -634,42 +633,6 @@ TEST(Recovery, BatchRejectionRuleSurvivesReopen) {
   expect_identical_schedules(served, recovered.snapshot(), "batch-rejection");
 }
 
-// --------------------------------------------------------- generic wrapper
-
-TEST(Recovery, GenericFactoryModeIsWalOnly) {
-  TempDir dir;
-  DurabilityPolicy policy;
-  policy.dir = dir.path;
-  const auto factory = [] {
-    return std::make_unique<ReallocatingScheduler>(2, SchedulerOptions{
-                                                          .overflow =
-                                                              OverflowPolicy::kBestEffort,
-                                                      });
-  };
-  ChurnParams params;
-  params.seed = 29;
-  params.requests = 1'500;
-  params.target_active = 256;
-  params.machines = 2;
-  params.min_span = 64;
-  params.max_span = 2048;
-  const std::vector<Request> trace = make_churn_trace(params);
-  {
-    DurableScheduler durable(policy, factory);
-    EXPECT_EQ(durable.reservation(), nullptr);  // multi-machine: WAL-only
-    EXPECT_EQ(durable.machines(), 2u);
-    for (const Request& r : trace) serve(durable, r);
-    durable.sync();
-    EXPECT_EQ(durable.snapshots_written(), 0u);
-  }
-  DurableScheduler recovered(policy, factory);
-  EXPECT_EQ(recovered.recovery_report().replayed, trace.size());
-
-  auto twin = factory();
-  for (const Request& r : trace) serve(*twin, r);
-  expect_identical_schedules(twin->snapshot(), recovered.snapshot(), "generic");
-}
-
 // ------------------------------------------------------------ sharded WAL
 
 constexpr unsigned kShardedMachines = 8;
@@ -712,44 +675,59 @@ void serve_batched(ShardedScheduler& sharded, const std::vector<Request>& trace)
   EXPECT_EQ(expect_csn - 1, sharded.csn());
 }
 
+/// Serves `trace` one request at a time through insert()/erase(), the
+/// sequential reduction's path.
+void serve_one_at_a_time(ShardedScheduler& sharded, const std::vector<Request>& trace) {
+  for (const Request& r : trace) serve(sharded, r);
+}
+
 TEST(Recovery, ShardedServiceWritesOneCsnOrderedLog) {
-  TempDir dir;
+  // Two inputs, one log: the trace served in batches through apply(), and
+  // one request at a time through insert()/erase().
+  using ServeTrace = void (*)(ShardedScheduler&, const std::vector<Request>&);
+  const std::pair<const char*, ServeTrace> inputs[] = {
+      {"batched", serve_batched}, {"one-at-a-time", serve_one_at_a_time}};
   const std::vector<Request> trace = sharded_trace(31);
-  {
-    ShardedScheduler sharded(kShardedMachines, machine_factory(),
-                             sharded_wal_options(dir.path));
-    serve_batched(sharded, trace);
-    sharded.sync_wal();
-    ASSERT_GT(sharded.csn(), 0u);
+  for (const auto& [input, serve_trace] : inputs) {
+    SCOPED_TRACE(input);
+    TempDir dir;
+    {
+      ShardedScheduler sharded(kShardedMachines, machine_factory(),
+                               sharded_wal_options(dir.path));
+      serve_trace(sharded, trace);
+      sharded.sync_wal();
+      EXPECT_EQ(sharded.csn(), trace.size());
 
-    // Exactly one log file at 4 shards...
-    std::vector<std::string> logs;
-    for (const auto& entry : std::filesystem::directory_iterator(dir.path)) {
-      const std::string name = entry.path().filename().string();
-      if (name.starts_with("wal-") && name.ends_with(".log")) logs.push_back(name);
+      // Exactly one log file at 4 shards...
+      std::vector<std::string> logs;
+      for (const auto& entry : std::filesystem::directory_iterator(dir.path)) {
+        const std::string name = entry.path().filename().string();
+        if (name.starts_with("wal-") && name.ends_with(".log")) logs.push_back(name);
+      }
+      EXPECT_EQ(logs, std::vector<std::string>{"wal-000.log"});
+      // ...holding CSNs 1..csn() densely, in ascending order.
+      const WalReadResult wal = durability::read_wal(durability::wal_path(dir.path));
+      EXPECT_FALSE(wal.torn_tail);
+      ASSERT_EQ(wal.records.size(), sharded.csn());
+      for (std::size_t i = 0; i < wal.records.size(); ++i) {
+        ASSERT_EQ(wal.records[i].csn, i + 1) << "record " << i;
+      }
     }
-    EXPECT_EQ(logs, std::vector<std::string>{"wal-000.log"});
-    // ...holding CSNs 1..csn() densely, in ascending order.
-    const WalReadResult wal = durability::read_wal(durability::wal_path(dir.path));
-    EXPECT_FALSE(wal.torn_tail);
-    ASSERT_EQ(wal.records.size(), sharded.csn());
-    for (std::size_t i = 0; i < wal.records.size(); ++i) {
-      ASSERT_EQ(wal.records[i].csn, i + 1) << "record " << i;
-    }
+
+    // Construction is recovery: the log replays to the same state.
+    ShardedScheduler recovered(kShardedMachines, machine_factory(),
+                               sharded_wal_options(dir.path));
+    EXPECT_EQ(recovered.recovery_report().replayed, trace.size());
+    EXPECT_EQ(recovered.csn(), trace.size());
+    recovered.audit_balance();
+
+    ShardedScheduler::Options no_wal;
+    no_wal.shards = 4;
+    ShardedScheduler twin(kShardedMachines, machine_factory(), no_wal);
+    serve_trace(twin, trace);
+    expect_identical_schedules(twin.snapshot(), recovered.snapshot(), input);
+    EXPECT_EQ(twin.active_jobs(), recovered.active_jobs());
   }
-
-  // Construction is recovery: the log replays to the same state.
-  ShardedScheduler recovered(kShardedMachines, machine_factory(),
-                             sharded_wal_options(dir.path));
-  EXPECT_EQ(recovered.recovery_report().replayed, recovered.csn());
-  recovered.audit_balance();
-
-  ShardedScheduler::Options no_wal;
-  no_wal.shards = 4;
-  ShardedScheduler twin(kShardedMachines, machine_factory(), no_wal);
-  serve_batched(twin, trace);
-  expect_identical_schedules(twin.snapshot(), recovered.snapshot(), "sharded");
-  EXPECT_EQ(twin.active_jobs(), recovered.active_jobs());
 }
 
 TEST(Recovery, ShardedRefusesPerShardLogDirectory) {

@@ -8,10 +8,12 @@
 //     snapshot file, whose bytes carry hash-table layout);
 //   * every request's RequestStats (reallocations, migrations,
 //     levels_touched, degraded, rebuilt);
-//   * the WAL — the raw log file bytes of a DurableScheduler under a fixed
-//     buffered policy, or, for the sharded service, the decoded record
-//     stream of its log (frames are cut at batch boundaries, which
-//     legitimately differ across ingest producer counts).
+//   * the WAL — under a fixed buffered policy, the raw log file bytes when
+//     the trace is served one request at a time (through a
+//     DurableScheduler, or through ShardedScheduler's sequential path: the
+//     two writers must agree byte for byte), or the decoded record stream
+//     for the batched and ingest arms (frames are cut at batch boundaries,
+//     which legitimately differ across ingest producer counts).
 //
 // Every arm of one trace must reproduce the same committed constant: every
 // shard count (1/2/4/8), every ingest producer count (1/2/4/8), and every
@@ -26,7 +28,6 @@
 #include <cstdint>
 #include <cstdlib>
 #include <fstream>
-#include <functional>
 #include <iterator>
 #include <limits>
 #include <memory>
@@ -40,7 +41,6 @@
 #include "durability/durable_scheduler.hpp"
 #include "durability/wal.hpp"
 #include "ingest/ingest_service.hpp"
-#include "service/reallocating_scheduler.hpp"
 #include "service/sharded_scheduler.hpp"
 #include "workload/churn.hpp"
 
@@ -51,7 +51,8 @@ namespace {
 constexpr std::uint64_t kSingleMachine = 0x98049f1bfe46b73e;
 // The same trace with every rebuild stop-the-world (rebuild_batch = max).
 constexpr std::uint64_t kSingleMachineStopTheWorld = 0x26d155c935b7d60d;
-// churn_trace(77, 9000, 3000, 4) through the 4-machine §3 reduction.
+// churn_trace(77, 9000, 3000, 4) through the 4-machine §3 reduction, one
+// request at a time.
 constexpr std::uint64_t kMultiMachine = 0xce767e7ea1b460a6;
 // churn_trace(9008, 4000, 1200, 8) through the sharded service with its
 // WAL, served directly and through the ingest front end.
@@ -169,12 +170,13 @@ void expect_digest(std::uint64_t got, std::uint64_t want, const std::string& arm
   EXPECT_EQ(got, want) << arm << ": computed digest 0x" << std::hex << got;
 }
 
-/// One request at a time through a DurableScheduler; the WAL part is the
-/// raw log file.
-using DurableFactory =
-    std::function<std::unique_ptr<durability::DurableScheduler>(const std::string& dir)>;
+void sync_log(durability::DurableScheduler& scheduler) { scheduler.sync(); }
+void sync_log(ShardedScheduler& scheduler) { scheduler.sync_wal(); }
 
-std::uint64_t durable_digest(const std::vector<Request>& trace, const DurableFactory& make) {
+/// One request at a time through the scheduler `make(dir)` builds; the WAL
+/// part is the raw log file.
+template <typename Make>
+std::uint64_t serial_digest(const std::vector<Request>& trace, const Make& make) {
   TempDir dir;
   Digest digest;
   {
@@ -186,7 +188,7 @@ std::uint64_t durable_digest(const std::vector<Request>& trace, const DurableFac
       if (++served % kSnapshotEvery == 0) digest.schedule(scheduler->snapshot());
     }
     digest.schedule(scheduler->snapshot());
-    scheduler->sync();
+    sync_log(*scheduler);
   }
   digest.file(durability::wal_path(dir.path));
   return digest.value();
@@ -194,20 +196,29 @@ std::uint64_t durable_digest(const std::vector<Request>& trace, const DurableFac
 
 std::uint64_t single_machine_digest(const std::vector<Request>& trace,
                                     const SchedulerOptions& options) {
-  return durable_digest(trace, [&](const std::string& dir) {
+  return serial_digest(trace, [&](const std::string& dir) {
     return std::make_unique<durability::DurableScheduler>(golden_policy(dir), options);
   });
 }
 
 constexpr unsigned kShardedMachines = 8;
 
-std::unique_ptr<ShardedScheduler> make_sharded(const std::string& dir, unsigned shards) {
+std::unique_ptr<ShardedScheduler> make_sharded(const std::string& dir, unsigned shards,
+                                               unsigned machines = kShardedMachines) {
   ShardedScheduler::Options options;
   options.shards = shards;
   options.wal = golden_policy(dir);
   return std::make_unique<ShardedScheduler>(
-      kShardedMachines,
-      [] { return std::make_unique<ReservationScheduler>(best_effort()); }, options);
+      machines, [] { return std::make_unique<ReservationScheduler>(best_effort()); },
+      options);
+}
+
+/// The trace one request at a time through ShardedScheduler's sequential
+/// path (the §3 reduction) with the service's WAL.
+std::uint64_t sequential_sharded_digest(const std::vector<Request>& trace,
+                                        unsigned machines) {
+  return serial_digest(
+      trace, [&](const std::string& dir) { return make_sharded(dir, 1, machines); });
 }
 
 /// The WAL part of a sharded arm: the log's CSN-ordered request stream.
@@ -282,6 +293,9 @@ std::uint64_t ingest_digest(const std::vector<Request>& trace, std::size_t produ
 TEST(GoldenDigest, SingleMachinePartitionedRebuild) {
   const auto trace = churn_trace(1234, 9'000, 3'000);
   expect_digest(single_machine_digest(trace, best_effort()), kSingleMachine, "default");
+  // The sharded service's log writer on one machine: the same stats,
+  // schedules and raw log bytes as DurableScheduler's.
+  expect_digest(sequential_sharded_digest(trace, 1), kSingleMachine, "sharded m=1");
 }
 
 TEST(GoldenDigest, SingleMachineStopTheWorldRebuild) {
@@ -296,12 +310,7 @@ TEST(GoldenDigest, SingleMachineStopTheWorldRebuild) {
 
 TEST(GoldenDigest, MultiMachine) {
   const auto trace = churn_trace(77, 9'000, 3'000, 4);
-  const std::uint64_t digest = durable_digest(trace, [](const std::string& dir) {
-    return std::make_unique<durability::DurableScheduler>(golden_policy(dir), [] {
-      return std::make_unique<ReallocatingScheduler>(4, best_effort());
-    });
-  });
-  expect_digest(digest, kMultiMachine, "default");
+  expect_digest(sequential_sharded_digest(trace, 4), kMultiMachine, "default");
 }
 
 TEST(GoldenDigest, ShardedEveryShardCount) {

@@ -9,7 +9,10 @@
 //     gauge mirrors: admitted + rejected reconciles to the push count, and
 //     the in-flight count never exceeds the threshold), producers admitted
 //     again after drain, latency shedding that recovers once the backlog
-//     is gone;
+//     is gone — and, when telemetry is compiled in, the operator's view of
+//     both: the ingest.rejected_depth_total / ingest.shed_total counters
+//     move by exactly the rejected pushes, and the ingest.p99_compliant
+//     gauge reads 0 while shedding and 1 after recovery;
 //   * crash lane (PR-6 crashpoint harness, fork + _exit(137) mid
 //     WAL-frame) — a crash under concurrent ingestion recovers to exactly
 //     the durable ticket prefix, scheduler-level rejections are
@@ -23,9 +26,11 @@
 #include <unistd.h>
 
 #include <chrono>
+#include <cstdint>
 #include <cstdio>
 #include <cstdlib>
 #include <memory>
+#include <span>
 #include <string>
 #include <thread>
 #include <vector>
@@ -35,6 +40,7 @@
 #include "durability/wal.hpp"
 #include "ingest/ingest_service.hpp"
 #include "service/sharded_scheduler.hpp"
+#include "telemetry/registry.hpp"
 #include "util/rng.hpp"
 
 namespace reasched {
@@ -120,6 +126,21 @@ Request wide_insert(std::uint64_t id) {
   return Request::insert(JobId{id}, 0, 1024);
 }
 
+#if RS_TELEM_COMPILED
+/// Process-wide value of the counter or gauge `name` (0 before its first
+/// record).
+std::int64_t metric(const std::string& name) {
+  const telemetry::Registry::Snapshot snap = telemetry::Registry::global().snapshot();
+  for (const auto& [counter, value] : snap.counters) {
+    if (counter == name) return static_cast<std::int64_t>(value);
+  }
+  for (const auto& [gauge, value] : snap.gauges) {
+    if (gauge == name) return value;
+  }
+  return 0;
+}
+#endif
+
 TEST(IngestAdmission, DepthSheddingHasExactAccountingAndUnblocksAfterDrain) {
   ShardedScheduler sharded(1, naive_factory());
   IngestOptions options;
@@ -127,6 +148,11 @@ TEST(IngestAdmission, DepthSheddingHasExactAccountingAndUnblocksAfterDrain) {
   options.lanes = 1;
   options.lane_capacity = 64;
   options.record_stats = true;
+  options.telemetry.enabled = true;
+#if RS_TELEM_COMPILED
+  const std::int64_t depth_before = metric("ingest.rejected_depth_total");
+  const std::int64_t shed_before = metric("ingest.shed_total");
+#endif
   IngestService service(sharded, options);
 
   // Park the consumer first (and give it a beat to observe the flag), so
@@ -150,6 +176,11 @@ TEST(IngestAdmission, DepthSheddingHasExactAccountingAndUnblocksAfterDrain) {
   EXPECT_EQ(stats.rejected_latency, 0u);
   EXPECT_EQ(stats.applied, 0u);
   EXPECT_EQ(service.queue_depth(), 8u);
+#if RS_TELEM_COMPILED
+  EXPECT_EQ(metric("ingest.rejected_depth_total") - depth_before,
+            static_cast<std::int64_t>(stats.rejected_depth));
+  EXPECT_EQ(metric("ingest.shed_total") - shed_before, 0);
+#endif
 
   service.resume_consumer();
   service.drain();
@@ -167,33 +198,59 @@ TEST(IngestAdmission, DepthSheddingHasExactAccountingAndUnblocksAfterDrain) {
 
 TEST(IngestAdmission, LatencySheddingRejectsThenRecoversOnceDrained) {
   ShardedScheduler sharded(1, naive_factory());
+  IngestService* parked = nullptr;
   IngestOptions options;
   options.p99_budget_us = 1;  // any real sojourn blows this budget
   options.admission_epoch_samples = 8;
+  options.max_batch = 8;
   options.lanes = 1;
+  options.telemetry.enabled = true;
+  // Park the consumer after the first batch. That batch closes the
+  // admission epoch with one request still queued, so the drain rule
+  // cannot clear the verdict while this thread observes it.
+  options.on_batch = [&parked](std::span<const Request>, const BatchResult&,
+                               std::uint64_t first_ticket) {
+    if (first_ticket == 0) parked->pause_consumer();
+  };
+#if RS_TELEM_COMPILED
+  const std::int64_t depth_before = metric("ingest.rejected_depth_total");
+  const std::int64_t shed_before = metric("ingest.shed_total");
+#endif
   IngestService service(sharded, options);
+  parked = &service;  // published to the consumer by the first push
 
+  // Queue 9 requests behind a parked consumer (given a beat to observe the
+  // flag), so the first batch is exactly one epoch of 8.
+  service.pause_consumer();
+  std::this_thread::sleep_for(std::chrono::milliseconds(20));
   std::uint64_t id = 1;
-  for (int i = 0; i < 8; ++i) {
-    ASSERT_EQ(service.push(wide_insert(id++)), Admit::kAdmitted);
+  for (int i = 0; i < 9; ++i) {
+    ASSERT_EQ(service.push(wide_insert(id++)), Admit::kAdmitted) << i;
   }
-  service.drain();  // 8 sojourn samples ≫ 1µs → the epoch closes shedding
-  // last_p99_ns is the deterministic over-budget witness: it is written at
-  // epoch close and synchronized to us by the drain handshake, and the
-  // drain rule does not reset it. shedding() itself is TRANSIENT here by
-  // design — the consumer's idle evaluate clears it the moment it sees the
-  // empty queue, which races with anything this thread does after drain()
-  // returns — so the verdict flag and the fate of the next push are
-  // observed, not asserted (the controller's shed-then-recover sequencing
-  // is pinned deterministically in
-  // AdmissionController.LatencyEpochShedsAndRecoversOnCompliantEpoch).
-  EXPECT_GT(service.admission().last_p99_ns(), 1'000u);
-
-  // Recovery: the drain rule admits producers again — bounded wait. Count
-  // the pushes shed meanwhile so the accounting check below stays exact in
-  // every schedule.
+  service.resume_consumer();
   const auto deadline = std::chrono::steady_clock::now() + std::chrono::seconds(5);
+  while (!service.admission().shedding()) {
+    ASSERT_LT(std::chrono::steady_clock::now(), deadline)
+        << "the over-budget epoch never closed";
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+
+  // Shedding, deterministically: the parked consumer evaluates nothing.
   std::uint64_t shed = 0;
+  for (int i = 0; i < 4; ++i) {
+    EXPECT_EQ(service.push(wide_insert(id)), Admit::kRejectedLatency) << i;
+    ++shed;
+  }
+  EXPECT_EQ(service.queue_depth(), 1u);
+#if RS_TELEM_COMPILED
+  EXPECT_EQ(metric("ingest.p99_compliant"), 0);
+#endif
+
+  // Recovery: applying the last queued request drains the queue, and the
+  // drain rule admits producers again — bounded wait. Count the pushes
+  // shed meanwhile so the accounting check below stays exact in every
+  // schedule.
+  service.resume_consumer();
   for (;;) {
     const Admit verdict = service.push(wide_insert(id));
     if (verdict == Admit::kAdmitted) break;
@@ -204,11 +261,30 @@ TEST(IngestAdmission, LatencySheddingRejectsThenRecoversOnceDrained) {
     std::this_thread::sleep_for(std::chrono::milliseconds(2));
   }
   service.drain();
+  // The over-budget witness: written at epoch close, synchronized to us by
+  // the drain handshake, and left alone by the drain rule.
+  EXPECT_GT(service.admission().last_p99_ns(), 1'000u);
+#if RS_TELEM_COMPILED
+  // The consumer refreshes the gauge right after it clears the verdict;
+  // stop() would unwind this service's contribution, so read it first.
+  while (metric("ingest.p99_compliant") != 1) {
+    ASSERT_LT(std::chrono::steady_clock::now(), deadline)
+        << "ingest.p99_compliant never read 1 after recovery";
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+#endif
   service.stop();
   const IngestStats stats = service.stats();
-  EXPECT_EQ(stats.admitted, 9u);
-  EXPECT_EQ(stats.applied, 9u);
+  EXPECT_EQ(stats.admitted, 10u);
+  EXPECT_EQ(stats.applied, 10u);
+  EXPECT_EQ(stats.rejected_depth, 0u);
   EXPECT_EQ(stats.rejected_latency, shed);
+  EXPECT_GT(stats.rejected_latency, 0u);
+#if RS_TELEM_COMPILED
+  EXPECT_EQ(metric("ingest.shed_total") - shed_before,
+            static_cast<std::int64_t>(stats.rejected_latency));
+  EXPECT_EQ(metric("ingest.rejected_depth_total") - depth_before, 0);
+#endif
 }
 
 // ------------------------------------------------------------- crash lane

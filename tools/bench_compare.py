@@ -44,11 +44,11 @@ import sys
 # CI runners are not the recording machine, so each gated metric is one of
 # two kinds: an IN-BINARY ratio of two postures run in the same process on
 # the same host (telemetry on vs off, durable vs plain, incremental vs full
-# audit, ingest vs direct — machine-speed-independent), or an absolute
-# latency where the absolute value IS the criterion (rebuild boundary max,
-# rehash cliff, open-loop p99), always behind a noise floor. Absolute
-# throughput is deliberately not gated: ops/sec scales with the host and
-# would fail every PR on a slower runner.
+# audit — machine-speed-independent), or an absolute latency where the
+# absolute value IS the criterion (rebuild boundary max, rehash cliff),
+# always behind a noise floor. Absolute throughput is deliberately not
+# gated: ops/sec scales with the host and would fail every PR on a slower
+# runner.
 REGISTRY = {
     "e13_service": {
         # Same-machine comparisons only (local re-records); not part of
@@ -93,26 +93,6 @@ REGISTRY = {
         "keys": ["n", "mode"],
         "metrics": {"max_ms": ("lower", 1.0, 1.0)},
         "absolute_modes": {"incremental"},
-    },
-    "e19_ingest": {
-        # Open-loop rows: absolute p99 sojourn under a fixed offered-load
-        # fraction, gated behind a generous noise floor (20 ms) plus an
-        # absolute 50 ms ceiling — the cliff being guarded is "queueing
-        # delay stays bounded at sub-capacity load", which is the
-        # acceptance criterion itself, not drift. Gated on the ingest rows
-        # only (absolute_modes): the direct single-caller posture is the
-        # experiment's CONTRAST — it visibly falls over at 0.9x load, which
-        # is the point — not a property this gate defends. Sustained rows
-        # gate the in-binary ratio of ingest-front-end throughput to the
-        # direct posture (same trace, same process, same host —
-        # machine-speed-independent); saturation rows carry no latency
-        # block at all (sojourn under overload measures trace length).
-        "keys": ["case", "mode", "producers", "load_frac"],
-        "metrics": {
-            "latency_p99_us": ("lower", 20000.0, 50000.0),
-            "vs_direct_sustained": ("higher", 1.0),
-        },
-        "absolute_modes": {"ingest"},
     },
     "e18_telemetry": {
         # telemetry_overhead_ratio is in-binary (gates flipped around
