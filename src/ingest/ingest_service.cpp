@@ -192,44 +192,31 @@ void IngestService::consumer_loop() {
       });
       continue;
     }
-    drain_lanes();
+    const bool lanes_empty = drain_lanes() == 0;
     // Release the contiguous ticket prefix into the open batch. A gap at
     // next_apply_ (a producer claimed the ticket but has not published yet)
     // holds the batch: apply order IS ticket order, unconditionally.
     while (batch_.size() < options_.max_batch &&
            pending_.take(next_apply_, item) != 0) {
-      if (batch_.empty()) batch_open_ns_ = telemetry::now_ns();
       batch_.push_back(item.request);
       batch_items_.push_back(item);
       ++next_apply_;
     }
-    const bool flushing = stopping_.load(std::memory_order_relaxed) ||
-                          drain_waiters_.load(std::memory_order_relaxed) > 0;
+    if (batch_.size() >= options_.max_batch) {
+      size_closes_.fetch_add(1, std::memory_order_relaxed);
+      apply_batch();
+      continue;
+    }
     if (!batch_.empty()) {
-      if (batch_.size() >= options_.max_batch) {
-        size_closes_.fetch_add(1, std::memory_order_relaxed);
+      // A pass that found every lane empty closes the batch: nothing is on
+      // its way to fill it. While the lanes stay busy the batch keeps
+      // growing, capped at the deadline aged from its first push.
+      if (lanes_empty) {
         apply_batch();
-        continue;
-      }
-      if (flushing) {
-        apply_batch();
-        continue;
-      }
-      const std::uint64_t age = telemetry::now_ns() - batch_open_ns_;
-      if (age >= deadline_ns) {
+      } else if (telemetry::now_ns() - batch_items_.front().push_ns >= deadline_ns) {
         deadline_closes_.fetch_add(1, std::memory_order_relaxed);
         apply_batch();
-        continue;
       }
-      // Wait out the rest of the deadline unless a producer pushes first.
-      std::unique_lock<std::mutex> lock(wake_mutex_);
-      consumer_parked_.store(true, std::memory_order_relaxed);
-      std::atomic_thread_fence(std::memory_order_seq_cst);
-      if (rings_empty() && !stopping_.load(std::memory_order_relaxed) &&
-          drain_waiters_.load(std::memory_order_relaxed) == 0) {
-        wake_cv_.wait_for(lock, std::chrono::nanoseconds(deadline_ns - age));
-      }
-      consumer_parked_.store(false, std::memory_order_relaxed);
       continue;
     }
     // Batch empty: nothing releasable. Re-evaluate admission with the
@@ -238,12 +225,6 @@ void IngestService::consumer_loop() {
     // apply-side evaluate; without this the rejection would be permanent).
     admission_.evaluate(depth_.load(std::memory_order_relaxed));
     update_compliance_gauge();
-    // Report quiescence, maybe exit.
-    if (applied_.load(std::memory_order_relaxed) ==
-        admitted_.load(std::memory_order_relaxed)) {
-      std::lock_guard<std::mutex> lock(drain_mutex_);
-      drain_cv_.notify_all();
-    }
     if (stopping_.load(std::memory_order_relaxed) &&
         depth_.load(std::memory_order_relaxed) == 0) {
       break;
@@ -264,8 +245,6 @@ void IngestService::consumer_loop() {
     compliance_contrib_ = 0;
   }
 #endif
-  std::lock_guard<std::mutex> lock(drain_mutex_);
-  drain_cv_.notify_all();
 }
 
 void IngestService::update_compliance_gauge() {
@@ -327,24 +306,19 @@ void IngestService::apply_batch() {
 }
 
 void IngestService::drain() {
-  drain_waiters_.fetch_add(1, std::memory_order_relaxed);
-  wake_consumer();
-  {
-    std::unique_lock<std::mutex> lock(drain_mutex_);
-    drain_cv_.wait(lock, [this] {
-      return applied_.load(std::memory_order_acquire) ==
-             admitted_.load(std::memory_order_acquire);
-    });
-  }
-  drain_waiters_.fetch_sub(1, std::memory_order_relaxed);
+  // The consumer closes the last batch itself once the lanes run empty;
+  // apply_batch() notifies under drain_mutex_, so no wakeup is lost.
+  std::unique_lock<std::mutex> lock(drain_mutex_);
+  drain_cv_.wait(lock, [this] {
+    return applied_.load(std::memory_order_acquire) ==
+           admitted_.load(std::memory_order_acquire);
+  });
 }
 
 void IngestService::stop() {
   {
     std::lock_guard<std::mutex> lock(wake_mutex_);
-    if (stopping_.exchange(true, std::memory_order_acq_rel)) {
-      // Already stopped (or stopping); joining below is still safe.
-    }
+    stopping_.store(true, std::memory_order_release);
     wake_cv_.notify_all();
   }
   if (consumer_.joinable()) consumer_.join();

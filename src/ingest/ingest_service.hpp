@@ -11,7 +11,7 @@
 //        │                  (ingest/mpsc_ring.hpp)             │
 //        └── AdmissionController::admit (depth / p99 budget)   │
 //                                            reorder by ticket │
-//                                      adaptive batcher (B, T) ▼
+//                       self-clocking batcher (empty lanes, B) ▼
 //                                            scheduler.apply(batch)
 //
 // Sequencing. Every admitted request carries a dense *ticket*. In internal
@@ -30,13 +30,18 @@
 // scheduler-level rejections (infeasible inserts) are logged and re-reject
 // on replay exactly as in the durability tier (DESIGN.md §9).
 //
-// Batching. The consumer closes a batch when it holds Options::max_batch
-// requests or Options::batch_deadline_us elapsed since the batch opened,
-// whichever comes first: under light load the deadline caps sojourn; under
-// backlog the batch grows toward max_batch and the service rides the batch
-// amortization curve of EXPERIMENTS.md §E13. The E21 serving benchmark
-// (servebench/README.md) measures both regimes end to end: paced sojourn
-// (p50_us, ingest.wait_us) and saturation throughput (drain_rps).
+// Batching. The consumer closes a batch as soon as a drain pass finds every
+// lane empty, or when it holds Options::max_batch requests — it never parks
+// holding an open batch. The rule is self-clocking, like group commit: under
+// light load a request is applied as soon as the consumer sees it; under
+// backlog whatever arrived during the previous apply() forms the next batch,
+// which grows toward max_batch while the lanes stay busy, so the service
+// rides the batch amortization curve of EXPERIMENTS.md §E13.
+// Options::batch_deadline_us only caps how long a batch is held while the
+// lanes stay busy (e.g. a claimed but unpublished ticket holds the prefix).
+// The E21 serving benchmark (servebench/README.md) measures both regimes end
+// to end: paced sojourn (p50_us, ingest.wait_us) and saturation throughput
+// (drain_rps).
 //
 // Backpressure. A full lane never blocks inside the ring: push loops
 // try_push with exponential backoff, so producers *stall* (bounded memory)
@@ -72,9 +77,10 @@ struct IngestOptions {
   std::size_t lanes = 0;
   /// Ring slots per lane (rounded up to a power of two).
   std::size_t lane_capacity = 4096;
-  /// Close the batch at this many requests...
+  /// Close the batch at this many requests (or when every lane is empty).
   std::size_t max_batch = 1024;
-  /// ...or this many microseconds after the batch opened, whichever first.
+  /// Hard cap while the lanes stay busy: close the batch once its first
+  /// request was pushed this many microseconds ago.
   std::uint64_t batch_deadline_us = 200;
   /// Admission control thresholds (0 = disabled); see ingest/admission.hpp.
   std::size_t max_queue_depth = 0;
@@ -107,8 +113,9 @@ struct IngestStats {
   std::uint64_t scheduler_rejected = 0; ///< BatchResult::rejected entries
   std::uint64_t batches = 0;
   std::uint64_t max_batch = 0;          ///< largest batch applied
-  std::uint64_t deadline_closes = 0;    ///< batches closed by the T timer
-  std::uint64_t size_closes = 0;        ///< batches closed by reaching B
+  std::uint64_t deadline_closes = 0;    ///< closed by the busy-lane cap
+  std::uint64_t size_closes = 0;        ///< closed by reaching max_batch
+  // The rest (batches - deadline_closes - size_closes) closed on empty lanes.
 };
 
 class IngestService {
@@ -199,7 +206,6 @@ class IngestService {
   std::vector<Request> batch_;
   std::vector<Item> batch_items_;
   std::uint64_t next_apply_ = 0;  // next ticket to release from pending_
-  std::uint64_t batch_open_ns_ = 0;
   std::atomic<std::uint64_t> applied_{0};
   std::atomic<std::uint64_t> scheduler_rejected_{0};
   std::atomic<std::uint64_t> batches_{0};
@@ -213,17 +219,15 @@ class IngestService {
   // services do not accumulate.
   std::int64_t compliance_contrib_ = 0;
 
-  // Consumer parking / wake (producers signal after publishing).
+  // Consumer parking / wake (producers signal after publishing); the
+  // consumer parks only with no open batch.
   std::mutex wake_mutex_;
   std::condition_variable wake_cv_;
   std::atomic<bool> consumer_parked_{false};
   std::atomic<bool> paused_{false};
   std::atomic<bool> stopping_{false};
 
-  // drain() rendezvous (consumer notifies after each apply / idle pass).
-  // A positive waiter count asks the consumer to flush partial batches
-  // immediately instead of waiting out the deadline.
-  std::atomic<std::size_t> drain_waiters_{0};
+  // drain() rendezvous (consumer notifies after each apply).
   std::mutex drain_mutex_;
   std::condition_variable drain_cv_;
 

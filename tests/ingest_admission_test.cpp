@@ -13,6 +13,9 @@
 //     both: the ingest.rejected_depth_total / ingest.shed_total counters
 //     move by exactly the rejected pushes, and the ingest.p99_compliant
 //     gauge reads 0 while shedding and 1 after recovery;
+//   * batch close rule — a lone request is applied as soon as the lanes
+//     run empty (not on the deadline), a backlog still closes full
+//     batches on size, and a ticket gap holds later tickets until filled;
 //   * crash lane (PR-6 crashpoint harness, fork + _exit(137) mid
 //     WAL-frame) — a crash under concurrent ingestion recovers to exactly
 //     the durable ticket prefix, scheduler-level rejections are
@@ -285,6 +288,92 @@ TEST(IngestAdmission, LatencySheddingRejectsThenRecoversOnceDrained) {
             static_cast<std::int64_t>(stats.rejected_latency));
   EXPECT_EQ(metric("ingest.rejected_depth_total") - depth_before, 0);
 #endif
+}
+
+// ------------------------------------------------------ batch close rule
+
+/// Polls until `service` applied `count` requests; false after `timeout`.
+bool applied_within(const IngestService& service, std::uint64_t count,
+                    std::chrono::milliseconds timeout) {
+  const auto give_up = std::chrono::steady_clock::now() + timeout;
+  while (service.stats().applied < count) {
+    if (std::chrono::steady_clock::now() >= give_up) return false;
+    std::this_thread::sleep_for(std::chrono::microseconds(100));
+  }
+  return true;
+}
+
+TEST(IngestBatching, EmptyLanesCloseTheBatchWithoutWaitingOutTheDeadline) {
+  ShardedScheduler sharded(1, naive_factory());
+  IngestOptions options;
+  options.batch_deadline_us = 10'000'000;
+  IngestService service(sharded, options);
+
+  ASSERT_EQ(service.push(wide_insert(1)), Admit::kAdmitted);
+  EXPECT_TRUE(applied_within(service, 1, std::chrono::milliseconds(100)))
+      << "a lone request waited on the 10 s deadline";
+  service.stop();
+  const IngestStats stats = service.stats();
+  EXPECT_EQ(stats.batches, 1u);
+  EXPECT_EQ(stats.deadline_closes, 0u);
+  EXPECT_EQ(stats.size_closes, 0u);
+}
+
+TEST(IngestBatching, BacklogStillFormsFullBatches) {
+  constexpr std::size_t kBatch = 16;
+  ShardedScheduler sharded(1, naive_factory());
+  IngestOptions options;
+  options.lanes = 1;
+  options.max_batch = kBatch;
+  IngestService service(sharded, options);
+
+  service.pause_consumer();
+  std::this_thread::sleep_for(std::chrono::milliseconds(20));
+  for (std::uint64_t id = 1; id <= 3 * kBatch; ++id) {
+    ASSERT_EQ(service.push(wide_insert(id)), Admit::kAdmitted);
+  }
+  service.resume_consumer();
+  service.drain();
+  const IngestStats stats = service.stats();
+  EXPECT_EQ(stats.applied, 3 * kBatch);
+  EXPECT_EQ(stats.batches, 3u);
+  EXPECT_EQ(stats.size_closes, 3u);
+  EXPECT_EQ(stats.deadline_closes, 0u);
+  EXPECT_EQ(stats.max_batch, kBatch);
+}
+
+TEST(IngestBatching, TicketGapHoldsLaterTicketsUntilFilled) {
+  const std::vector<Request> requests = {Request::insert(JobId{1}, 0, 2),
+                                         Request::insert(JobId{2}, 0, 1),
+                                         Request::erase(JobId{1})};
+  ShardedScheduler sharded(1, naive_factory());
+  IngestOptions options;
+  options.external_sequencing = true;
+  options.record_stats = true;
+  options.batch_deadline_us = 10'000'000;
+  IngestService service(sharded, options);
+
+  service.push_sequenced(0, requests[0]);
+  service.push_sequenced(2, requests[2]);
+  EXPECT_TRUE(applied_within(service, 1, std::chrono::milliseconds(100)))
+      << "ticket 0 waited on the deadline";
+  std::this_thread::sleep_for(std::chrono::milliseconds(20));
+  EXPECT_EQ(service.stats().applied, 1u) << "ticket 2 was applied before ticket 1";
+  service.push_sequenced(1, requests[1]);
+  service.drain();
+  service.stop();
+
+  ShardedScheduler sequential(1, naive_factory());
+  ASSERT_EQ(service.applied_stats().size(), requests.size());
+  for (std::size_t i = 0; i < requests.size(); ++i) {
+    const BatchResult want = sequential.apply(std::span<const Request>(&requests[i], 1));
+    const RequestStats& got = service.applied_stats()[i];
+    EXPECT_EQ(got.reallocations, want.stats[0].reallocations) << i;
+    EXPECT_EQ(got.migrations, want.stats[0].migrations) << i;
+    EXPECT_EQ(got.levels_touched, want.stats[0].levels_touched) << i;
+  }
+  EXPECT_TRUE(service.rejected_tickets().empty());
+  EXPECT_EQ(sharded.active_jobs(), sequential.active_jobs());
 }
 
 // ------------------------------------------------------------- crash lane
