@@ -1,8 +1,9 @@
 // E14 — rebuild-boundary latency: per-request wall-clock latency of the
 // single-machine ReservationScheduler across n* doubling/halving
-// boundaries, partitioned rebuild (default) versus the seed's
-// stop-the-world path (rebuild_batch = SIZE_MAX, reported as mode
-// "legacy"), in the same binary and on the same trace. The paper's
+// boundaries, partitioned rebuild (default pace) versus the stop-the-world
+// pace (rebuild_batch = SIZE_MAX: the same migration flushed inside its
+// boundary request, reported as mode "legacy"), in the same binary and on
+// the same trace. The paper's
 // amortized O(1) reallocation bound hides a Θ(n) wall-clock cliff on the
 // rebuild request; this experiment records the
 // latency distribution (p50/p99/p99.9/max) that the partitioned
@@ -11,7 +12,7 @@
 //
 // Trace shape: a ramp to n active jobs (crossing every doubling boundary
 // up to n), steady churn at n, then a teardown to n/8 (crossing halving
-// boundaries). Quiescent schedules are byte-identical on both paths — the
+// boundaries). Quiescent schedules are byte-identical at both paces — the
 // differential suite (tests/partitioned_rebuild_test.cpp) asserts it — so
 // the comparison is purely about *when* the rebuild work is done.
 //
@@ -64,8 +65,8 @@ LatencyResult run_mode(const std::vector<Request>& trace, bool stop_the_world) {
   using Clock = std::chrono::steady_clock;
   SchedulerOptions options;
   options.overflow = OverflowPolicy::kBestEffort;
-  // rebuild_batch is also the synchronous-rebuild cutoff: at its maximum
-  // every n* change rebuilds inside the boundary request.
+  // rebuild_batch is also the flush cutoff: at its maximum every n* change
+  // finishes its migration inside the boundary request.
   if (stop_the_world) options.rebuild_batch = std::numeric_limits<std::size_t>::max();
   ReservationScheduler scheduler(options);
 

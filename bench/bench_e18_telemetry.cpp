@@ -4,25 +4,14 @@
 // absolute (EXPERIMENTS.md §E18).
 //
 // Modes are the telemetry tier's runtime gates, flipped per timed segment
-// on otherwise-identical schedulers serving the same churn trace:
-//
-//   * REASCHED_TELEMETRY=ON build (the default): "off" (gates down — one
-//     relaxed atomic load per record site), "on" (metric recording),
-//     "trace" (metrics + span events into the per-thread rings), and
-//     "scrape" (metrics + a live background Scraper at a 100 ms cadence —
-//     the serving-grade posture of DESIGN.md §12).
-//     `telemetry_overhead_ratio` = off ops/sec over mode ops/sec; the CI
-//     gate (tools/bench_compare.py) fails the "on" and "scrape" rows above
-//     1.05 — the ISSUE 7/9 acceptance bar of >= 0.95x the off throughput.
-//
-//   * REASCHED_TELEMETRY=OFF build: "off" and "compiled-out" — the latter
-//     with every runtime switch forced ON *and* a Scraper live at the same
-//     cadence. The RS_TELEM_* macros expanded to nothing at compile time,
-//     so the two segments must be statistically indistinguishable; the
-//     binary RS_REQUIREs the median ratio under kCompiledOutBound (the
-//     zero-overhead assert — if the off-flavor macros or the scraper's
-//     presence ever grew a record-path residue, this is the bench that
-//     fails).
+// on otherwise-identical schedulers serving the same churn trace: "off"
+// (gates down — one relaxed atomic load per record site), "on" (metric
+// recording), "trace" (metrics + span events into the per-thread rings),
+// and "scrape" (metrics + a live background Scraper at a 100 ms cadence —
+// the serving-grade posture of DESIGN.md §12).
+// `telemetry_overhead_ratio` = off ops/sec over mode ops/sec; the CI gate
+// (tools/bench_compare.py) fails the "on" and "scrape" rows above 1.05 —
+// the acceptance bar of >= 0.95x the off throughput.
 //
 // A second section prices the scrape path: Registry::snapshot() (merge all
 // shards), snapshot_json(), and trace_json() (ring drain + sort), per call.
@@ -48,9 +37,6 @@ constexpr std::size_t kChurnReps = 7;
 // Whole-experiment repeats with freshly allocated schedulers; per-rep
 // ratios pool across trials (see the instance-bias note in run()).
 constexpr std::size_t kTrials = 5;
-// Compiled-out segments run identical machine code; the bound only absorbs
-// scheduler jitter that survives the interleaved median.
-constexpr double kCompiledOutBound = 1.05;
 
 struct ChurnRun {
   double seconds = 0;
@@ -203,15 +189,9 @@ int run(int argc, char** argv) {
   };
   std::vector<Spec> specs;
   specs.push_back({"off", false, false, false});
-#if RS_TELEM_COMPILED
   specs.push_back({"on", true, false, false});
   specs.push_back({"trace", true, true, false});
   specs.push_back({"scrape", true, false, true});
-#else
-  // The compiled-out mode runs with the scraper live too: the zero-overhead
-  // assert covers the serving-grade posture, not just the record macros.
-  specs.push_back({"compiled-out", true, true, true});
-#endif
 
   for (const std::size_t n : sizes) {
     const std::vector<Request> trace = trace_for(n, churn);
@@ -269,15 +249,6 @@ int run(int argc, char** argv) {
         row.field("telemetry_overhead_ratio", ratio);
       }
       latency_fields(row, latency[i]);
-#if !RS_TELEM_COMPILED
-      // The zero-overhead assert: with the record paths compiled out, the
-      // all-gates-on segments ran the same machine code as the off
-      // segments and must be indistinguishable.
-      if (std::string(specs[i].mode) == "compiled-out") {
-        RS_REQUIRE(ratio > 0 && ratio < kCompiledOutBound,
-                   "E18: compiled-out telemetry is not zero-overhead");
-      }
-#endif
     }
 
     // ---- scrape + drain cost (per call; rare-path, recorded not gated) ----

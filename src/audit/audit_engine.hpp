@@ -23,8 +23,8 @@
 //   * An audit call re-verifies only the dirty regions (optionally capped
 //     by AuditPolicy::budget — the budgeted-slice mode that mirrors the
 //     partitioned-rebuild pacing) plus the O(1) global counters.
-//   * Wholesale state changes (emergency EDF rebuild, stop-the-world
-//     rebuild, engine attach) escalate: the next audit is one full sweep,
+//   * Wholesale state changes (emergency EDF rebuild, engine attach)
+//     escalate: the next audit is one full sweep,
 //     after which the owner reseeds the shadow counters from the freshly
 //     verified ledgers (begin_reseed/seed_*). A partitioned-rebuild
 //     generation swap instead *swaps the tracking state* with the shadow

@@ -1,23 +1,8 @@
 #include "core/incremental_rebuild.hpp"
 
-#include <algorithm>
-
 #include "util/assert.hpp"
 
 namespace reasched {
-
-namespace {
-
-constexpr std::uint64_t kMinNStar = 8;
-
-std::uint64_t job_hash(JobId id) noexcept {
-  std::uint64_t z = id.value + 0x9e3779b97f4a7c15ULL;
-  z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9ULL;
-  z = (z ^ (z >> 27)) * 0x94d049bb133111ebULL;
-  return z ^ (z >> 31);
-}
-
-}  // namespace
 
 IncrementalRebuildScheduler::IncrementalRebuildScheduler(SchedulerOptions options)
     : options_(std::move(options)) {
@@ -32,15 +17,6 @@ IncrementalRebuildScheduler::IncrementalRebuildScheduler(SchedulerOptions option
   inner.audit_policy.cadence = 0;
   generations_[0] = std::make_unique<ReservationScheduler>(inner);
   generations_[1] = std::make_unique<ReservationScheduler>(inner);
-}
-
-Window IncrementalRebuildScheduler::trim(JobId id, Window w) const {
-  const u64 limit = 2 * options_.gamma * n_star_;
-  if (static_cast<u64>(w.span()) <= limit) return w;
-  const u64 blocks = static_cast<u64>(w.span()) / limit;
-  const u64 pick = job_hash(id) % blocks;
-  const Time start = w.start + static_cast<Time>(pick * limit);
-  return Window{start, start + static_cast<Time>(limit)};
 }
 
 Window IncrementalRebuildScheduler::to_virtual(const Window& w) {
@@ -86,7 +62,7 @@ void IncrementalRebuildScheduler::migrate_some(std::size_t count, RequestStats& 
     if (it == jobs_.end() || it->second.generation == current_) continue;
     JobInfo& info = it->second;
     stats += generations_[info.generation]->erase(id);
-    const Window trimmed = trim(id, info.window);
+    const Window trimmed = trimming::trim(id, info.window, options_.gamma, n_star_);
     stats += generations_[current_]->insert(id, to_virtual(trimmed));
     info.generation = current_;
     --pending_count_;
@@ -97,27 +73,17 @@ void IncrementalRebuildScheduler::migrate_some(std::size_t count, RequestStats& 
 
 std::size_t IncrementalRebuildScheduler::migration_pace() const noexcept {
   if (pending_count_ == 0) return 0;
-  // Requests until the earliest possible next trigger: a doubling needs the
-  // active count to climb above n*, a halving to fall below n*/4 — each
-  // request changes the count by at most one.
-  const std::size_t n = jobs_.size();
-  const std::size_t until_double = n > n_star_ ? 1 : static_cast<std::size_t>(n_star_) - n + 1;
-  std::size_t runway = until_double;
-  if (n_star_ > kMinNStar) {
-    const std::size_t quarter = static_cast<std::size_t>(n_star_ / 4);
-    const std::size_t until_halve = n < quarter ? 1 : n - quarter + 1;
-    runway = std::min(runway, until_halve);
-  }
-  // Drain pending_count_ within `runway` requests; never below the paper's
-  // two-per-request pace.
+  // Drain pending_count_ before the earliest possible next trigger; never
+  // below the paper's two-per-request pace.
+  const std::size_t runway = trimming::runway(n_star_, jobs_.size());
   const std::size_t needed = (pending_count_ + runway - 1) / runway;
   return needed > 2 ? needed : 2;
 }
 
 void IncrementalRebuildScheduler::maybe_trigger(RequestStats& stats) {
-  if (jobs_.size() > n_star_) {
+  if (trimming::should_double(n_star_, jobs_.size())) {
     begin_migration(n_star_ * 2, stats);
-  } else if (n_star_ > kMinNStar && jobs_.size() < n_star_ / 4) {
+  } else if (trimming::should_halve(n_star_, jobs_.size())) {
     begin_migration(n_star_ / 2, stats);
   }
 }
@@ -134,7 +100,8 @@ RequestStats IncrementalRebuildScheduler::insert(JobId id, Window window) {
   RequestStats stats;
   jobs_.emplace(id, JobInfo{window, current_});
   try {
-    stats += generations_[current_]->insert(id, to_virtual(trim(id, window)));
+    const Window trimmed = trimming::trim(id, window, options_.gamma, n_star_);
+    stats += generations_[current_]->insert(id, to_virtual(trimmed));
   } catch (...) {
     jobs_.erase(id);
     throw;

@@ -38,6 +38,7 @@
 #include "audit/invariant_check.hpp"
 #include "core/reservation_scheduler.hpp"
 #include "core/scheduler_options.hpp"
+#include "core/trimming.hpp"
 #include "schedule/scheduler_interface.hpp"
 
 namespace reasched {
@@ -87,7 +88,6 @@ class IncrementalRebuildScheduler final : public IReallocScheduler {
     std::uint8_t generation;  // 0 or 1: which inner scheduler holds it
   };
 
-  [[nodiscard]] Window trim(JobId id, Window w) const;
   [[nodiscard]] static Window to_virtual(const Window& w);
   [[nodiscard]] Time to_outer(Time virtual_slot, std::uint8_t generation) const;
 
@@ -116,7 +116,7 @@ class IncrementalRebuildScheduler final : public IReallocScheduler {
   std::vector<JobId> work_list_;
   std::size_t work_cursor_ = 0;
   std::size_t pending_count_ = 0;
-  std::uint64_t n_star_ = 8;
+  std::uint64_t n_star_ = trimming::kMinNStar;
   std::uint64_t audit_request_index_ = 0;  // audit cadence counter
 };
 

@@ -14,8 +14,6 @@ namespace reasched {
 
 namespace {
 
-constexpr u64 kMinNStar = 8;
-
 /// Internal: the request job failed its reservation placement under the
 /// strict overflow policy — distinguish from generic dead ends so the
 /// recovery path rejects outright instead of adopting an EDF fallback.
@@ -24,17 +22,10 @@ class RequestRejectedError : public InfeasibleError {
   using InfeasibleError::InfeasibleError;
 };
 
-u64 job_hash(JobId id) noexcept {
-  std::uint64_t z = id.value + 0x9e3779b97f4a7c15ULL;
-  z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9ULL;
-  z = (z ^ (z >> 27)) * 0x94d049bb133111ebULL;
-  return z ^ (z >> 31);
-}
-
 }  // namespace
 
 ReservationScheduler::ReservationScheduler(SchedulerOptions options)
-    : options_(std::move(options)), n_star_(kMinNStar) {
+    : options_(std::move(options)) {
   static_assert(std::is_trivially_copyable_v<SlotInfo> &&
                     std::is_trivially_destructible_v<SlotInfo>,
                 "SlotInfo must be an implicit-lifetime type (arena-backed)");
@@ -51,9 +42,7 @@ ReservationScheduler::ReservationScheduler(SchedulerOptions options)
              "windows aligned)");
   RS_REQUIRE(options_.rebuild_batch > 0,
              "SchedulerOptions::rebuild_batch must be positive");
-#if RS_TELEM_COMPILED
   telemetry::enable(options_.telemetry);
-#endif
   const unsigned count = options_.levels.level_count();
   levels_.resize(count);
   for (unsigned level = 0; level < count; ++level) {
@@ -663,7 +652,7 @@ void ReservationScheduler::place_reserved(JobId id, std::vector<JobId>& pending,
   const WindowKey w(job.window);
   const Time slot = acquire_slot(w, job.level, kNoSlot);
   if (slot == kNoSlot) {
-    if (is_request_job && options_.overflow == OverflowPolicy::kThrow && !in_rebuild_) {
+    if (is_request_job && options_.overflow == OverflowPolicy::kThrow) {
       // Strict mode: a reservation failure on the request job rejects it.
       throw RequestRejectedError(
           "reservation scheduler: no fulfilled slot available for the inserted "
@@ -759,21 +748,9 @@ void ReservationScheduler::drain(std::vector<JobId>& pending) {
 // Requests
 // ---------------------------------------------------------------------------
 
-Window ReservationScheduler::trim(JobId id, Window w) const {
-  // §4 "Trimming Windows to n": windows wider than 2γn* are trimmed to an
-  // aligned sub-window of span exactly 2γn* (both powers of two, so the
-  // block decomposition is exact). The block is picked by job-id hash to
-  // spread trimmed jobs across the original window deterministically.
-  const u64 limit = 2 * options_.gamma * n_star_;
-  if (static_cast<u64>(w.span()) <= limit) return w;
-  const u64 blocks = static_cast<u64>(w.span()) / limit;
-  const u64 pick = job_hash(id) % blocks;
-  const Time start = w.start + static_cast<Time>(pick * limit);
-  return Window{start, start + static_cast<Time>(limit)};
-}
-
 void ReservationScheduler::insert_impl(JobId id, Window original) {
-  const Window trimmed = options_.trimming ? trim(id, original) : original;
+  const Window trimmed =
+      options_.trimming ? trimming::trim(id, original, options_.gamma, n_star_) : original;
   const unsigned level = options_.levels.level_of(static_cast<u64>(trimmed.span()));
   jobs_[id] = JobState{original, trimmed, level, kNoSlot, false};
 
@@ -816,7 +793,7 @@ void ReservationScheduler::insert_impl(JobId id, Window original) {
     recover_or_reject(id, /*reject_outright=*/true, pending);
   } catch (const InfeasibleError&) {
     // A pecking-order displacement chain dead-ended (insufficient slack).
-    const bool strict = options_.overflow == OverflowPolicy::kThrow && !in_rebuild_;
+    const bool strict = options_.overflow == OverflowPolicy::kThrow;
     recover_or_reject(id, /*reject_outright=*/strict, pending);
   }
 }
@@ -978,17 +955,17 @@ void ReservationScheduler::recover_or_reject(JobId id, bool reject_outright,
 }
 
 // ---------------------------------------------------------------------------
-// n*-rebuilds: stop-the-world (small sets) and partitioned
+// n*-rebuild: one shadow-generation migration (DESIGN.md §6)
 // ---------------------------------------------------------------------------
 
 void ReservationScheduler::maybe_rebuild_on_insert() {
   if (!options_.trimming) return;
-  if (jobs_.size() + 1 > n_star_) rebuild(n_star_ * 2);
+  if (trimming::should_double(n_star_, jobs_.size() + 1)) rebuild(n_star_ * 2);
 }
 
 void ReservationScheduler::maybe_rebuild_on_erase() {
   if (!options_.trimming) return;
-  if (n_star_ > kMinNStar && jobs_.size() < n_star_ / 4) rebuild(n_star_ / 2);
+  if (trimming::should_halve(n_star_, jobs_.size())) rebuild(n_star_ / 2);
 }
 
 void ReservationScheduler::rebuild(u64 new_n_star) {
@@ -997,15 +974,11 @@ void ReservationScheduler::rebuild(u64 new_n_star) {
   // sets, custom towers): finish the old generation first, synchronously —
   // the burst is bounded by that same tiny size.
   if (migration_ != nullptr) flush_migration();
-  if (jobs_.size() <= options_.rebuild_batch) {
-    // Small sets: one request's migration budget covers the whole set, so
-    // the stop-the-world path IS the partitioned path (and keeps the seed's
-    // exact per-request behavior, which the small-n unit tests pin down).
-    // rebuild_batch = SIZE_MAX therefore makes every rebuild stop-the-world.
-    rebuild_stop_the_world(new_n_star);
-  } else {
-    begin_partitioned_rebuild(new_n_star);
-  }
+  begin_partitioned_rebuild(new_n_star);
+  // One request's migration budget covers the whole set: finish it inside
+  // the boundary request (rebuild_batch = SIZE_MAX does this for every
+  // rebuild).
+  if (jobs_.size() <= options_.rebuild_batch) flush_migration();
 }
 
 std::vector<std::pair<JobId, Window>> ReservationScheduler::sorted_active_set() const {
@@ -1019,47 +992,13 @@ std::vector<std::pair<JobId, Window>> ReservationScheduler::sorted_active_set() 
   return all;
 }
 
-void ReservationScheduler::rebuild_stop_the_world(u64 new_n_star) {
-  n_star_ = new_n_star;
-  in_rebuild_ = true;
-  if (audit_engine_) audit_engine_->mark_all();
-
-  const std::vector<std::pair<JobId, Window>> all = sorted_active_set();
-  FlatHashMap<JobId, Time> old_slots;
-  old_slots.reserve(all.size());
-  for (const auto& [id, window] : all) old_slots[id] = jobs_.at(id).slot;
-
-  occ_.clear();
-  for (auto& ls : levels_) {
-    ls.intervals.clear();
-    ls.arena.reset();  // reclaim every interval block in O(1), keep chunks
-    ls.windows.clear();
-    ls.active_per_class.assign(ls.active_per_class.size(), 0);
-    ls.active_bound = 0;
-  }
-  jobs_.clear();
-  parked_count_ = 0;
-
-  // Reinsert; intermediate shuffles do not count — the honest reallocation
-  // cost of a rebuild is the number of jobs whose placement changed.
-  const RequestStats saved = current_;
-  for (const auto& [id, window] : all) insert_impl(id, window);
-  current_ = saved;
-  u64 moved = 0;
-  jobs_.for_each([&](const JobId& id, const JobState& job) {
-    if (old_slots.at(id) != job.slot) ++moved;
-  });
-  current_.reallocations += moved;
-  current_.rebuilt = true;
-  in_rebuild_ = false;
-}
-
 void ReservationScheduler::begin_partitioned_rebuild(u64 new_n_star) {
-  // The boundary request only snapshots the reinsertion work list (sorted
-  // by JobId — the stop-the-world reinsertion order) and flips n*; all actual
-  // reinsertion happens in per-request batches (step_migration). n_star_
-  // becomes the target immediately so trimming of interim inserts and the
-  // next trigger evaluation behave exactly as on the stop-the-world path.
+  // The boundary request snapshots the reinsertion work list (sorted by
+  // JobId) and flips n*; the reinsertion itself happens in per-request
+  // batches (step_migration), or all at once when rebuild() flushes a set
+  // that fits one request's budget. n_star_ becomes the target immediately,
+  // so trimming of interim inserts and the next trigger evaluation already
+  // see the new estimate.
   n_star_ = new_n_star;
   RS_TELEM_COUNTER(kBegins, "rebuild.begins");
   RS_TELEM_ADD(kBegins, 1);
@@ -1072,12 +1011,13 @@ void ReservationScheduler::begin_partitioned_rebuild(u64 new_n_star) {
   // tracked so the dirty sets can follow the data across the swap) but
   // never audits autonomously — the parent's audit drives it (cadence 0).
   shadow_options.audit_policy.cadence = 0;
-  // A nested trigger during replay is served synchronously, exactly as the
-  // stop-the-world path would at that request.
+  // A nested trigger during replay is flushed inside the replayed request,
+  // exactly as a synchronous rebuild would have served it.
   shadow_options.rebuild_batch = std::numeric_limits<std::size_t>::max();
-  // Replay must not throw mid-migration (the original caller is long gone);
-  // best-effort parks instead. Divergence from a kThrow stop-the-world run
-  // is only possible outside the underallocated regime — see DESIGN.md §6.
+  // Reinsertion and replay must not throw (the original caller is long
+  // gone); best-effort parks instead, even under a kThrow parent. That can
+  // change an outcome only outside the underallocated regime — see
+  // DESIGN.md §6.
   shadow_options.overflow = OverflowPolicy::kBestEffort;
   migration->shadow = std::make_unique<ReservationScheduler>(std::move(shadow_options));
   migration->shadow->n_star_ = new_n_star;
@@ -1090,24 +1030,18 @@ void ReservationScheduler::step_migration(std::size_t budget) {
   ReservationScheduler& shadow = *m.shadow;
   RS_TELEM_DURATION(kStepHist, "rebuild.step");
   RS_TELEM_SPAN(step_span, kStepHist, "rebuild.step");
-#if RS_TELEM_COMPILED
   const std::size_t work_before = m.reinsert_next + m.replay_next;
-#endif
 
-  // Phase 1: reinsert the boundary snapshot in JobId order — the same
-  // insert_impl-with-in_rebuild_ loop the stop-the-world rebuild runs, just
-  // sliced.
+  // Phase 1: reinsert the boundary snapshot in JobId order.
   while (budget > 0 && m.reinsert_next < m.reinsert.size()) {
     const auto& [id, original] = m.reinsert[m.reinsert_next++];
-    shadow.in_rebuild_ = true;
     shadow.insert_impl(id, original);
-    shadow.in_rebuild_ = false;
     --budget;
   }
 
   // Phase 2: replay the interim requests in arrival order through the
-  // shadow's full request path (trigger checks included), exactly as the
-  // stop-the-world scheduler would have served them post-rebuild.
+  // shadow's full request path (trigger checks included), exactly as a
+  // scheduler rebuilt at the boundary would have served them.
   while (budget > 0 && m.replay_next < m.replay.size()) {
     const QueuedRequest q = m.replay[m.replay_next++];
     try {
@@ -1127,10 +1061,8 @@ void ReservationScheduler::step_migration(std::size_t budget) {
     --budget;
   }
 
-#if RS_TELEM_COMPILED
   RS_TELEM_HISTOGRAM(kStepWork, "rebuild.step_work");
   RS_TELEM_RECORD(kStepWork, m.reinsert_next + m.replay_next - work_before);
-#endif
 
   if (m.reinsert_next == m.reinsert.size() && m.replay_next == m.replay.size()) {
     complete_migration();
@@ -1143,8 +1075,8 @@ void ReservationScheduler::complete_migration() {
            "partitioned rebuild: generation job sets diverged");
   RS_CHECK(shadow.n_star_ == n_star_, "partitioned rebuild: n* diverged");
 
-  // Honest reallocation accounting, same rule as the stop-the-world rebuild: one
-  // reallocation per job whose placement differs across the flip.
+  // Honest reallocation accounting: one reallocation per job whose
+  // placement differs across the flip.
   u64 moved = 0;
   shadow.jobs_.for_each([&](const JobId& id, const JobState& shadow_job) {
     const JobState* live_job = jobs_.find(id);
@@ -1210,12 +1142,6 @@ void ReservationScheduler::trim_retired_step() {
   }
   // Last step for this generation: the old occupancy index and job table.
   retiring_.erase(retiring_.begin());
-}
-
-std::size_t ReservationScheduler::rebuild_pending() const noexcept {
-  if (migration_ == nullptr) return 0;
-  return (migration_->reinsert.size() - migration_->reinsert_next) +
-         (migration_->replay.size() - migration_->replay_next);
 }
 
 ReservationScheduler::ArenaStats ReservationScheduler::arena_stats(

@@ -67,17 +67,14 @@
 //
 //  * Trimming (§4 "Trimming Windows to n"): n* doubles/halves with the
 //    active-job count; windows wider than 2γn* are trimmed to an aligned
-//    sub-window of span 2γn*. On every n* change the schedule is rebuilt —
-//    with the *partitioned* rebuild (below), or from scratch on the
-//    rebuild request itself when the active set is at most
-//    SchedulerOptions::rebuild_batch (amortized O(1) reallocations per
-//    request either way).
+//    sub-window of span 2γn*. On every n* change the schedule is rebuilt
+//    by the partitioned rebuild below (amortized O(1) reallocations per
+//    request).
 //
-//  * Partitioned n*-rebuild (DESIGN.md §6). The stop-the-world rebuild
-//    reinserts the whole active set inside one request — a Θ(n) latency
-//    cliff (bench E14). Instead, the boundary request only snapshots the
-//    active set (sorted by JobId, the stop-the-world reinsertion order) and
-//    flips n* ; a *shadow generation* — a second ReservationScheduler — is then
+//  * Partitioned n*-rebuild (DESIGN.md §6). Reinserting the whole active
+//    set inside one request is a Θ(n) latency cliff (bench E14). Instead,
+//    the boundary request only snapshots the active set (sorted by JobId)
+//    and flips n* ; a *shadow generation* — a second ReservationScheduler — is then
 //    built incrementally, `rebuild_batch` reinsertions per request, while
 //    the old generation keeps serving. Requests arriving mid-migration are
 //    served by the old generation (placements stay valid: trimming only
@@ -88,13 +85,12 @@
 //    count), and the old generation is *retired*: its interval arenas and
 //    ledgers are trimmed one level per subsequent request ("deferred
 //    trimming"), so teardown never lands on one request either. The final
-//    state is byte-identical to the stop-the-world path's — both execute
-//    exactly ⟨reinsert snapshot in JobId order, then replay the interim requests in
-//    arrival order⟩ against fresh state — which the differential suite
-//    asserts (tests/partitioned_rebuild_test.cpp). Rebuilds of at most
-//    rebuild_batch jobs complete synchronously inside the boundary request
-//    (exactly the stop-the-world behavior, spike included — it is
-//    O(batch)).
+//    state does not depend on the pace: every pace executes exactly
+//    ⟨reinsert snapshot in JobId order, then replay the interim requests in
+//    arrival order⟩ against fresh state, which the differential suite
+//    asserts against rebuild_batch = SIZE_MAX
+//    (tests/partitioned_rebuild_test.cpp). A set of at most rebuild_batch
+//    jobs is flushed inside the boundary request (an O(batch) spike).
 //
 // Containers: every hot lookup runs on open-addressing flat tables
 // (util/flat_hash.hpp) and slot occupancy lives in an OccupancyIndex
@@ -115,6 +111,7 @@
 #include "audit/audit_engine.hpp"
 #include "audit/invariant_check.hpp"
 #include "core/scheduler_options.hpp"
+#include "core/trimming.hpp"
 #include "core/window_key.hpp"
 #include "schedule/occupancy_index.hpp"
 #include "schedule/scheduler_interface.hpp"
@@ -176,7 +173,7 @@ class ReservationScheduler final : public IReallocScheduler {
   /// Current n* estimate (§4 "Trimming Windows to n"). During a partitioned
   /// migration this is already the *target* value the generation flip is
   /// building toward — trimming of new inserts and the doubling/halving
-  /// triggers both use it, exactly as the stop-the-world path would.
+  /// triggers both use it.
   [[nodiscard]] std::uint64_t n_star() const noexcept { return n_star_; }
   /// Jobs currently placed outside the reservation system (degraded mode).
   [[nodiscard]] std::uint64_t parked_jobs() const noexcept { return parked_count_; }
@@ -185,9 +182,6 @@ class ReservationScheduler final : public IReallocScheduler {
   /// True while a partitioned n*-rebuild migration is in flight (the old
   /// generation is serving; the shadow is catching up).
   [[nodiscard]] bool rebuild_in_flight() const noexcept { return migration_ != nullptr; }
-  /// Work left in the in-flight migration: snapshot jobs not yet reinserted
-  /// plus queued interim requests not yet replayed. 0 when none in flight.
-  [[nodiscard]] std::size_t rebuild_pending() const noexcept;
   /// True while a retired (pre-swap) generation still awaits its deferred
   /// level-by-level trimming.
   [[nodiscard]] bool retired_pending() const noexcept { return !retiring_.empty(); }
@@ -331,8 +325,8 @@ class ReservationScheduler final : public IReallocScheduler {
   ///
   /// The arrays never move (arena chunks are stable), so Interval values
   /// may be copied/moved freely by the enclosing flat map; the memory is
-  /// reclaimed only wholesale — arena reset (stop-the-world rebuild,
-  /// emergency) or retire-and-trim (partitioned rebuild).
+  /// reclaimed only wholesale — arena reset (emergency EDF reschedule) or
+  /// retire-and-trim (n*-rebuild).
   struct Interval {
     Time base = 0;
     /// interval_size cells; zeroed at carve.
@@ -521,18 +515,15 @@ class ReservationScheduler final : public IReallocScheduler {
   /// work, recover everything (best effort), or reject the request
   /// (erase + throw InfeasibleError). `pending` is the interrupted cascade.
   void recover_or_reject(JobId id, bool reject_outright, std::vector<JobId>& pending);
-  [[nodiscard]] Window trim(JobId id, Window w) const;
   void maybe_rebuild_on_insert();
   void maybe_rebuild_on_erase();
-  /// n* changed: dispatches to the stop-the-world rebuild (active sets
-  /// where one request's worth of migration budget, rebuild_batch, covers
-  /// the whole set) or starts a partitioned migration.
+  /// n* changed: starts a partitioned migration, and flushes it inside
+  /// this request when one request's migration budget (rebuild_batch)
+  /// covers the whole active set.
   void rebuild(u64 new_n_star);
   /// The active set as (id, original window), ascending JobId — the
-  /// reinsertion order of BOTH rebuild paths. Byte-identity of the
-  /// partitioned path rests on the two paths sharing this exact order.
+  /// reinsertion order. Pace-independence of the rebuild rests on it.
   [[nodiscard]] std::vector<std::pair<JobId, Window>> sorted_active_set() const;
-  void rebuild_stop_the_world(u64 new_n_star);
   void begin_partitioned_rebuild(u64 new_n_star);
   /// Advances an in-flight migration by up to `budget` work units (one
   /// unit = one snapshot reinsertion or one queued-request replay); swaps
@@ -541,7 +532,8 @@ class ReservationScheduler final : public IReallocScheduler {
   /// The O(1) generation flip + honest moved-job accounting; retires the
   /// old generation for deferred trimming.
   void complete_migration();
-  /// Runs the in-flight migration to completion (small-n re-trigger path).
+  /// Runs the in-flight migration to completion (sets within one request's
+  /// budget, and re-triggers while a migration is in flight).
   void flush_migration();
   /// Frees one level of the retired generation (arena chunks + ledgers) —
   /// the "deferred trimming" step, one level per request.
@@ -604,9 +596,8 @@ class ReservationScheduler final : public IReallocScheduler {
   std::vector<LevelState> levels_;
   FlatHashMap<JobId, JobState> jobs_;
   OccupancyIndex occ_;  // slot -> job, layered on SlotRuns for range scans
-  u64 n_star_ = 8;
+  u64 n_star_ = trimming::kMinNStar;
   u64 parked_count_ = 0;
-  bool in_rebuild_ = false;
   RequestStats current_{};
   std::uint32_t touched_levels_mask_ = 0;
   std::unique_ptr<Migration> migration_;  // in-flight partitioned rebuild

@@ -65,20 +65,17 @@ struct SchedulerOptions {
 
   /// Runtime gate for the telemetry tier (src/telemetry/, DESIGN.md §10).
   /// Constructing a scheduler with `telemetry.enabled` flips the
-  /// process-wide recording switches (turn-on only); the RS_TELEM_* record
-  /// sites must also be compiled in (REASCHED_TELEMETRY) to observe
-  /// anything.
+  /// process-wide recording switches (turn-on only).
   telemetry::TelemetryOptions telemetry{};
 
-  /// Partitioned-rebuild migration pace: work units (snapshot reinsertions
-  /// or queued-request replays) performed per request while a rebuild
-  /// migration is in flight. Also the synchronous-rebuild cutoff — active
-  /// sets no larger than this rebuild stop-the-world inside the boundary
-  /// request, which is exactly one request's worth of migration budget.
-  /// std::numeric_limits<std::size_t>::max() therefore makes every n*
-  /// rebuild stop-the-world (the seed behavior, a Θ(n) latency cliff, and
-  /// the baseline of the rebuild-latency benchmark, EXPERIMENTS.md §E14);
-  /// the quiescent schedules are byte-identical either way.
+  /// n*-rebuild migration pace: work units (snapshot reinsertions or
+  /// queued-request replays) performed per request while a rebuild
+  /// migration is in flight. An active set no larger than this fits one
+  /// request's budget, so its migration is flushed inside the boundary
+  /// request. std::numeric_limits<std::size_t>::max() therefore finishes
+  /// every rebuild inside its boundary request (a Θ(n) latency cliff, the
+  /// baseline of the rebuild-latency benchmark, EXPERIMENTS.md §E14); the
+  /// quiescent schedules are byte-identical at every pace.
   std::size_t rebuild_batch = 64;
 };
 

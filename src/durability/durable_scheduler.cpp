@@ -128,12 +128,4 @@ void DurableScheduler::write_snapshot_now() {
   ++snapshots_written_;
 }
 
-bool DurableScheduler::checkpoint() {
-  wal_.sync();
-  if (inner_->rebuild_in_flight()) return false;
-  write_snapshot_now();
-  snapshot_pending_ = false;
-  return true;
-}
-
 }  // namespace reasched::durability

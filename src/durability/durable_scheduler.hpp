@@ -70,21 +70,14 @@ class DurableScheduler final : public IReallocScheduler {
   }
   /// CSN of the last logged request (0 before any).
   [[nodiscard]] std::uint64_t csn() const noexcept { return csn_; }
-  [[nodiscard]] const WalWriter::Stats& wal_stats() const noexcept {
-    return wal_.stats();
-  }
   [[nodiscard]] std::uint64_t snapshots_written() const noexcept {
     return snapshots_written_;
   }
-  [[nodiscard]] const DurabilityPolicy& policy() const noexcept { return policy_; }
 
   [[nodiscard]] ReservationScheduler& inner() noexcept { return *inner_; }
 
   /// Flushes and fsyncs the log (everything logged so far is durable).
   void sync() { wal_.sync(); }
-  /// sync() + an immediate snapshot when quiescent (no partitioned rebuild
-  /// in flight). Returns true when a snapshot was written.
-  bool checkpoint();
 
  private:
   void maybe_snapshot(const RequestStats& stats);

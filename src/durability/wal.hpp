@@ -52,8 +52,8 @@ struct DurabilityPolicy {
   std::uint64_t snapshot_every = 0;
   /// Snapshot when a partitioned n*-rebuild completes its generation flip
   /// (the state is quiescent and the request already carries rebuild-scale
-  /// work, so the serialization pass hides in the boundary the
-  /// stop-the-world rebuild paid Θ(n) on anyway).
+  /// work, so the serialization pass hides in a boundary that already pays
+  /// the Θ(n) moved-job count).
   bool snapshot_on_flip = true;
   /// Snapshots retained per directory; older ones are pruned after each
   /// successful write (>= 1; the previous snapshot is the fallback when a

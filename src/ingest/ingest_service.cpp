@@ -12,7 +12,6 @@ namespace {
 
 // Interned once per process; every record site is a relaxed load + branch
 // when telemetry is off (DESIGN.md §10).
-#if RS_TELEM_COMPILED
 const telemetry::Counter& admitted_counter() {
   RS_TELEM_COUNTER(kAdmitted, "ingest.admitted");
   return kAdmitted;
@@ -45,7 +44,6 @@ const telemetry::Histogram& sojourn_histogram() {
   RS_TELEM_HISTOGRAM(kSojourn, "ingest.sojourn_ns");
   return kSojourn;
 }
-#endif
 
 void cpu_relax() noexcept {
 #if defined(__x86_64__) || defined(__i386__)
@@ -237,25 +235,21 @@ void IngestService::consumer_loop() {
     }
     consumer_parked_.store(false, std::memory_order_relaxed);
   }
-#if RS_TELEM_COMPILED
   // Unwind this service's gauge contribution so sequential services (tests,
   // bench cases) leave the process-wide level at zero.
   if (compliance_contrib_ != 0) {
     RS_TELEM_GAUGE_ADD(compliance_gauge(), -compliance_contrib_);
     compliance_contrib_ = 0;
   }
-#endif
 }
 
 void IngestService::update_compliance_gauge() {
-#if RS_TELEM_COMPILED
   if (options_.p99_budget_us == 0) return;
   const std::int64_t desired = admission_.shedding() ? 0 : 1;
   if (desired != compliance_contrib_) {
     RS_TELEM_GAUGE_ADD(compliance_gauge(), desired - compliance_contrib_);
     compliance_contrib_ = desired;
   }
-#endif
 }
 
 void IngestService::apply_batch() {

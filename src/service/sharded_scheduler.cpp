@@ -23,9 +23,7 @@ ShardedScheduler::ShardedScheduler(unsigned machines, const Factory& factory,
       ledger_(machines),
       pool_(shards_ - 1) {
   RS_REQUIRE(machines >= 1, "ShardedScheduler: need at least one machine");
-#if RS_TELEM_COMPILED
   telemetry::enable(options.telemetry);
-#endif
   machines_.reserve(machines);
   for (unsigned i = 0; i < machines; ++i) {
     auto scheduler = factory();

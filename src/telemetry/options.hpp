@@ -1,9 +1,8 @@
 // Runtime knob for the telemetry tier (src/telemetry/, DESIGN.md §10).
 //
 // This header is intentionally dependency-free: it is embedded in
-// SchedulerOptions, ShardedScheduler::Options, and SimOptions, so every
-// options struct compiles identically whether or not the telemetry record
-// paths are compiled in (REASCHED_TELEMETRY). Passing `enabled`/`trace`
+// SchedulerOptions, ShardedScheduler::Options, and SimOptions without
+// pulling the registry into every options header. Passing `enabled`/`trace`
 // through any of those structs flips the process-wide recording switches at
 // construction/replay time — see telemetry::enable() in registry.hpp for
 // the exact semantics (turn-on only; never silently disables a concurrent

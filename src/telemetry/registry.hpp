@@ -14,21 +14,16 @@
 //     in raw ticks; the scrape converts to nanoseconds with a calibration
 //     measured against steady_clock over the process lifetime, re-bucketing
 //     each histogram (error budget in histogram.hpp).
-//  3. Two gates, same pattern as the audit tier (util/assert.hpp matrix):
-//     REASCHED_TELEMETRY compiles the RS_TELEM_* macros to nothing when
-//     absent (bench_e18 verifies zero overhead), and the runtime
-//     TelemetryOptions knob — threaded through SchedulerOptions,
-//     ShardedScheduler::Options, and SimOptions — flips the process-wide
-//     enable flags via telemetry::enable().
+//  3. One gate, at runtime: the TelemetryOptions knob — threaded through
+//     SchedulerOptions, ShardedScheduler::Options, and SimOptions — flips
+//     the process-wide enable flags via telemetry::enable(). There is one
+//     build: the record sites are always compiled in, and a gated-off site
+//     costs one relaxed load + branch (bench_e18 prices it).
 //
 // Metric handles (Counter/Gauge/Histogram) are interned by name at
 // construction — idempotent, so the same name in insert() and erase()
 // shares one metric. Declare them as function-local statics through the
-// RS_TELEM_* macros so registration runs once and compiles out cleanly.
-//
-// Everything in this header except the macros is compiled unconditionally:
-// the registry itself (snapshot_json, trace export) exists in both build
-// flavors, it just has nothing to report when the record sites are gone.
+// RS_TELEM_* macros so registration runs once per site.
 #pragma once
 
 #include <atomic>
@@ -490,12 +485,10 @@ class TraceSpan {
 
 // ----------------------------------------------------------------- macros --
 //
-// All instrumentation goes through these; with REASCHED_TELEMETRY absent
-// they expand to nothing (tests/telemetry_macro_off_test.cpp proves it,
-// bench_e18_telemetry prices it). Handle-declaring macros expand to
-// function-local statics so interning runs once per site.
+// All instrumentation goes through these. Handle-declaring macros expand
+// to function-local statics so interning runs once per site.
+// RS_TELEM_COMPILED is always 1; bench metadata still reports it.
 
-#if defined(REASCHED_TELEMETRY)
 #define RS_TELEM_COMPILED 1
 #define RS_TELEM_COUNTER(var, name) \
   static const ::reasched::telemetry::Counter var { name }
@@ -524,18 +517,3 @@ class TraceSpan {
           name, ::reasched::telemetry::ticks(), 0, 'i');                 \
     }                                                                    \
   } while (0)
-#else
-#define RS_TELEM_COMPILED 0
-#define RS_TELEM_COUNTER(var, name) static_assert(true)
-#define RS_TELEM_GAUGE(var, name) static_assert(true)
-#define RS_TELEM_HISTOGRAM(var, name) static_assert(true)
-#define RS_TELEM_DURATION(var, name) static_assert(true)
-#define RS_TELEM_ADD(handle, delta) ((void)0)
-#define RS_TELEM_RECORD(handle, value) ((void)0)
-#define RS_TELEM_GAUGE_ADD(handle, delta) ((void)0)
-#define RS_TELEM_SPAN(var, handle, name) static_assert(true)
-#define RS_TELEM_TRACE_SPAN(var, handle, name) static_assert(true)
-#define RS_TELEM_SAMPLED_SPAN(var, handle, name, mask) static_assert(true)
-#define RS_TELEM_SET_CSN(csn) ((void)0)
-#define RS_TELEM_INSTANT(name) ((void)0)
-#endif

@@ -9,8 +9,7 @@
 // (merge under the registry mutex, which record sites never take) from its
 // own thread. Record sites cannot observe whether a scraper exists —
 // bench_e18's "scrape" mode prices this claim at a 100 ms cadence against
-// the 1.05x CI ceiling, and the telemetry-OFF flavor runs its compiled-out
-// zero-overhead assert with a scraper active.
+// the 1.05x CI ceiling.
 //
 // Each scrape also refreshes a cached Prometheus exposition
 // (telemetry/prometheus.hpp) and, when configured:

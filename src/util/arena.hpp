@@ -12,10 +12,9 @@
 // Lifecycle contract (matches how the scheduler uses interval state):
 //   * carve() hands out a zeroed block; blocks are never freed one by one.
 //   * reset() rewinds the bump cursor and keeps the chunks for reuse — the
-//     stop-the-world rebuild and the EDF emergency path clear a
-//     level's intervals wholesale and immediately re-materialize, so reuse
-//     avoids re-paying the allocator.
-//   * Destruction frees all chunks at once. The partitioned rebuild retires
+//     EDF emergency path clears a level's intervals wholesale and
+//     immediately re-materializes, so reuse avoids re-paying the allocator.
+//   * Destruction frees all chunks at once. The n*-rebuild retires
 //     a whole generation of interval state by parking the old scheduler and
 //     destroying one LevelState — intervals, ledgers, and this arena — per
 //     subsequent request ("deferred trimming", trim_retired_step), so no

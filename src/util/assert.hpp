@@ -26,12 +26,12 @@
 //   incremental audit      none (always built) SchedulerOptions::audit_policy
 //                                              {kIncremental, cadence,
 //                                              budget, differential}
-//   RS_TELEM_* records     REASCHED_TELEMETRY  TelemetryOptions (threaded
-//   (src/telemetry/)       (ON by default;     through SchedulerOptions /
-//                          OFF expands the     ShardedScheduler::Options /
-//                          macros to nothing,  SimOptions) flips process-
-//                          bench_e18 prices    wide metric + trace gates;
-//                          both flavors)       span timing beyond 1-in-8
+//   RS_TELEM_* records     none (always built) TelemetryOptions (threaded
+//   (src/telemetry/)                           through SchedulerOptions /
+//                                              ShardedScheduler::Options /
+//                                              SimOptions) flips process-
+//                                              wide metric + trace gates;
+//                                              span timing beyond 1-in-8
 //                                              sampling arms with trace
 //
 // Consequences worth spelling out:

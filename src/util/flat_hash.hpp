@@ -793,9 +793,7 @@ class FlatHashMap {
     // (durations + chrome spans cost two ticks() reads and arm with trace).
     RS_TELEM_DURATION(kDrainHist, "hash.drain");
     RS_TELEM_TRACE_SPAN(drain_span, kDrainHist, "hash.drain");
-#if RS_TELEM_COMPILED
     const std::size_t budget_in = budget;
-#endif
     while (budget > 0 && migrating()) {
       if (old_live_ == 0 || migrate_pos_ >= old_ctrl_.size()) {
         release_old_table();
@@ -808,10 +806,8 @@ class FlatHashMap {
       ++migrate_pos_;
       --budget;
     }
-#if RS_TELEM_COMPILED
     RS_TELEM_HISTOGRAM(kDrainBuckets, "hash.drain_buckets");
     RS_TELEM_RECORD(kDrainBuckets, budget_in - budget);
-#endif
   }
 
   void finish_migration() { migrate_step(old_ctrl_.size()); }

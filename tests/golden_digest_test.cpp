@@ -16,9 +16,9 @@
 //     which legitimately differ across ingest producer counts).
 //
 // Every arm of one trace must reproduce the same committed constant: every
-// shard count (1/2/4/8), every ingest producer count (1/2/4/8), and every
-// build flavor (default, -DREASCHED_FORCE_SCALAR_PROBE=ON,
-// -DREASCHED_TELEMETRY=OFF — CI runs this suite in each lane). A failing
+// shard count (1/2/4/8), every ingest producer count (1/2/4/8), and both
+// build flavors (default and -DREASCHED_FORCE_SCALAR_PROBE=ON — CI runs
+// this suite in each lane). A failing
 // arm prints the digest it computed; after an *intended* behaviour change,
 // re-recording is pasting that value over the constant.
 #include <gtest/gtest.h>
@@ -49,7 +49,8 @@ namespace {
 
 // churn_trace(1234, 9000, 3000): one machine, partitioned n*-rebuilds.
 constexpr std::uint64_t kSingleMachine = 0x98049f1bfe46b73e;
-// The same trace with every rebuild stop-the-world (rebuild_batch = max).
+// The same trace with every migration flushed inside its boundary request
+// (rebuild_batch = max, the stop-the-world pace).
 constexpr std::uint64_t kSingleMachineStopTheWorld = 0x26d155c935b7d60d;
 // churn_trace(77, 9000, 3000, 4) through the 4-machine §3 reduction, one
 // request at a time.
@@ -299,8 +300,8 @@ TEST(GoldenDigest, SingleMachinePartitionedRebuild) {
 }
 
 TEST(GoldenDigest, SingleMachineStopTheWorldRebuild) {
-  // rebuild_batch is also the synchronous-rebuild cutoff: at its maximum
-  // every n* change rebuilds inside the boundary request.
+  // rebuild_batch is also the flush cutoff: at its maximum every n*
+  // change finishes its migration inside the boundary request.
   const auto trace = churn_trace(1234, 9'000, 3'000);
   SchedulerOptions options = best_effort();
   options.rebuild_batch = std::numeric_limits<std::size_t>::max();

@@ -129,7 +129,6 @@ Request wide_insert(std::uint64_t id) {
   return Request::insert(JobId{id}, 0, 1024);
 }
 
-#if RS_TELEM_COMPILED
 /// Process-wide value of the counter or gauge `name` (0 before its first
 /// record).
 std::int64_t metric(const std::string& name) {
@@ -142,7 +141,6 @@ std::int64_t metric(const std::string& name) {
   }
   return 0;
 }
-#endif
 
 TEST(IngestAdmission, DepthSheddingHasExactAccountingAndUnblocksAfterDrain) {
   ShardedScheduler sharded(1, naive_factory());
@@ -152,10 +150,8 @@ TEST(IngestAdmission, DepthSheddingHasExactAccountingAndUnblocksAfterDrain) {
   options.lane_capacity = 64;
   options.record_stats = true;
   options.telemetry.enabled = true;
-#if RS_TELEM_COMPILED
   const std::int64_t depth_before = metric("ingest.rejected_depth_total");
   const std::int64_t shed_before = metric("ingest.shed_total");
-#endif
   IngestService service(sharded, options);
 
   // Park the consumer first (and give it a beat to observe the flag), so
@@ -179,11 +175,9 @@ TEST(IngestAdmission, DepthSheddingHasExactAccountingAndUnblocksAfterDrain) {
   EXPECT_EQ(stats.rejected_latency, 0u);
   EXPECT_EQ(stats.applied, 0u);
   EXPECT_EQ(service.queue_depth(), 8u);
-#if RS_TELEM_COMPILED
   EXPECT_EQ(metric("ingest.rejected_depth_total") - depth_before,
             static_cast<std::int64_t>(stats.rejected_depth));
   EXPECT_EQ(metric("ingest.shed_total") - shed_before, 0);
-#endif
 
   service.resume_consumer();
   service.drain();
@@ -215,10 +209,8 @@ TEST(IngestAdmission, LatencySheddingRejectsThenRecoversOnceDrained) {
                                std::uint64_t first_ticket) {
     if (first_ticket == 0) parked->pause_consumer();
   };
-#if RS_TELEM_COMPILED
   const std::int64_t depth_before = metric("ingest.rejected_depth_total");
   const std::int64_t shed_before = metric("ingest.shed_total");
-#endif
   IngestService service(sharded, options);
   parked = &service;  // published to the consumer by the first push
 
@@ -245,9 +237,7 @@ TEST(IngestAdmission, LatencySheddingRejectsThenRecoversOnceDrained) {
     ++shed;
   }
   EXPECT_EQ(service.queue_depth(), 1u);
-#if RS_TELEM_COMPILED
   EXPECT_EQ(metric("ingest.p99_compliant"), 0);
-#endif
 
   // Recovery: applying the last queued request drains the queue, and the
   // drain rule admits producers again — bounded wait. Count the pushes
@@ -267,7 +257,6 @@ TEST(IngestAdmission, LatencySheddingRejectsThenRecoversOnceDrained) {
   // The over-budget witness: written at epoch close, synchronized to us by
   // the drain handshake, and left alone by the drain rule.
   EXPECT_GT(service.admission().last_p99_ns(), 1'000u);
-#if RS_TELEM_COMPILED
   // The consumer refreshes the gauge right after it clears the verdict;
   // stop() would unwind this service's contribution, so read it first.
   while (metric("ingest.p99_compliant") != 1) {
@@ -275,7 +264,6 @@ TEST(IngestAdmission, LatencySheddingRejectsThenRecoversOnceDrained) {
         << "ingest.p99_compliant never read 1 after recovery";
     std::this_thread::sleep_for(std::chrono::milliseconds(1));
   }
-#endif
   service.stop();
   const IngestStats stats = service.stats();
   EXPECT_EQ(stats.admitted, 10u);
@@ -283,11 +271,9 @@ TEST(IngestAdmission, LatencySheddingRejectsThenRecoversOnceDrained) {
   EXPECT_EQ(stats.rejected_depth, 0u);
   EXPECT_EQ(stats.rejected_latency, shed);
   EXPECT_GT(stats.rejected_latency, 0u);
-#if RS_TELEM_COMPILED
   EXPECT_EQ(metric("ingest.shed_total") - shed_before,
             static_cast<std::int64_t>(stats.rejected_latency));
   EXPECT_EQ(metric("ingest.rejected_depth_total") - depth_before, 0);
-#endif
 }
 
 // ------------------------------------------------------ batch close rule

@@ -1,12 +1,13 @@
 // Partitioned n*-rebuild (DESIGN.md §6): the shadow-generation migration
 // must keep every mid-migration schedule valid, keep the audit and the
 // fulfillment-cache verifier clean at every request, and converge to a
-// state byte-identical with the stop-the-world path (rebuild_batch =
-// SIZE_MAX, which rebuilds every active set inside its boundary request) —
+// state byte-identical with the stop-the-world pace (rebuild_batch =
+// SIZE_MAX, which flushes every migration inside its boundary request) —
 // proven by identical snapshots AND identical per-request behavior on a
 // probe suffix after the migration drains.
 #include <gtest/gtest.h>
 
+#include <deque>
 #include <limits>
 #include <unordered_map>
 #include <vector>
@@ -49,8 +50,8 @@ void expect_identical_snapshots(const ReservationScheduler& a,
   }
 }
 
-// rebuild_batch is also the synchronous-rebuild cutoff: at its maximum every
-// n* change rebuilds stop-the-world inside the boundary request.
+// rebuild_batch is also the flush cutoff: at its maximum every n* change
+// finishes its migration inside the boundary request.
 constexpr std::size_t kStopTheWorld = std::numeric_limits<std::size_t>::max();
 
 SchedulerOptions base_options() {
@@ -196,9 +197,9 @@ TEST(PartitionedRebuild, DifferentialByteIdenticalWithStopTheWorld) {
 }
 
 TEST(PartitionedRebuild, SmallSetsRebuildSynchronouslyLikeStopTheWorld) {
-  // Active sets <= rebuild_batch take the stop-the-world path: per-request
-  // stats must match the stop-the-world scheduler exactly, including the boundary
-  // request's rebuilt flag and moved count.
+  // Active sets <= rebuild_batch flush their migration inside the boundary
+  // request: per-request stats must match the stop-the-world pace exactly,
+  // including the boundary request's rebuilt flag and moved count.
   ReservationScheduler partitioned(base_options());
   SchedulerOptions stw_options = base_options();
   stw_options.rebuild_batch = kStopTheWorld;
@@ -234,10 +235,35 @@ TEST(PartitionedRebuild, BoundaryAndSwapRequestsReportRebuilt) {
   EXPECT_EQ(s.n_star(), 128u);
 }
 
-TEST(PartitionedRebuild, RetiredGenerationDrainsAndArenaIsReused) {
+TEST(PartitionedRebuild, SetWithinOneBudgetFlipsInsideItsBoundaryRequest) {
+  // The first doubling (9 jobs, default rebuild_batch 64) fits one
+  // request's budget: the boundary request runs the whole migration and
+  // flips, leaving only the retired generation's deferred trim behind.
+  ReservationScheduler s(base_options());
+  std::uint64_t next = 1;
+  RequestStats stats;
+  do {
+    stats = s.insert(JobId{next++}, Window{0, 1024});
+  } while (!stats.rebuilt);
+  ASSERT_LE(s.active_jobs(), s.options().rebuild_batch);
+  EXPECT_EQ(s.n_star(), 16u);
+  EXPECT_FALSE(s.rebuild_in_flight()) << "boundary request left a migration in flight";
+  EXPECT_TRUE(s.retired_pending()) << "the flip retired no generation";
+
+  // Neutral insert/erase pairs: one trim step per request, no trigger.
+  const unsigned levels = s.options().levels.level_count();
+  for (unsigned i = 0; i <= levels && s.retired_pending(); ++i) {
+    const JobId probe{next++};
+    s.insert(probe, Window{0, 64});
+    s.erase(probe);
+  }
+  EXPECT_FALSE(s.retired_pending()) << "deferred trim did not drain";
+  ASSERT_NO_THROW(s.audit());
+}
+
+TEST(PartitionedRebuild, RetiredGenerationDrainsAndArenaStaysBounded) {
   // After a migration completes, the retired generation must drain within
-  // a few requests (one level per request), and the stop-the-world reset
-  // path must reuse arena chunks instead of growing without bound.
+  // a few requests (one level per request).
   SchedulerOptions options = base_options();
   options.rebuild_batch = 16;
   ReservationScheduler s(options);
@@ -259,27 +285,55 @@ TEST(PartitionedRebuild, RetiredGenerationDrainsAndArenaIsReused) {
   }
   EXPECT_FALSE(s.retired_pending()) << "deferred trim did not drain";
 
-  // Stop-the-world arena reuse: repeated stop-the-world rebuilds must recycle
-  // the same chunks (blocks_reused grows across the rebuild cycle).
+  // Stop-the-world pace over repeated grow/shrink cycles: every flip
+  // lands in its boundary request, each retired generation drains within
+  // a few requests of its flip, and the live arenas reserve no more at the
+  // end of a cycle than at the end of the first.
   SchedulerOptions stw_options = base_options();
   stw_options.rebuild_batch = kStopTheWorld;
-  ReservationScheduler lr(stw_options);
-  const auto reused_total = [&lr] {
+  ReservationScheduler stw(stw_options);
+  // One trim step per level, then the old occupancy/job tables.
+  const unsigned levels = stw_options.levels.level_count();
+  const std::size_t drain_requests = levels + 1;
+  const auto reserved_total = [&stw, levels] {
     std::size_t total = 0;
-    for (unsigned level = 1; level <= 2; ++level) {
-      total += lr.arena_stats(level).blocks_reused;
+    for (unsigned level = 1; level < levels; ++level) {
+      total += stw.arena_stats(level).bytes_reserved;
     }
     return total;
   };
+  std::size_t flips = 0;
+  std::size_t since_flip = 0;
+  const auto after_request = [&](const RequestStats& stats) {
+    if (stats.rebuilt) {
+      ++flips;
+      since_flip = 0;
+      EXPECT_FALSE(stw.rebuild_in_flight()) << "flip " << flips;
+    } else if (++since_flip >= drain_requests) {
+      EXPECT_FALSE(stw.retired_pending())
+          << since_flip << " requests after flip " << flips;
+    }
+  };
   std::uint64_t id = 1;
-  for (unsigned i = 0; i < 300; ++i) lr.insert(JobId{id++}, Window{0, 4096});
-  const std::size_t before = reused_total();
-  std::vector<JobId> doomed;
-  for (unsigned i = 0; i < 280; ++i) doomed.push_back(JobId{i + 1});
-  for (const JobId job : doomed) lr.erase(job);    // halving rebuilds
-  for (unsigned i = 0; i < 300; ++i) lr.insert(JobId{id++}, Window{0, 4096});
-  const std::size_t after = reused_total();
-  EXPECT_GT(after, before) << "rebuild reset must reuse arena blocks";
+  std::deque<JobId> active;
+  std::vector<std::size_t> reserved;
+  for (int cycle = 0; cycle < 4; ++cycle) {
+    for (unsigned i = 0; i < 300; ++i) {
+      const JobId job{id++};
+      after_request(stw.insert(job, Window{0, 4096}));
+      active.push_back(job);
+    }
+    while (active.size() > 20) {  // halving rebuilds
+      after_request(stw.erase(active.front()));
+      active.pop_front();
+    }
+    reserved.push_back(reserved_total());
+  }
+  EXPECT_GE(flips, 4u * 6) << "cycles never exercised the rebuild";
+  ASSERT_GT(reserved.front(), 0u);
+  for (std::size_t cycle = 1; cycle < reserved.size(); ++cycle) {
+    EXPECT_LE(reserved[cycle], reserved.front()) << "arena grew by cycle " << cycle;
+  }
 }
 
 TEST(PartitionedRebuild, HalvingBoundariesMigrateToo) {

@@ -25,9 +25,6 @@
 namespace reasched::telemetry {
 namespace {
 
-static_assert(RS_TELEM_COMPILED == 1,
-              "telemetry_test must build against the instrumented flavor");
-
 /// Every test runs against the process-global registry; scrub shared state
 /// so tests stay order-independent.
 class TelemetryTest : public ::testing::Test {

@@ -100,7 +100,7 @@ REGISTRY = {
         # independent. The 1.05 ceiling IS the acceptance criterion —
         # always-on telemetry keeps >= 0.95x the gated-off throughput —
         # so it binds absolutely, not relative to the baseline. Only the
-        # "on" / "compiled-out" rows carry the field; the trace tier's
+        # "on" / "scrape" rows carry the field; the trace tier's
         # cost is recorded (trace_overhead_ratio) but not gated.
         "keys": ["case", "n", "mode"],
         "metrics": {"telemetry_overhead_ratio": ("lower", None, 1.05)},
