@@ -7,10 +7,18 @@
 // snapshots; the sharded service (ShardedScheduler::Options::wal)
 // recovers from its log alone. The log half is shared by both: the WAL's
 // torn tail is truncated at the last valid checksum and the surviving
-// record suffix is pushed through the scheduler's *normal* request path —
-// the same determinism the partitioned-rebuild differentials rest on
-// makes the recovered instance byte-identical to an uninterrupted twin
-// that served exactly the surviving prefix (tests/crash_recovery_test.cpp).
+// record suffix is replayed through the scheduler's batch path, apply(),
+// in fixed-size batches. The sharded service thereby recovers through its
+// scan/plan/apply fan-out; DurableScheduler's single ReservationScheduler
+// takes the default sequential apply(). Unless a replayed insert is
+// rejected, the recovered instance is byte-identical to an uninterrupted
+// twin that served exactly the surviving prefix one request at a time
+// (tests/crash_recovery_test.cpp): the golden digests pin the batch path
+// to the sequential one. A sharded replay batch that rejects an insert
+// rolls its sub-batch back to an equivalent but not bit-identical state
+// (sharded_scheduler.hpp), as the live batch did, so slots may differ from
+// the live process and from a one-request-at-a-time replay. Only
+// OverflowPolicy::kThrow rejects; kBestEffort pipelines never do.
 #pragma once
 
 #include <cstdint>
@@ -28,7 +36,7 @@ struct RecoveryReport {
   std::uint64_t snapshot_csn = 0;
   /// Highest CSN folded into the recovered state (snapshot or replay).
   std::uint64_t last_csn = 0;
-  /// WAL records replayed through the request path.
+  /// WAL records replayed (every surviving record past the snapshot).
   std::uint64_t replayed = 0;
   /// Replayed inserts rejected (InfeasibleError) — deterministic re-runs
   /// of rejections the live process already reported — plus erases of
@@ -47,19 +55,24 @@ struct RecoveryReport {
 /// The log half of construction-is-recovery, shared by DurableScheduler
 /// and ShardedScheduler: creates `policy.dir` if missing, reads its log,
 /// truncates the torn tail, replays every record with csn >
-/// report.snapshot_csn through `target`'s request path (updating
-/// replayed / rejected_replays / last_csn / torn_tail), then opens
-/// `writer` to append where the surviving log ends.
+/// report.snapshot_csn through `target.apply()` in fixed-size batches
+/// (updating replayed / rejected_replays / last_csn / torn_tail), then
+/// opens `writer` to append where the surviving log ends.
 ///
-/// Replayed inserts that throw InfeasibleError count as rejected, and
-/// erases of those jobs are skipped — the batch API's rejection
-/// semantics, which is what the live process reported to its caller. A
+/// Replayed inserts that apply() rejects count as rejected, and erases of
+/// those jobs are skipped — the batch API's rejection semantics, which is
+/// what the live process reported to its caller. One set of rejected ids
+/// spans the whole replay, so the rule holds across batch boundaries: an
+/// erase whose insert an earlier batch rejected never reaches apply(). A
 /// snapshot ahead of the log's surviving prefix (the log tail was lost
 /// under sync_every == 0) leaves nothing to replay; the snapshot stands.
 ///
-/// Throws CorruptInput for a garbled log header, and for a directory an
-/// older per-shard build wrote (a wal-001.log next to the log): recovering
-/// only wal-000.log would silently drop the other shards' requests.
+/// Throws CorruptInput for a garbled log header; for a directory an older
+/// per-shard build wrote (a wal-001.log next to the log), since
+/// recovering only wal-000.log would silently drop the other shards'
+/// requests; and for a checksummed record that violates a request
+/// precondition (the writers log none), naming the replay batch's CSN
+/// range. None of these cuts the log beyond its torn tail.
 void recover_log(const DurabilityPolicy& policy, IReallocScheduler& target,
                  RecoveryReport& report, WalWriter& writer);
 

@@ -253,13 +253,12 @@ WalReadResult read_wal(const std::string& path) {
     // these bytes, so a malformed record here is real corruption worth
     // keeping — but still bounded to this file, so degrade like a tear
     // rather than aborting recovery.
+    const std::size_t frame_start = result.records.size();
     try {
       ByteSource body(payload, payload_len);
-      std::vector<WalRecord> frame_records;
-      while (!body.exhausted()) frame_records.push_back(get_record(body));
-      result.records.insert(result.records.end(), frame_records.begin(),
-                            frame_records.end());
+      while (!body.exhausted()) result.records.push_back(get_record(body));
     } catch (const CorruptInput&) {
+      result.records.resize(frame_start);  // the frame is all or nothing
       result.torn_tail = true;
       break;
     }

@@ -82,8 +82,9 @@ class IReallocScheduler {
 /// moot, rejected without reaching `scheduler`. Returns whether the request
 /// was served; only then is `stats` written. Precondition violations
 /// propagate exactly as from insert()/erase(). The rule's one
-/// implementation: every in-order batch loop, WAL recovery included,
-/// serves through it.
+/// implementation: every in-order batch loop serves through it (WAL
+/// recovery replays through apply() and carries the rule across its
+/// batches).
 bool serve_request(IReallocScheduler& scheduler, const Request& request,
                    FlatHashSet<JobId>& rejected_ids, RequestStats& stats);
 

@@ -35,10 +35,11 @@ ShardedScheduler::ShardedScheduler(unsigned machines, const Factory& factory,
   label_ = "sharded[s=" + std::to_string(shards_) + "," + std::to_string(machines) +
            "x " + machines_.front()->name() + "]";
   if (options.wal) {
-    // Construction is recovery. The replay runs through the sequential
-    // request path with logging still off, so it does not re-log;
-    // delegation is deterministic, so the recovered service matches a twin
-    // that served exactly the surviving log.
+    // Construction is recovery. The replay runs through apply() in
+    // batches, so it uses the scan/plan/apply fan-out; logging is still
+    // off, so it does not re-log. Delegation is deterministic, so the
+    // recovered service matches a twin that served exactly the surviving
+    // log one request at a time.
     durability::recover_log(*options.wal, *this, recovery_report_, wal_);
     csn_ = recovery_report_.last_csn;
     wal_logging_ = true;

@@ -98,9 +98,10 @@ class ShardedScheduler final : public IReallocScheduler {
     /// Durability tier (DESIGN.md §9) — the multi-machine log writer: when
     /// set, every request is appended write-ahead, in CSN order on the
     /// caller thread, to the single log wal->dir/wal-000.log, and
-    /// *construction is recovery* — the log's intact prefix is replayed
-    /// through the sequential request path by durability::recover_log
-    /// (DurableScheduler's routine) before any new request is accepted.
+    /// *construction is recovery* — durability::recover_log
+    /// (DurableScheduler's routine) replays the log's intact prefix
+    /// through apply() in batches, on the `shards` threads, before any
+    /// new request is accepted.
     /// BatchResult::first_csn / last_csn report each batch's CSN range.
     /// On one machine, served one request at a time, the log is
     /// byte-identical to DurableScheduler's (golden_digest_test).
