@@ -3,18 +3,19 @@
 // Two questions, one binary:
 //
 //  1. What does the WAL cost on the E12 hot path? The same churn trace is
-//     served three ways in one process — plain ReservationScheduler
-//     ("off"), DurableScheduler with buffered frames ("wal", fsync only at
-//     explicit sync points), and DurableScheduler with fsync-per-frame
-//     ("wal-sync"). `overhead_ratio` = plain ops/sec over mode ops/sec
-//     (1.0 = free; the PR criterion is <= 1.15 for buffered "wal").
-//     In-binary ratio, so machine-speed-independent and CI-gated.
+//     served three ways in one process, each through a one-machine
+//     ShardedScheduler (the durable front end at m = 1): without a WAL
+//     ("off"), with buffered frames ("wal", fsync only at explicit sync
+//     points), and with fsync-per-frame ("wal-sync"). `overhead_ratio` =
+//     "off" ops/sec over mode ops/sec, so it prices the log alone (1.0 =
+//     free; the PR criterion is <= 1.15 for buffered "wal"). In-binary
+//     ratio, so machine-speed-independent and CI-gated.
 //
 //  2. How long does recovery take as a function of the replayed log
 //     suffix? A log of L records (snapshots disabled) is recovered cold,
-//     timed; a final row recovers the same workload *with* snapshots
-//     enabled to show the snapshot cutting the suffix to O(churn since
-//     last flip). Absolute ms — recorded, not gated.
+//     timed; a second row recovers the same workload *with* flip
+//     snapshots to show the snapshot cutting the suffix to O(churn since
+//     the last flip). Absolute ms — recorded, not gated.
 #include <algorithm>
 #include <chrono>
 #include <cstdio>
@@ -23,7 +24,6 @@
 #include <vector>
 
 #include "common.hpp"
-#include "durability/durable_scheduler.hpp"
 #include "durability/recovery.hpp"
 #include "durability/wal.hpp"
 
@@ -31,7 +31,6 @@ namespace reasched::bench {
 namespace {
 
 using durability::DurabilityPolicy;
-using durability::DurableScheduler;
 
 struct TempDir {
   std::string path;
@@ -63,6 +62,15 @@ SchedulerOptions scheduler_options() {
   SchedulerOptions options;
   options.overflow = OverflowPolicy::kBestEffort;
   return options;
+}
+
+/// The service on one machine, durable in `policy` when given.
+ShardedScheduler one_machine(const DurabilityPolicy* policy) {
+  ShardedScheduler::Options options;
+  if (policy != nullptr) options.wal = *policy;
+  return ShardedScheduler(
+      1, [] { return std::make_unique<ReservationScheduler>(scheduler_options()); },
+      options);
 }
 
 struct ChurnRun {
@@ -163,16 +171,16 @@ int run(int argc, char** argv) {
   // ---- 1. WAL overhead on the E12 hot path -------------------------------
   for (const std::size_t n : sizes) {
     const std::vector<Request> trace = trace_for(n, churn);
-    ReservationScheduler plain(scheduler_options());
+    ShardedScheduler plain = one_machine(nullptr);
     TempDir wal_dir, sync_dir;
     DurabilityPolicy wal_policy;
     wal_policy.dir = wal_dir.path;
     wal_policy.sync_every = 0;  // buffered: frames written, fsync deferred
-    DurableScheduler buffered(wal_policy, scheduler_options());
+    ShardedScheduler buffered = one_machine(&wal_policy);
     DurabilityPolicy sync_policy;
     sync_policy.dir = sync_dir.path;
     sync_policy.sync_every = 1;  // every frame fsync'd before ack
-    DurableScheduler synced(sync_policy, scheduler_options());
+    ShardedScheduler synced = one_machine(&sync_policy);
 
     std::vector<ModeRun> modes = {{"off", &plain, 0, {}, {}, {}},
                                   {"wal", &buffered, 0, {}, {}, {}},
@@ -212,21 +220,12 @@ int run(int argc, char** argv) {
       policy.snapshot_on_flip = with_snapshots;
       const std::vector<Request> trace = trace_for(suffix / 4, suffix);
       {
-        DurableScheduler durable(policy, scheduler_options());
-        for (const Request& r : trace) {
-          if (r.kind == RequestKind::kInsert) {
-            try {
-              durable.insert(r.job, r.window);
-            } catch (const InfeasibleError&) {
-            }
-          } else {
-            durable.erase(r.job);
-          }
-        }
-        durable.sync();
+        ShardedScheduler durable = one_machine(&policy);
+        for (const Request& r : trace) serve_one(durable, r);
+        durable.sync_wal();
       }
       const auto start = std::chrono::steady_clock::now();
-      DurableScheduler recovered(policy, scheduler_options());
+      const ShardedScheduler recovered = one_machine(&policy);
       const double seconds =
           std::chrono::duration<double>(std::chrono::steady_clock::now() - start)
               .count();

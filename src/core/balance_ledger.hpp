@@ -163,18 +163,60 @@ class BalanceLedger {
   void audit_window(const Window& w) const {
     const BalanceState* balance = windows_.find(w);
     if (balance == nullptr) return;
-    const std::uint64_t m = machines_;
-    const std::uint64_t floor_share = balance->count / m;
-    const std::uint64_t extras = balance->count % m;
-    std::uint64_t total = 0;
-    for (std::uint64_t i = 0; i < m; ++i) {
-      const std::uint64_t share = balance->per_machine[i].size();
-      const std::uint64_t expected = floor_share + (i < extras ? 1 : 0);
-      RS_CHECK(share == expected,
-               "audit_balance: machine share deviates from round-robin invariant");
-      total += share;
+    RS_CHECK(balanced(*balance),
+             "audit_balance: machine share deviates from round-robin invariant");
+  }
+
+  /// f(job, window, machine) for every delegated job.
+  template <class F>
+  void for_each_job(F&& f) const {
+    windows_.for_each([&](const Window& w, const BalanceState& balance) {
+      for (MachineId machine = 0; machine < machines_; ++machine) {
+        balance.per_machine[machine].for_each(
+            [&](const JobId& id) { f(id, w, machine); });
+      }
+    });
+  }
+
+  /// Serializes every window's per-machine pools in their dense order, the
+  /// order plan_erase's pool.back() pick reads, so a reloaded ledger makes
+  /// the same decisions. n_W is the pools' total and is not stored.
+  template <class Sink>
+  void serialize(Sink& sink) const {
+    sink.u64(windows_.size());
+    windows_.for_each([&](const Window& w, const BalanceState& balance) {
+      sink.i64(w.start);
+      sink.i64(w.end);
+      for (const auto& pool : balance.per_machine) {
+        pool.serialize(sink, [](Sink& out, const JobId& id) { out.u64(id.value); });
+      }
+    });
+  }
+
+  /// Loads serialize()'s bytes into this empty ledger. Malformed input, an
+  /// empty or repeated window, and shares that break Lemma 3 are rejected
+  /// through source.corrupt().
+  template <class Source>
+  void deserialize(Source& source) {
+    const std::uint64_t count = source.u64();
+    if (count > source.remaining()) {
+      source.corrupt("BalanceLedger::deserialize: window count exceeds the input");
     }
-    RS_CHECK(total == balance->count, "audit_balance: count mismatch");
+    for (std::uint64_t i = 0; i < count; ++i) {
+      Window w;
+      w.start = source.i64();
+      w.end = source.i64();
+      const auto [balance, fresh] = windows_.try_emplace(w);
+      if (!fresh) source.corrupt("BalanceLedger::deserialize: duplicate window");
+      ensure_pools(*balance);
+      for (auto& pool : balance->per_machine) {
+        pool.deserialize(source, [](Source& in, JobId& id) { id.value = in.u64(); });
+        balance->count += pool.size();
+      }
+      if (balance->count == 0 || !balanced(*balance)) {
+        source.corrupt("BalanceLedger::deserialize: shares break Lemma 3");
+      }
+    }
   }
 
   /// Incremental audit: re-verifies only the windows whose balance state
@@ -230,6 +272,17 @@ class BalanceLedger {
     std::uint64_t count = 0;                       // n_W
     std::vector<DenseHashSet<JobId>> per_machine;  // W-jobs per machine
   };
+
+  /// Lemma 3 for one window: machine i holds ⌊n_W/m⌋ jobs, plus one for
+  /// the first n_W mod m machines.
+  [[nodiscard]] bool balanced(const BalanceState& balance) const {
+    for (std::uint64_t i = 0; i < machines_; ++i) {
+      const std::uint64_t expected =
+          balance.count / machines_ + (i < balance.count % machines_ ? 1 : 0);
+      if (balance.per_machine[i].size() != expected) return false;
+    }
+    return true;
+  }
 
   void mark_dirty(const Window& w) {
     if (track_dirty_) dirty_.mark(w);

@@ -88,12 +88,16 @@ void IncrementalRebuildScheduler::maybe_trigger(RequestStats& stats) {
   }
 }
 
-RequestStats IncrementalRebuildScheduler::insert(JobId id, Window window) {
+void IncrementalRebuildScheduler::check_window(Window window) const {
   RS_REQUIRE(window.valid() && window.aligned(),
              "IncrementalRebuildScheduler::insert: window must be aligned");
   RS_REQUIRE(window.span() >= 2,
              "IncrementalRebuildScheduler::insert: span-1 windows cannot "
              "survive the even/odd split");
+}
+
+RequestStats IncrementalRebuildScheduler::insert(JobId id, Window window) {
+  check_window(window);
   RS_REQUIRE(!jobs_.contains(id),
              "IncrementalRebuildScheduler::insert: id already active");
 

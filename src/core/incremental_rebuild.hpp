@@ -51,6 +51,7 @@ class IncrementalRebuildScheduler final : public IReallocScheduler {
   /// the parity split; γ-underallocated instances never contain one).
   RequestStats insert(JobId id, Window window) override;
   RequestStats erase(JobId id) override;
+  void check_window(Window window) const override;
 
   [[nodiscard]] Schedule snapshot() const override;
   [[nodiscard]] std::size_t active_jobs() const override { return jobs_.size(); }

@@ -1152,13 +1152,17 @@ ReservationScheduler::ArenaStats ReservationScheduler::arena_stats(
                     arena.chunk_count(), arena.bytes_reserved()};
 }
 
-RequestStats ReservationScheduler::insert(JobId id, Window window) {
+void ReservationScheduler::check_window(Window window) const {
   RS_REQUIRE(window.valid(), "ReservationScheduler::insert: empty window");
   RS_REQUIRE(window.aligned(),
              "ReservationScheduler::insert: window must be aligned (use "
              "ReallocatingScheduler for arbitrary windows)");
   RS_REQUIRE(static_cast<u64>(window.span()) <= options_.levels.span_limit(),
              "ReservationScheduler::insert: span exceeds the level table limit");
+}
+
+RequestStats ReservationScheduler::insert(JobId id, Window window) {
+  check_window(window);
   RS_REQUIRE(!jobs_.contains(id), "ReservationScheduler::insert: id already active");
 
   // Request-rate sites sample their duration 1-in-8 (exact when tracing);

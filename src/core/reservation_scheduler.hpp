@@ -146,6 +146,10 @@ class ReservationScheduler final : public IReallocScheduler {
   /// Serves ⟨DELETEJOB, id⟩. `id` must be active.
   RequestStats erase(JobId id) override;
 
+  /// insert()'s window preconditions: non-empty, aligned, and a span
+  /// within the level table's limit.
+  void check_window(Window window) const override;
+
   /// Materializes the current feasible assignment. Always complete and
   /// collision-free — including mid-migration, when it reflects the (still
   /// fully valid) old generation.

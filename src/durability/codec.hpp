@@ -75,9 +75,6 @@ class ByteSink {
   [[nodiscard]] const std::vector<std::byte>& bytes() const noexcept { return buf_; }
   [[nodiscard]] std::size_t size() const noexcept { return buf_.size(); }
   void clear() noexcept { buf_.clear(); }
-  /// Shrinks back to `size` (which must not exceed the current size) —
-  /// drops bytes appended since a caller-taken mark.
-  void truncate(std::size_t size) { buf_.resize(size); }
 
  private:
   std::vector<std::byte> buf_;
@@ -118,6 +115,14 @@ class ByteSource {
     need(len);
     std::memcpy(out, data_ + pos_, len);
     pos_ += len;
+  }
+
+  /// Consumes the next `len` bytes and returns a reader over just them.
+  [[nodiscard]] ByteSource sub(std::uint64_t len) {
+    if (len > remaining()) throw CorruptInput("durability: truncated input");
+    const ByteSource inner(data_ + pos_, static_cast<std::size_t>(len));
+    pos_ += static_cast<std::size_t>(len);
+    return inner;
   }
 
   [[nodiscard]] std::size_t remaining() const noexcept { return len_ - pos_; }

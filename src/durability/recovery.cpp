@@ -43,7 +43,7 @@ void recover_log(const DurabilityPolicy& policy, IReallocScheduler& target,
     try {
       result = target.apply(batch);
     } catch (const ContractViolation& e) {
-      // Neither live writer logs a precondition-violating request, so a
+      // The service logs no precondition-violating request, so a
       // checksummed record that violates one is corruption.
       throw CorruptInput("wal: invalid record among csn " +
                          std::to_string(batch_first_csn) + ".." +

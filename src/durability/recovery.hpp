@@ -1,21 +1,18 @@
 // Crash recovery: newest valid snapshot + WAL-suffix replay (DESIGN.md §9).
 //
-// Recovery never trusts any single artifact. Snapshots are tried newest
-// first and any corrupt one is skipped (falling back to an older snapshot,
-// or to an empty scheduler with full-log replay) — that scan lives in
-// DurableScheduler, the single-machine front end and the only one that
-// snapshots; the sharded service (ShardedScheduler::Options::wal)
-// recovers from its log alone. The log half is shared by both: the WAL's
-// torn tail is truncated at the last valid checksum and the surviving
-// record suffix is replayed through the scheduler's batch path, apply(),
-// in fixed-size batches. The sharded service thereby recovers through its
-// scan/plan/apply fan-out; DurableScheduler's single ReservationScheduler
-// takes the default sequential apply(). Unless a replayed insert is
-// rejected, the recovered instance is byte-identical to an uninterrupted
-// twin that served exactly the surviving prefix one request at a time
+// Recovery never trusts any single artifact. ShardedScheduler, the one
+// durable front end, tries its snapshots newest first and skips any that
+// fails to load (falling back to an older snapshot, or to empty machines
+// with a full-log replay); each attempt starts on fresh machines. The log
+// half is recover_log below: the WAL's torn tail is truncated at the last
+// valid checksum and the surviving record suffix is replayed through the
+// service's batch path, apply(), in fixed-size batches, so recovery uses
+// the scan/plan/apply fan-out. Unless a replayed insert is rejected, the
+// recovered instance is byte-identical to an uninterrupted twin that
+// served exactly the surviving prefix one request at a time
 // (tests/crash_recovery_test.cpp): the golden digests pin the batch path
-// to the sequential one. A sharded replay batch that rejects an insert
-// rolls its sub-batch back to an equivalent but not bit-identical state
+// to the sequential one. A replay batch that rejects an insert rolls its
+// sub-batch back to an equivalent but not bit-identical state
 // (sharded_scheduler.hpp), as the live batch did, so slots may differ from
 // the live process and from a one-request-at-a-time replay. Only
 // OverflowPolicy::kThrow rejects; kBestEffort pipelines never do.
@@ -52,8 +49,8 @@ struct RecoveryReport {
   }
 };
 
-/// The log half of construction-is-recovery, shared by DurableScheduler
-/// and ShardedScheduler: creates `policy.dir` if missing, reads its log,
+/// The log half of ShardedScheduler's construction-is-recovery: creates
+/// `policy.dir` if missing, reads its log,
 /// truncates the torn tail, replays every record with csn >
 /// report.snapshot_csn through `target.apply()` in fixed-size batches
 /// (updating replayed / rejected_replays / last_csn / torn_tail), then
@@ -71,7 +68,7 @@ struct RecoveryReport {
 /// per-shard build wrote (a wal-001.log next to the log), since
 /// recovering only wal-000.log would silently drop the other shards'
 /// requests; and for a checksummed record that violates a request
-/// precondition (the writers log none), naming the replay batch's CSN
+/// precondition (the service logs none), naming the replay batch's CSN
 /// range. None of these cuts the log beyond its torn tail.
 void recover_log(const DurabilityPolicy& policy, IReallocScheduler& target,
                  RecoveryReport& report, WalWriter& writer);

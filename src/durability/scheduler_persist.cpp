@@ -54,6 +54,12 @@ std::uint64_t SchedulerPersist::options_fingerprint(const SchedulerOptions& o) {
   return h;
 }
 
+bool SchedulerPersist::holds(const ReservationScheduler& s, JobId id,
+                             const Window& window) {
+  const ReservationScheduler::JobState* job = s.jobs_.find(id);
+  return job != nullptr && job->original == window;
+}
+
 void SchedulerPersist::save(const ReservationScheduler& s, ByteSink& sink) {
   RS_REQUIRE(s.migration_ == nullptr,
              "SchedulerPersist::save: rebuild migration in flight (snapshot "

@@ -20,12 +20,13 @@
 //     (the same escalation path a fresh engine attach uses).
 //
 // Saving requires a quiescent scheduler: no partitioned-rebuild migration
-// in flight. The snapshot trigger guarantees that by firing at the
-// generation flip (src/durability/durable_scheduler.*).
+// in flight. ShardedScheduler's snapshot trigger guarantees that by
+// deferring a due snapshot to a boundary where no machine is migrating.
 #pragma once
 
 #include <cstdint>
 
+#include "base/types.hpp"
 #include "durability/codec.hpp"
 
 namespace reasched {
@@ -45,6 +46,11 @@ struct SchedulerPersist {
   /// does any malformed input). On success the attached audit engine (if
   /// any) is escalated with mark_all().
   static void load(ReservationScheduler& s, ByteSource& source);
+
+  /// Whether `s` holds job `id` with `window` as its submitted window: a
+  /// loader's cross-check of a directory kept outside the image.
+  [[nodiscard]] static bool holds(const ReservationScheduler& s, JobId id,
+                                  const Window& window);
 
   /// Fingerprint of the options fields that shape serialized state and
   /// replay determinism. Stored in every snapshot and checked on load.

@@ -11,9 +11,7 @@
 #include <cstdio>
 #include <cstring>
 
-#include "core/reservation_scheduler.hpp"
 #include "durability/crashpoint.hpp"
-#include "durability/scheduler_persist.hpp"
 #include "util/assert.hpp"
 #include "util/crc32c.hpp"
 
@@ -78,9 +76,9 @@ std::vector<std::uint64_t> list_snapshots(const std::string& dir) {
 }
 
 void write_snapshot(const std::string& dir, std::uint64_t csn,
-                    const ReservationScheduler& s, const DurabilityPolicy& policy) {
+                    const PayloadWriter& write_payload, const DurabilityPolicy& policy) {
   ByteSink payload;
-  SchedulerPersist::save(s, payload);
+  write_payload(payload);
   ByteSink trailer;
   trailer.u64(payload.size());
   trailer.u32(crc32c(payload.bytes().data(), payload.size()));
@@ -126,7 +124,7 @@ void write_snapshot(const std::string& dir, std::uint64_t csn,
   }
 }
 
-bool load_snapshot(const std::string& path, ReservationScheduler& s) {
+bool load_snapshot(const std::string& path, const PayloadReader& read_payload) {
   const int fd = ::open(path.c_str(), O_RDONLY | O_CLOEXEC);
   if (fd < 0) return false;
   std::vector<std::byte> file;
@@ -155,7 +153,7 @@ bool load_snapshot(const std::string& path, ReservationScheduler& s) {
   if (crc32c(file.data(), payload_len) != expect_crc) return false;
   try {
     ByteSource source(file.data(), payload_len);
-    SchedulerPersist::load(s, source);
+    read_payload(source);
   } catch (const CorruptInput&) {
     return false;
   }

@@ -8,9 +8,9 @@
 // functions of the request stream, so replaying the requests through the
 // normal apply path reproduces the exact scheduler state (the same
 // determinism argument the partitioned-rebuild differential tests rest
-// on). Every durable front end — DurableScheduler and the sharded
-// service alike — writes exactly one log, wal-000.log, in CSN order, so
-// the file's intact prefix *is* the request stream recovery replays.
+// on). The durable front end, ShardedScheduler with Options::wal, writes
+// exactly one log, wal-000.log, in CSN order, so the file's intact prefix
+// *is* the request stream recovery replays.
 //
 // On-disk format. A log file is a 16-byte header
 //
@@ -48,13 +48,15 @@ struct DurabilityPolicy {
   std::uint64_t sync_every = 0;
   /// Cut a frame once the buffered payload reaches this size.
   std::size_t frame_bytes = 16 * 1024;
-  /// Also snapshot every N logged records (0 = only at generation flips).
+  /// Snapshot once N records have been logged since the last snapshot
+  /// (0 = never on a cadence).
   std::uint64_t snapshot_every = 0;
-  /// Snapshot when a partitioned n*-rebuild completes its generation flip
-  /// (the state is quiescent and the request already carries rebuild-scale
-  /// work, so the serialization pass hides in a boundary that already pays
-  /// the Θ(n) moved-job count).
-  bool snapshot_on_flip = true;
+  /// Snapshot after a request that flips a machine's n*-rebuild (its
+  /// `rebuilt` stat is set): that boundary already carries rebuild-scale
+  /// work, so the serialization pass hides in it. Off by default. Like a
+  /// cadence snapshot, it waits until no machine has a migration in
+  /// flight (ShardedScheduler::Options::wal).
+  bool snapshot_on_flip = false;
   /// Snapshots retained per directory; older ones are pruned after each
   /// successful write (>= 1; the previous snapshot is the fallback when a
   /// crash lands mid-snapshot-write).
@@ -106,46 +108,26 @@ class WalWriter {
   void open(const std::string& path, const DurabilityPolicy& policy);
   [[nodiscard]] bool is_open() const noexcept { return fd_ >= 0; }
 
-  /// Buffers and commits one record; cuts a frame at the policy's
-  /// frame_bytes. The same encoder as the split calls below.
+  /// Buffers one record and cuts a frame at the policy's frame_bytes. The
+  /// per-request call on the durable hot path (E17 gates its overhead);
+  /// keep it inline.
   void append(const WalRecord& record) {
     if (record.type == WalRecordType::kInsert) {
-      append_insert(record.csn, record.job, record.window);
+      std::byte* out = buffer_.grow(33);
+      out[0] = static_cast<std::byte>(WalRecordType::kInsert);
+      store_u64(out + 1, record.csn);
+      store_u64(out + 9, record.job.value);
+      store_u64(out + 17, static_cast<std::uint64_t>(record.window.start));
+      store_u64(out + 25, static_cast<std::uint64_t>(record.window.end));
     } else {
-      append_erase(record.csn, record.job);
+      std::byte* out = buffer_.grow(17);
+      out[0] = static_cast<std::byte>(WalRecordType::kErase);
+      store_u64(out + 1, record.csn);
+      store_u64(out + 9, record.job.value);
     }
-    commit_record();
+    ++buffered_records_;
+    if (buffer_.size() - kWalFrameHeaderBytes >= policy_.frame_bytes) flush();
   }
-  /// The record encoder, split from commit_record(): each call encodes one
-  /// record straight into the frame buffer. These are the per-request
-  /// calls on the durable hot path (E17 gates their overhead); keep them
-  /// inline.
-  ///
-  /// The record is only *buffered*: nothing can reach disk until the
-  /// matching commit_record(), so a caller that interleaves the append
-  /// with a fallible operation (DurableScheduler's write-ahead ordering
-  /// around the inner scheduler) can still rollback_to(mark) — a
-  /// precondition-violating request then never touches the log.
-  [[nodiscard]] std::size_t mark() const noexcept { return buffer_.size(); }
-  void append_insert(std::uint64_t csn, JobId id, Window window) {
-    std::byte* out = buffer_.grow(33);
-    out[0] = static_cast<std::byte>(WalRecordType::kInsert);
-    store_u64(out + 1, csn);
-    store_u64(out + 9, id.value);
-    store_u64(out + 17, static_cast<std::uint64_t>(window.start));
-    store_u64(out + 25, static_cast<std::uint64_t>(window.end));
-  }
-  void append_erase(std::uint64_t csn, JobId id) {
-    std::byte* out = buffer_.grow(17);
-    out[0] = static_cast<std::byte>(WalRecordType::kErase);
-    store_u64(out + 1, csn);
-    store_u64(out + 9, id.value);
-  }
-  /// Counts the buffered record and cuts a frame at frame_bytes.
-  void commit_record() { appended(); }
-  /// Drops everything buffered since `mark` (still in this frame — commit
-  /// has not run, so none of it has been written).
-  void rollback_to(std::size_t mark) { buffer_.truncate(mark); }
   /// Writes any buffered records out as a frame (no fsync of its own).
   void flush();
   /// flush() + fsync, unconditionally.
@@ -168,12 +150,6 @@ class WalWriter {
       out[i] = static_cast<std::byte>(v >> (8 * i));
     }
   }
-  /// Shared tail of every append: count + the frame-cut check.
-  void appended() {
-    ++buffered_records_;
-    if (buffer_.size() - kWalFrameHeaderBytes >= policy_.frame_bytes) flush();
-  }
-
   void write_all(const void* data, std::size_t len);
   void reset_frame();
 

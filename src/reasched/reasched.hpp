@@ -26,7 +26,6 @@
 #include "baseline/rigid_block_sim.hpp"
 
 #include "durability/crashpoint.hpp"
-#include "durability/durable_scheduler.hpp"
 #include "durability/recovery.hpp"
 #include "durability/snapshot.hpp"
 #include "durability/wal.hpp"

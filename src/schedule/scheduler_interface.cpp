@@ -22,6 +22,10 @@ bool serve_request(IReallocScheduler& scheduler, const Request& request,
   return true;
 }
 
+void IReallocScheduler::check_window(Window window) const {
+  RS_REQUIRE(window.valid(), name() + "::insert: empty window");
+}
+
 BatchResult IReallocScheduler::apply(std::span<const Request> batch) {
   BatchResult result;
   result.stats.resize(batch.size());

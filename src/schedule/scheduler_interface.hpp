@@ -55,6 +55,13 @@ class IReallocScheduler {
   /// Serves ⟨DELETEJOB, id⟩. `id` must be active.
   virtual RequestStats erase(JobId id) = 0;
 
+  /// Throws ContractViolation when insert() would refuse `window` as a
+  /// precondition violation, whatever the id; returns otherwise. The
+  /// default requires a non-empty window. A front end that logs a request
+  /// before its machine sees it (ShardedScheduler with a WAL) checks here
+  /// first, so no precondition-violating insert reaches the log.
+  virtual void check_window(Window window) const;
+
   /// Serves a batch of requests, in order. The default implementation is a
   /// sequential per-request loop (insert/erase) that downgrades per-request
   /// InfeasibleError to a `rejected` entry; overrides may amortize

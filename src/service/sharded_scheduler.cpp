@@ -4,6 +4,10 @@
 #include <atomic>
 #include <utility>
 
+#include "core/reservation_scheduler.hpp"
+#include "durability/crashpoint.hpp"
+#include "durability/scheduler_persist.hpp"
+#include "durability/snapshot.hpp"
 #include "telemetry/registry.hpp"
 #include "util/assert.hpp"
 
@@ -15,15 +19,51 @@ unsigned clamp_shards(unsigned shards, unsigned machines) {
   return std::min(std::max(shards, 1u), std::max(machines, 1u));
 }
 
+// Leads every service snapshot payload; bumped on any change to its layout.
+constexpr std::uint64_t kServiceSnapshotMagic = 0x3130304356535352ULL;  // "RSSVC001"
+
 }  // namespace
 
 ShardedScheduler::ShardedScheduler(unsigned machines, const Factory& factory,
                                    Options options)
-    : shards_(clamp_shards(options.shards, machines)),
-      ledger_(machines),
-      pool_(shards_ - 1) {
+    : shards_(clamp_shards(options.shards, machines)), pool_(shards_ - 1) {
   RS_REQUIRE(machines >= 1, "ShardedScheduler: need at least one machine");
   telemetry::enable(options.telemetry);
+  build_machines(machines, factory);
+  label_ = "sharded[s=" + std::to_string(shards_) + "," + std::to_string(machines) +
+           "x " + machines_.front()->name() + "]";
+  if (!options.wal) return;
+  policy_ = std::move(*options.wal);
+  const bool snapshots = policy_.snapshot_every > 0 || policy_.snapshot_on_flip;
+  for (const auto& machine : machines_) {
+    RS_REQUIRE(!snapshots || dynamic_cast<ReservationScheduler*>(machine.get()),
+               "ShardedScheduler: snapshots need ReservationScheduler machines");
+  }
+  // Construction is recovery: the newest snapshot that loads, each attempt
+  // on fresh machines, then the log suffix. The replay runs through
+  // apply() in batches, so it uses the scan/plan/apply fan-out; logging is
+  // still off, so it does not re-log. Delegation is deterministic, so the
+  // recovered service matches a twin that served exactly the surviving
+  // log one request at a time.
+  for (const std::uint64_t csn : durability::list_snapshots(policy_.dir)) {
+    if (durability::load_snapshot(durability::snapshot_path(policy_.dir, csn),
+                                  [this](durability::ByteSource& in) { load_state(in); })) {
+      recovery_report_.snapshot_csn = csn;
+      recovery_report_.last_csn = csn;
+      break;
+    }
+    ++recovery_report_.snapshots_skipped;
+    build_machines(machines, factory);
+  }
+  durability::recover_log(policy_, *this, recovery_report_, wal_);
+  csn_ = recovery_report_.last_csn;
+  snapshot_csn_ = recovery_report_.snapshot_csn;
+  wal_logging_ = true;
+  snapshots_ = snapshots;
+}
+
+void ShardedScheduler::build_machines(unsigned machines, const Factory& factory) {
+  machines_.clear();
   machines_.reserve(machines);
   for (unsigned i = 0; i < machines; ++i) {
     auto scheduler = factory();
@@ -32,18 +72,8 @@ ShardedScheduler::ShardedScheduler(unsigned machines, const Factory& factory,
                "ShardedScheduler: inner schedulers must be single-machine");
     machines_.push_back(std::move(scheduler));
   }
-  label_ = "sharded[s=" + std::to_string(shards_) + "," + std::to_string(machines) +
-           "x " + machines_.front()->name() + "]";
-  if (options.wal) {
-    // Construction is recovery. The replay runs through apply() in
-    // batches, so it uses the scan/plan/apply fan-out; logging is still
-    // off, so it does not re-log. Delegation is deterministic, so the
-    // recovered service matches a twin that served exactly the surviving
-    // log one request at a time.
-    durability::recover_log(*options.wal, *this, recovery_report_, wal_);
-    csn_ = recovery_report_.last_csn;
-    wal_logging_ = true;
-  }
+  ledger_ = BalanceLedger(machines);
+  jobs_.clear();
 }
 
 // ---------------------------------------------------------- durability tier
@@ -60,22 +90,107 @@ void ShardedScheduler::sync_wal() {
   if (wal_.is_open()) wal_.sync();
 }
 
+void ShardedScheduler::maybe_snapshot(bool flipped) {
+  flip_due_ = flip_due_ || (flipped && policy_.snapshot_on_flip);
+  const bool cadence_due =
+      policy_.snapshot_every > 0 && csn_ - snapshot_csn_ >= policy_.snapshot_every;
+  if (!flip_due_ && !cadence_due) return;
+  // SchedulerPersist::save needs a quiescent machine: a due snapshot waits
+  // for the first boundary at which no machine has a migration in flight.
+  for (const auto& machine : machines_) {
+    if (dynamic_cast<const ReservationScheduler&>(*machine).rebuild_in_flight()) return;
+  }
+  RS_TELEM_DURATION(kSnapshotHist, "wal.snapshot");
+  RS_TELEM_SPAN(snapshot_span, kSnapshotHist, "wal.snapshot");
+  // The log must be durable through csn_ before a snapshot claims that
+  // CSN — otherwise a crash right after the snapshot could recover state
+  // the (shorter) log can no longer extend consistently.
+  wal_.sync();
+  if (flip_due_ && durability::CrashPoint::due("flip")) {
+    // Fault injection: die after the flip's request and its log record but
+    // before the flip snapshot — recovery must come up from the previous
+    // snapshot plus the full surviving suffix.
+    durability::CrashPoint::die();
+  }
+  durability::write_snapshot(
+      policy_.dir, csn_, [this](durability::ByteSink& out) { save_state(out); }, policy_);
+  snapshot_csn_ = csn_;
+  flip_due_ = false;
+}
+
+// Payload: magic | machine count u32 | per machine, its SchedulerPersist
+// image as u64 length + bytes | the BalanceLedger. The job directory is
+// the ledger's pools, so it is rebuilt on load rather than stored.
+void ShardedScheduler::save_state(durability::ByteSink& out) const {
+  out.u64(kServiceSnapshotMagic);
+  out.u32(static_cast<std::uint32_t>(machines_.size()));
+  for (const auto& machine : machines_) {
+    durability::ByteSink image;
+    durability::SchedulerPersist::save(dynamic_cast<const ReservationScheduler&>(*machine),
+                                       image);
+    out.u64(image.size());
+    out.byte_block(image.bytes().data(), image.size());
+  }
+  ledger_.serialize(out);
+}
+
+void ShardedScheduler::load_state(durability::ByteSource& in) {
+  using durability::CorruptInput;
+  if (in.u64() != kServiceSnapshotMagic) throw CorruptInput("snapshot: bad service magic");
+  if (in.u32() != machines_.size()) throw CorruptInput("snapshot: machine count mismatch");
+  std::vector<const ReservationScheduler*> loaded;
+  for (const auto& machine : machines_) {
+    auto* persisted = dynamic_cast<ReservationScheduler*>(machine.get());
+    if (persisted == nullptr) throw CorruptInput("snapshot: machine cannot load an image");
+    durability::ByteSource image = in.sub(in.u64());
+    durability::SchedulerPersist::load(*persisted, image);
+    loaded.push_back(persisted);
+  }
+  ledger_.deserialize(in);
+  if (!in.exhausted()) throw CorruptInput("snapshot: trailing bytes");
+  // Every ledger pool must be exactly its machine's job set, windows
+  // included: ids are unique across pools, each is held by its machine,
+  // and the per-machine counts match.
+  std::vector<std::size_t> delegated(machines_.size(), 0);
+  ledger_.for_each_job([&](JobId id, const Window& window, MachineId machine) {
+    const auto [info, fresh] = jobs_.try_emplace(id);
+    if (!fresh || !durability::SchedulerPersist::holds(*loaded[machine], id, window)) {
+      throw CorruptInput("snapshot: ledger disagrees with machine " +
+                         std::to_string(machine));
+    }
+    *info = JobInfo{window, machine};
+    ++delegated[machine];
+  });
+  for (std::size_t machine = 0; machine < machines_.size(); ++machine) {
+    if (delegated[machine] != machines_[machine]->active_jobs()) {
+      throw CorruptInput("snapshot: ledger disagrees with machine " +
+                         std::to_string(machine));
+    }
+  }
+}
+
 std::string ShardedScheduler::name() const { return label_; }
 
 // ---------------------------------------------------------- sequential path
 
+void ShardedScheduler::check_window(Window window) const {
+  for (const auto& machine : machines_) machine->check_window(window);
+}
+
 RequestStats ShardedScheduler::insert(JobId id, Window window) {
-  RS_REQUIRE(window.valid(), "ShardedScheduler::insert: empty window");
+  const MachineId machine = ledger_.plan_insert(window);
+  // Every precondition is checked before the record is logged.
+  machines_[machine]->check_window(window);
   RS_REQUIRE(!jobs_.contains(id), "ShardedScheduler::insert: id already active");
   // Write-ahead; a rejection replays as a rejection.
   log_request(RequestKind::kInsert, id, window);
 
-  const MachineId machine = ledger_.plan_insert(window);
   // The ledger commits only after the machine accepted, so a rejected
   // insert leaves no trace.
   const RequestStats stats = machines_[machine]->insert(id, window);
   ledger_.commit_insert(id, window, machine);
   jobs_[id] = JobInfo{window, machine};
+  if (snapshots_ && wal_logging_) maybe_snapshot(stats.rebuilt);
   return stats;
 }
 
@@ -108,6 +223,7 @@ RequestStats ShardedScheduler::erase(JobId id) {
     ++stats.reallocations;
     ++stats.migrations;
   }
+  if (snapshots_ && wal_logging_) maybe_snapshot(stats.rebuilt);
   return stats;
 }
 
@@ -164,6 +280,7 @@ BatchResult ShardedScheduler::apply(std::span<const Request> batch) {
     result.last_csn = csn_;
   }
   wal_.flush();  // batch boundary = frame boundary
+  if (snapshots_) maybe_snapshot(result.total.rebuilt);
   return result;
 }
 
@@ -180,7 +297,9 @@ std::size_t ShardedScheduler::scan_subbatch(std::span<const Request> batch,
     const Request& request = batch[i];
     const bool* entry = active.find(request.job);
     if (request.kind == RequestKind::kInsert) {
-      RS_REQUIRE(request.window.valid(), "ShardedScheduler::apply: empty window");
+      // Every machine's window preconditions, before any CSN or ledger
+      // commit: the plan picks the machine only later.
+      check_window(request.window);
       if (entry != nullptr) {
         // Id already touched in this sub-batch. If it still looks active,
         // this insert is either a genuine double insert or a legal retry

@@ -95,19 +95,21 @@ class ShardedScheduler final : public IReallocScheduler {
     /// Threads that run the apply phase: the caller plus shards - 1 pool
     /// workers. Clamped to [1, machines]; 1 runs every task on the caller.
     unsigned shards = 1;
-    /// Durability tier (DESIGN.md §9) — the multi-machine log writer: when
-    /// set, every request is appended write-ahead, in CSN order on the
-    /// caller thread, to the single log wal->dir/wal-000.log, and
-    /// *construction is recovery* — durability::recover_log
-    /// (DurableScheduler's routine) replays the log's intact prefix
+    /// Durability tier (DESIGN.md §9), the repository's one durable front
+    /// end (one machine is m = 1): when set, every request is appended
+    /// write-ahead, in CSN order on the caller thread, to the single log
+    /// wal->dir/wal-000.log, after every precondition check. Snapshots
+    /// (wal->snapshot_every / snapshot_on_flip; a flip is any machine's
+    /// request with `rebuilt` set) hold every machine's SchedulerPersist
+    /// image and the BalanceLedger at one CSN; a due snapshot is written
+    /// at the first request or batch boundary at which no machine has a
+    /// migration in flight, and asking for snapshots requires
+    /// ReservationScheduler machines. *Construction is recovery*: the
+    /// newest loadable snapshot, each attempt on fresh machines from the
+    /// factory, then durability::recover_log replays the log suffix
     /// through apply() in batches, on the `shards` threads, before any
     /// new request is accepted.
     /// BatchResult::first_csn / last_csn report each batch's CSN range.
-    /// On one machine, served one request at a time, the log is
-    /// byte-identical to DurableScheduler's (golden_digest_test).
-    /// Snapshots are not taken at this layer (per-machine generation
-    /// boundaries are not service-wide quiescent points); recovery cost
-    /// grows with the log.
     std::optional<durability::DurabilityPolicy> wal;
     /// Runtime gate for the telemetry tier (src/telemetry/, DESIGN.md §10):
     /// construction flips the process-wide recording switches (turn-on
@@ -124,6 +126,9 @@ class ShardedScheduler final : public IReallocScheduler {
   RequestStats insert(JobId id, Window window) override;
   RequestStats erase(JobId id) override;
   BatchResult apply(std::span<const Request> batch) override;
+  /// Every machine's window preconditions: apply() checks them before the
+  /// plan picks the machine.
+  void check_window(Window window) const override;
 
   [[nodiscard]] Schedule snapshot() const override;
   [[nodiscard]] std::size_t active_jobs() const override { return jobs_.size(); }
@@ -190,10 +195,20 @@ class ShardedScheduler final : public IReallocScheduler {
 
   enum Status : std::uint8_t { kServed = 0, kRejected = 1 };
 
+  /// Fresh machines from `factory`, with an empty ledger and directory.
+  void build_machines(unsigned machines, const Factory& factory);
+
   /// Assigns the next CSN and appends the request's record to the log,
   /// write-ahead on the caller thread. No-op while logging is suspended
   /// (recovery replay, sub-batch sequential re-run).
   void log_request(RequestKind kind, JobId id, Window window);
+
+  /// The snapshot trigger at a request or batch boundary; `flipped` when
+  /// one of its requests had `rebuilt` set.
+  void maybe_snapshot(bool flipped);
+  void save_state(durability::ByteSink& out) const;
+  /// Loads save_state()'s bytes into fresh machines; throws CorruptInput.
+  void load_state(durability::ByteSource& in);
 
   std::size_t scan_subbatch(std::span<const Request> batch, std::size_t first,
                             std::vector<std::uint8_t>& status,
@@ -219,10 +234,14 @@ class ShardedScheduler final : public IReallocScheduler {
   std::string label_;
 
   // Durability tier (closed/zero when Options::wal is unset).
+  durability::DurabilityPolicy policy_{};
   durability::WalWriter wal_;
   durability::RecoveryReport recovery_report_{};
   std::uint64_t csn_ = 0;
+  std::uint64_t snapshot_csn_ = 0;  // of the last snapshot written or loaded
   bool wal_logging_ = false;
+  bool snapshots_ = false;  // the policy asks for snapshots
+  bool flip_due_ = false;   // a flip snapshot waits for quiescence
 };
 
 }  // namespace reasched

@@ -1,16 +1,19 @@
 // Kill-at-random-point crash-recovery differentials (DESIGN.md §9).
 //
-// Each case forks a child that runs a churn workload against a
-// DurableScheduler with a CrashPoint armed at a random countdown — the
-// child dies mid-WAL-frame, mid-snapshot-write, just before a snapshot
-// rename, or at the generation flip, via _exit(137) with no cleanup,
-// exactly like SIGKILL landing mid-syscall. The parent then recovers from
-// whatever the child left on disk and compares against an uninterrupted
-// twin that served the same durable prefix [1, last_csn]:
+// Each case forks a child that runs a churn workload against the durable
+// front end — a ShardedScheduler with a WAL and snapshots, on one machine
+// served one request at a time, or on four machines and two shards served
+// in batches — with a CrashPoint armed at a random countdown. The child
+// dies mid-WAL-frame, mid-snapshot-write, just before a snapshot rename,
+// or just before a flip snapshot, via _exit(137) with no cleanup, exactly
+// like SIGKILL landing mid-syscall. The parent then recovers from whatever
+// the child left on disk and compares against an uninterrupted twin (the
+// same machines, no WAL) that served the same durable prefix [1, last_csn]
+// one request at a time:
 //
 //   * schedules byte-identical (machine + slot for every job),
-//   * scalar state identical (n*, parked, active),
-//   * the full invariant audit passes on the recovered instance,
+//   * scalar state identical per machine (n*, parked), and active jobs,
+//   * the full invariant audit passes on every recovered machine,
 //   * both keep serving the remaining trace suffix in lockstep.
 //
 // The full matrix (seeds × kill sites, >= 32 seeds) carries the "slow"
@@ -30,7 +33,6 @@
 
 #include "core/reservation_scheduler.hpp"
 #include "durability/crashpoint.hpp"
-#include "durability/durable_scheduler.hpp"
 #include "durability/recovery.hpp"
 #include "durability/wal.hpp"
 #include "service/reallocating_scheduler.hpp"
@@ -43,7 +45,16 @@ namespace {
 
 using durability::CrashPoint;
 using durability::DurabilityPolicy;
-using durability::DurableScheduler;
+
+/// One crash-matrix configuration: the machine count, the apply threads,
+/// and the batch the child serves in (0 = one request at a time).
+struct Setup {
+  unsigned machines = 1;
+  unsigned shards = 1;
+  std::size_t batch = 0;
+};
+constexpr Setup kOneMachine{};
+constexpr Setup kFourMachines{4, 2, 64};
 
 struct TempDir {
   std::string path;
@@ -59,11 +70,12 @@ struct TempDir {
   }
 };
 
-std::vector<Request> churn_trace(std::uint64_t seed) {
+std::vector<Request> churn_trace(std::uint64_t seed, unsigned machines = 1) {
   ChurnParams params;
   params.seed = seed;
   params.requests = 3'000;
   params.target_active = 512;
+  params.machines = machines;
   params.min_span = 64;
   params.max_span = 4096;
   params.placement = WindowPlacement::kNestedHotspots;
@@ -83,9 +95,39 @@ DurabilityPolicy crash_policy(const std::string& dir) {
   policy.frame_bytes = 512;   // many frames → many "wal.frame" hits
   policy.sync_every = 1;      // every frame durable: crash loses <1 frame
   policy.snapshot_every = 400;
+  policy.snapshot_on_flip = true;
   policy.keep_snapshots = 3;
   return policy;
 }
+
+/// A ShardedScheduler of `setup`'s shape, durable in `dir` when given. The
+/// factory keeps every machine it builds; once construction returns, the
+/// last setup.machines of them are the service's (recovery builds a fresh
+/// set per snapshot attempt).
+struct Service {
+  std::vector<ReservationScheduler*> built;
+  ShardedScheduler scheduler;
+
+  Service(const Setup& setup, const std::string* dir)
+      : scheduler(setup.machines,
+                  [this] {
+                    auto machine = std::make_unique<ReservationScheduler>(base_options());
+                    built.push_back(machine.get());
+                    return machine;
+                  },
+                  options(setup, dir)) {}
+
+  ReservationScheduler& machine(unsigned index) {
+    return *built[built.size() - scheduler.machines() + index];
+  }
+
+  static ShardedScheduler::Options options(const Setup& setup, const std::string* dir) {
+    ShardedScheduler::Options options;
+    options.shards = setup.shards;
+    if (dir != nullptr) options.wal = crash_policy(*dir);
+    return options;
+  }
+};
 
 void serve_tolerant(IReallocScheduler& s, const Request& r) {
   if (r.kind == RequestKind::kInsert) {
@@ -114,21 +156,29 @@ void expect_identical_schedules(const Schedule& sa, const Schedule& sb,
 /// Returns true when the child actually died at the crashpoint (it may
 /// finish the whole trace first when the countdown exceeds the number of
 /// hits — the matrix spans countdowns on purpose, so both happen).
-bool run_child_until_crash(const std::string& dir, const std::vector<Request>& trace,
-                           const char* site, std::uint64_t countdown) {
+bool run_child_until_crash(const std::string& dir, const Setup& setup,
+                           const std::vector<Request>& trace, const char* site,
+                           std::uint64_t countdown) {
   const pid_t pid = ::fork();
   if (pid == 0) {
     // Child. No gtest machinery in here: any throw or assert-failure must
     // surface as a non-137 exit so the parent flags it.
     try {
       CrashPoint::arm(site, countdown);
-      DurableScheduler durable(crash_policy(dir), base_options());
+      Service durable(setup, &dir);
+      ShardedScheduler& service = durable.scheduler;
       // Resume from the recovered CSN: requests [1, csn] are already in the
       // durable state (a fresh dir recovers to 0 and serves everything).
-      for (std::uint64_t i = durable.csn(); i < trace.size(); ++i) {
-        serve_tolerant(durable, trace[i]);
+      for (std::size_t i = service.csn(); i < trace.size();) {
+        if (setup.batch == 0) {
+          serve_tolerant(service, trace[i++]);
+          continue;
+        }
+        const std::size_t n = std::min(setup.batch, trace.size() - i);
+        service.apply({trace.data() + i, n});
+        i += n;
       }
-      durable.sync();
+      service.sync_wal();
     } catch (const std::exception& error) {
       std::fprintf(stderr, "crash child: %s\n", error.what());
       ::_exit(1);
@@ -147,68 +197,85 @@ bool run_child_until_crash(const std::string& dir, const std::vector<Request>& t
 }
 
 /// The differential: recover from `dir`, rebuild a twin from the trace
-/// prefix [1, last_csn] through a plain scheduler, compare exhaustively,
-/// then run BOTH through the rest of the trace and compare again.
-void verify_recovery(const std::string& dir, const std::vector<Request>& trace,
-                     const std::string& where) {
-  DurableScheduler recovered(crash_policy(dir), base_options());
-  const std::uint64_t cut = recovered.csn();
+/// prefix [1, last_csn] through the same machines without a WAL, compare
+/// exhaustively, then run BOTH through the rest of the trace and compare
+/// again.
+void verify_recovery(const std::string& dir, const Setup& setup,
+                     const std::vector<Request>& trace, const std::string& where) {
+  Service recovered(setup, &dir);
+  const std::uint64_t cut = recovered.scheduler.csn();
   ASSERT_LE(cut, trace.size()) << where;
 
-  ReservationScheduler twin(base_options());
-  for (std::uint64_t i = 0; i < cut; ++i) serve_tolerant(twin, trace[i]);
+  Service twin(setup, nullptr);
+  for (std::uint64_t i = 0; i < cut; ++i) serve_tolerant(twin.scheduler, trace[i]);
 
-  expect_identical_schedules(twin.snapshot(), recovered.snapshot(), where);
-  EXPECT_EQ(twin.n_star(), recovered.inner().n_star()) << where;
-  EXPECT_EQ(twin.parked_jobs(), recovered.inner().parked_jobs()) << where;
-  EXPECT_EQ(twin.active_jobs(), recovered.active_jobs()) << where;
-  recovered.inner().audit();
+  const auto compare = [&](const std::string& when) {
+    expect_identical_schedules(twin.scheduler.snapshot(), recovered.scheduler.snapshot(),
+                               when);
+    EXPECT_EQ(twin.scheduler.active_jobs(), recovered.scheduler.active_jobs()) << when;
+    for (unsigned m = 0; m < setup.machines; ++m) {
+      EXPECT_EQ(twin.machine(m).n_star(), recovered.machine(m).n_star()) << when;
+      EXPECT_EQ(twin.machine(m).parked_jobs(), recovered.machine(m).parked_jobs()) << when;
+      recovered.machine(m).audit();
+    }
+    recovered.scheduler.audit_balance();
+  };
+  compare(where);
 
   for (std::uint64_t i = cut; i < trace.size(); ++i) {
-    serve_tolerant(twin, trace[i]);
-    serve_tolerant(recovered, trace[i]);
+    serve_tolerant(twin.scheduler, trace[i]);
+    serve_tolerant(recovered.scheduler, trace[i]);
   }
-  expect_identical_schedules(twin.snapshot(), recovered.snapshot(),
-                             where + " (post-crash suffix)");
-  recovered.inner().audit();
+  compare(where + " (post-crash suffix)");
 }
 
 constexpr const char* kSites[] = {"wal.frame", "snapshot.mid", "snapshot.rename",
                                   "flip"};
 
 /// One matrix cell: crash seed `seed` at `site`, recover, differential.
-void kill_and_recover(std::uint64_t seed, const char* site) {
+/// Returns whether the child died at the crashpoint.
+bool kill_and_recover(std::uint64_t seed, const char* site,
+                      const Setup& setup = kOneMachine) {
   TempDir dir;
-  const std::vector<Request> trace = churn_trace(seed);
+  const std::vector<Request> trace = churn_trace(seed, setup.machines);
   // Countdown sampled per (seed, site): early, mid, and late kills all
-  // occur across the matrix. "flip"/snapshot sites are hit tens of times
-  // per run, "wal.frame" thousands of times.
+  // occur across the matrix. Snapshot sites are hit a few to tens of times
+  // per run, "wal.frame" about 160 times (3,000 records in 512-byte frames).
   Rng rng(seed * 1000003 + std::hash<std::string_view>{}(site));
   const bool frequent = std::string_view(site) == "wal.frame";
-  const std::uint64_t countdown = rng.uniform(1, frequent ? 2048 : 6);
+  const std::uint64_t countdown = rng.uniform(1, frequent ? 128 : 6);
 
-  const bool crashed = run_child_until_crash(dir.path, trace, site, countdown);
+  const bool crashed = run_child_until_crash(dir.path, setup, trace, site, countdown);
   const std::string where = std::string(site) + " seed=" + std::to_string(seed) +
+                            " machines=" + std::to_string(setup.machines) +
                             " countdown=" + std::to_string(countdown) +
                             (crashed ? "" : " (ran to completion)");
-  verify_recovery(dir.path, trace, where);
+  verify_recovery(dir.path, setup, trace, where);
+  return crashed;
+}
+
+/// The fast gate's slice for one kill site: two seeds, at least one of
+/// which must actually die there.
+void kill_two_seeds(const char* site, const Setup& setup = kOneMachine) {
+  bool crashed = false;
+  for (std::uint64_t seed : {1u, 2u}) crashed = kill_and_recover(seed, site, setup) || crashed;
+  EXPECT_TRUE(crashed) << site << ": no child reached the crashpoint";
 }
 
 // ---------------------------------------------------------- fast PR gate
 
 // A 2-seed slice of the matrix per kill site — fast enough for the PR
 // gate, still exercising every crashpoint and the full differential.
-TEST(CrashRecoveryFast, WalFrame) {
-  for (std::uint64_t seed : {1u, 2u}) kill_and_recover(seed, "wal.frame");
-}
-TEST(CrashRecoveryFast, SnapshotMid) {
-  for (std::uint64_t seed : {1u, 2u}) kill_and_recover(seed, "snapshot.mid");
-}
-TEST(CrashRecoveryFast, SnapshotRename) {
-  for (std::uint64_t seed : {1u, 2u}) kill_and_recover(seed, "snapshot.rename");
-}
-TEST(CrashRecoveryFast, GenerationFlip) {
-  for (std::uint64_t seed : {1u, 2u}) kill_and_recover(seed, "flip");
+TEST(CrashRecoveryFast, WalFrame) { kill_two_seeds("wal.frame"); }
+TEST(CrashRecoveryFast, SnapshotMid) { kill_two_seeds("snapshot.mid"); }
+TEST(CrashRecoveryFast, SnapshotRename) { kill_two_seeds("snapshot.rename"); }
+TEST(CrashRecoveryFast, GenerationFlip) { kill_two_seeds("flip"); }
+
+// The service snapshot on four machines and two shards, served in batches:
+// one file holds every machine's image and the ledger.
+TEST(CrashRecoveryFast, ShardedSnapshotMid) { kill_two_seeds("snapshot.mid", kFourMachines); }
+TEST(CrashRecoveryFast, ShardedSnapshotRename) {
+  kill_two_seeds("snapshot.rename", kFourMachines);
 }
 
 // Crash during *recovery's own* compensating work: kill a child that is
@@ -216,19 +283,29 @@ TEST(CrashRecoveryFast, GenerationFlip) {
 TEST(CrashRecoveryFast, CrashDuringRecovery) {
   TempDir dir;
   const std::vector<Request> trace = churn_trace(99);
-  ASSERT_TRUE(run_child_until_crash(dir.path, trace, "wal.frame", 40));
+  ASSERT_TRUE(run_child_until_crash(dir.path, kOneMachine, trace, "wal.frame", 40));
   // Second child: recovers the torn dir, keeps serving, dies again later.
-  ASSERT_TRUE(run_child_until_crash(dir.path, trace, "wal.frame", 60));
-  verify_recovery(dir.path, trace, "double crash");
+  ASSERT_TRUE(run_child_until_crash(dir.path, kOneMachine, trace, "wal.frame", 60));
+  verify_recovery(dir.path, kOneMachine, trace, "double crash");
 }
 
 // ------------------------------------------------------- full kill matrix
 
-// >= 32 seeds x 4 kill sites, randomized countdowns. Slow lane only.
+// >= 32 seeds x 4 kill sites, randomized countdowns, on one machine; and
+// 8 seeds x 4 kill sites on four machines. Slow lane only.
 TEST(CrashRecoveryMatrix, KillAtRandomPoints) {
   for (std::uint64_t seed = 1; seed <= 32; ++seed) {
     for (const char* site : kSites) {
       kill_and_recover(seed, site);
+      if (::testing::Test::HasFatalFailure()) return;
+    }
+  }
+}
+
+TEST(CrashRecoveryMatrix, ShardedKillAtRandomPoints) {
+  for (std::uint64_t seed = 1; seed <= 8; ++seed) {
+    for (const char* site : kSites) {
+      kill_and_recover(seed, site, kFourMachines);
       if (::testing::Test::HasFatalFailure()) return;
     }
   }

@@ -1,6 +1,8 @@
 // Durability tier (DESIGN.md §9): WAL framing + checksums, snapshot
-// round-trips, recovery differentials, graceful degradation on corrupt or
-// missing durable state, and the audit engine's post-recovery reseed.
+// round-trips, recovery differentials of the durable front end
+// (ShardedScheduler with a WAL, one machine and several), graceful
+// degradation on corrupt or missing durable state, the snapshot decoder
+// on untrusted bytes, and the audit engine's post-recovery reseed.
 // Kill-at-random-point process crashes live in crash_recovery_test.cpp;
 // this suite covers everything reachable without dying.
 #include <gtest/gtest.h>
@@ -20,8 +22,8 @@
 #include <vector>
 
 #include "core/reservation_scheduler.hpp"
-#include "durability/durable_scheduler.hpp"
 #include "durability/recovery.hpp"
+#include "durability/scheduler_persist.hpp"
 #include "durability/snapshot.hpp"
 #include "durability/wal.hpp"
 #include "schedule/validator.hpp"
@@ -37,7 +39,6 @@ namespace reasched {
 namespace {
 
 using durability::DurabilityPolicy;
-using durability::DurableScheduler;
 using durability::WalReadResult;
 using durability::WalRecord;
 using durability::WalWriter;
@@ -80,6 +81,36 @@ SchedulerOptions base_options() {
 RequestStats serve(IReallocScheduler& s, const Request& r) {
   return r.kind == RequestKind::kInsert ? s.insert(r.job, r.window) : s.erase(r.job);
 }
+
+ShardedScheduler::Options wal_options(const DurabilityPolicy& policy, unsigned shards = 1) {
+  ShardedScheduler::Options options;
+  options.shards = shards;
+  options.wal = policy;
+  return options;
+}
+
+/// The durable front end: a ShardedScheduler with a WAL. The factory keeps
+/// every machine it builds; once construction returns, the last
+/// `machines` of them are the service's (recovery builds a fresh set per
+/// snapshot attempt), so tests can audit the machines themselves.
+struct DurableService {
+  std::vector<ReservationScheduler*> built;
+  ShardedScheduler service;
+
+  DurableService(const DurabilityPolicy& policy, const SchedulerOptions& options,
+                 unsigned machines = 1, unsigned shards = 1)
+      : service(machines,
+                [this, options] {
+                  auto machine = std::make_unique<ReservationScheduler>(options);
+                  built.push_back(machine.get());
+                  return machine;
+                },
+                wal_options(policy, shards)) {}
+
+  ReservationScheduler& machine(unsigned index = 0) {
+    return *built[built.size() - service.machines() + index];
+  }
+};
 
 void expect_identical_schedules(const Schedule& sa, const Schedule& sb,
                                 const char* where) {
@@ -297,6 +328,20 @@ TEST(Wal, MissingFileAndForeignHeader) {
 
 // --------------------------------------------------------------- snapshots
 
+// One machine's SchedulerPersist image as a snapshot payload.
+void write_machine_snapshot(const std::string& dir, std::uint64_t csn,
+                            const ReservationScheduler& s, const DurabilityPolicy& policy) {
+  durability::write_snapshot(
+      dir, csn,
+      [&s](durability::ByteSink& out) { durability::SchedulerPersist::save(s, out); },
+      policy);
+}
+
+bool load_machine_snapshot(const std::string& path, ReservationScheduler& s) {
+  return durability::load_snapshot(
+      path, [&s](durability::ByteSource& in) { durability::SchedulerPersist::load(s, in); });
+}
+
 TEST(Snapshot, RoundTripIsByteIdenticalAndContinuesInLockstep) {
   TempDir dir;
   const SchedulerOptions options = base_options();
@@ -311,11 +356,11 @@ TEST(Snapshot, RoundTripIsByteIdenticalAndContinuesInLockstep) {
   }
   DurabilityPolicy policy;
   policy.dir = dir.path;
-  durability::write_snapshot(dir.path, 1, original, policy);
+  write_machine_snapshot(dir.path, 1, original, policy);
 
   ReservationScheduler recovered(options);
   ASSERT_TRUE(
-      durability::load_snapshot(durability::snapshot_path(dir.path, 1), recovered));
+      load_machine_snapshot(durability::snapshot_path(dir.path, 1), recovered));
   expect_identical_schedules(original.snapshot(), recovered.snapshot(), "post-load");
   EXPECT_EQ(original.n_star(), recovered.n_star());
   EXPECT_EQ(original.parked_jobs(), recovered.parked_jobs());
@@ -344,7 +389,7 @@ TEST(Snapshot, CorruptionIsDetectedNotTrusted) {
   ASSERT_FALSE(s.rebuild_in_flight());
   DurabilityPolicy policy;
   policy.dir = dir.path;
-  durability::write_snapshot(dir.path, 5, s, policy);
+  write_machine_snapshot(dir.path, 5, s, policy);
   const std::string path = durability::snapshot_path(dir.path, 5);
 
   // Bit flip in the middle: CRC catches it.
@@ -361,12 +406,12 @@ TEST(Snapshot, CorruptionIsDetectedNotTrusted) {
   }
   {
     ReservationScheduler fresh(options);
-    EXPECT_FALSE(durability::load_snapshot(path, fresh));
+    EXPECT_FALSE(load_machine_snapshot(path, fresh));
   }
 
   // Truncation (a crash mid-rename of a future overwrite, disk trouble):
   // the length/CRC trailer no longer matches.
-  durability::write_snapshot(dir.path, 5, s, policy);  // rewrite intact
+  write_machine_snapshot(dir.path, 5, s, policy);  // rewrite intact
   {
     std::fstream file(path, std::ios::binary | std::ios::in | std::ios::out);
     file.seekg(0, std::ios::end);
@@ -375,13 +420,13 @@ TEST(Snapshot, CorruptionIsDetectedNotTrusted) {
   }
   {
     ReservationScheduler fresh(options);
-    EXPECT_FALSE(durability::load_snapshot(path, fresh));
+    EXPECT_FALSE(load_machine_snapshot(path, fresh));
   }
 
   // Missing file.
   {
     ReservationScheduler fresh(options);
-    EXPECT_FALSE(durability::load_snapshot(dir.path + "/snap-99.snap", fresh));
+    EXPECT_FALSE(load_machine_snapshot(dir.path + "/snap-99.snap", fresh));
   }
 }
 
@@ -393,13 +438,13 @@ TEST(Snapshot, OptionsFingerprintMismatchRefusesToLoad) {
   ASSERT_FALSE(s.rebuild_in_flight());
   DurabilityPolicy policy;
   policy.dir = dir.path;
-  durability::write_snapshot(dir.path, 1, s, policy);
+  write_machine_snapshot(dir.path, 1, s, policy);
 
   SchedulerOptions other = options;
   other.gamma = 16;  // placement-shaping knob → incompatible state
   ReservationScheduler fresh(other);
   EXPECT_FALSE(
-      durability::load_snapshot(durability::snapshot_path(dir.path, 1), fresh));
+      load_machine_snapshot(durability::snapshot_path(dir.path, 1), fresh));
 }
 
 // Overwrites `len` payload bytes at `offset` and re-seals the crc32c
@@ -438,7 +483,7 @@ TEST(Snapshot, MalformedHashTableFieldsAreRejectedNotThrown) {
   ASSERT_FALSE(s.rebuild_in_flight());
   DurabilityPolicy policy;
   policy.dir = dir.path;
-  durability::write_snapshot(dir.path, 5, s, policy);
+  write_machine_snapshot(dir.path, 5, s, policy);
   const std::string path = durability::snapshot_path(dir.path, 5);
   {
     std::ifstream in(path, std::ios::binary);
@@ -458,16 +503,16 @@ TEST(Snapshot, MalformedHashTableFieldsAreRejectedNotThrown) {
   patch_snapshot_payload(path, kJobsCapacity, huge, sizeof huge);
   {
     ReservationScheduler fresh(options);
-    EXPECT_FALSE(durability::load_snapshot(path, fresh));
+    EXPECT_FALSE(load_machine_snapshot(path, fresh));
   }
 
   // A ctrl byte outside kEmpty..kTombstone.
-  durability::write_snapshot(dir.path, 5, s, policy);  // rewrite intact
+  write_machine_snapshot(dir.path, 5, s, policy);  // rewrite intact
   const unsigned char bad_ctrl = 0xFF;
   patch_snapshot_payload(path, kJobsFirstCtrl, &bad_ctrl, 1);
   {
     ReservationScheduler fresh(options);
-    EXPECT_FALSE(durability::load_snapshot(path, fresh));
+    EXPECT_FALSE(load_machine_snapshot(path, fresh));
   }
 }
 
@@ -481,7 +526,7 @@ TEST(Snapshot, ListAndPruneKeepNewest) {
   policy.dir = dir.path;
   policy.keep_snapshots = 2;
   for (std::uint64_t csn : {10u, 20u, 30u, 40u}) {
-    durability::write_snapshot(dir.path, csn, s, policy);
+    write_machine_snapshot(dir.path, csn, s, policy);
   }
   const std::vector<std::uint64_t> kept = durability::list_snapshots(dir.path);
   ASSERT_EQ(kept.size(), 2u);
@@ -490,15 +535,18 @@ TEST(Snapshot, ListAndPruneKeepNewest) {
 }
 
 // ---------------------------------------------------------------- recovery
+//
+// The single-machine cases run the durable front end on one machine: the
+// m = 1 case of the §3 reduction.
 
 TEST(Recovery, ColdStartOnFreshDirectory) {
   TempDir dir;
   DurabilityPolicy policy;
   policy.dir = dir.path + "/does/not/exist/yet";
-  DurableScheduler durable(policy, base_options());
-  EXPECT_TRUE(durable.recovery_report().cold_start());
-  EXPECT_EQ(durable.csn(), 0u);
-  EXPECT_EQ(durable.active_jobs(), 0u);
+  DurableService durable(policy, base_options());
+  EXPECT_TRUE(durable.service.recovery_report().cold_start());
+  EXPECT_EQ(durable.service.csn(), 0u);
+  EXPECT_EQ(durable.service.active_jobs(), 0u);
 }
 
 TEST(Recovery, WalOnlyReplayMatchesTwin) {
@@ -506,23 +554,22 @@ TEST(Recovery, WalOnlyReplayMatchesTwin) {
   const SchedulerOptions options = base_options();
   const std::vector<Request> trace = churn_trace(11, 2'000);
   DurabilityPolicy policy;
-  policy.dir = dir.path;
-  policy.snapshot_on_flip = false;  // force pure WAL replay
+  policy.dir = dir.path;  // no snapshots by default: pure WAL replay
   {
-    DurableScheduler durable(policy, options);
-    for (const Request& r : trace) serve(durable, r);
-    durable.sync();
-    EXPECT_EQ(durable.csn(), trace.size());
-    EXPECT_EQ(durable.snapshots_written(), 0u);
+    DurableService durable(policy, options);
+    for (const Request& r : trace) serve(durable.service, r);
+    durable.service.sync_wal();
+    EXPECT_EQ(durable.service.csn(), trace.size());
   }
-  DurableScheduler recovered(policy, options);
-  EXPECT_EQ(recovered.recovery_report().replayed, trace.size());
-  EXPECT_EQ(recovered.csn(), trace.size());
+  EXPECT_TRUE(durability::list_snapshots(dir.path).empty());
+  DurableService recovered(policy, options);
+  EXPECT_EQ(recovered.service.recovery_report().replayed, trace.size());
+  EXPECT_EQ(recovered.service.csn(), trace.size());
 
   ReservationScheduler twin(options);
   for (const Request& r : trace) serve(twin, r);
-  expect_identical_schedules(twin.snapshot(), recovered.snapshot(), "wal-only");
-  recovered.inner().audit();
+  expect_identical_schedules(twin.snapshot(), recovered.service.snapshot(), "wal-only");
+  recovered.machine().audit();
 }
 
 TEST(Recovery, SnapshotPlusSuffixMatchesTwinAndContinues) {
@@ -532,24 +579,26 @@ TEST(Recovery, SnapshotPlusSuffixMatchesTwinAndContinues) {
   DurabilityPolicy policy;
   policy.dir = dir.path;
   policy.frame_bytes = 1024;
+  policy.snapshot_on_flip = true;
   {
-    DurableScheduler durable(policy, options);
-    for (const Request& r : trace) serve(durable, r);
-    durable.sync();
-    // Churn at this scale doubles n* several times; at least one flip
-    // snapshot must have fired, so recovery replays a proper suffix.
-    EXPECT_GT(durable.snapshots_written(), 0u);
+    DurableService durable(policy, options);
+    for (const Request& r : trace) serve(durable.service, r);
+    durable.service.sync_wal();
   }
-  DurableScheduler recovered(policy, options);
-  EXPECT_GT(recovered.recovery_report().snapshot_csn, 0u);
-  EXPECT_LT(recovered.recovery_report().replayed, trace.size());
-  EXPECT_EQ(recovered.csn(), trace.size());
+  // Churn at this scale doubles n* several times; at least one flip
+  // snapshot must have fired, so recovery replays a proper suffix.
+  EXPECT_FALSE(durability::list_snapshots(dir.path).empty());
+  DurableService recovered(policy, options);
+  EXPECT_GT(recovered.service.recovery_report().snapshot_csn, 0u);
+  EXPECT_LT(recovered.service.recovery_report().replayed, trace.size());
+  EXPECT_EQ(recovered.service.csn(), trace.size());
 
   ReservationScheduler twin(options);
   for (const Request& r : trace) serve(twin, r);
-  expect_identical_schedules(twin.snapshot(), recovered.snapshot(), "snap+suffix");
-  EXPECT_EQ(twin.n_star(), recovered.inner().n_star());
-  EXPECT_EQ(twin.parked_jobs(), recovered.inner().parked_jobs());
+  expect_identical_schedules(twin.snapshot(), recovered.service.snapshot(),
+                             "snap+suffix");
+  EXPECT_EQ(twin.n_star(), recovered.machine().n_star());
+  EXPECT_EQ(twin.parked_jobs(), recovered.machine().parked_jobs());
 
   // Keep running BOTH — the recovered instance and the twin must stay in
   // lockstep on a fresh suffix (and keep logging: a second recovery works).
@@ -557,13 +606,14 @@ TEST(Recovery, SnapshotPlusSuffixMatchesTwinAndContinues) {
   for (const Request& r : more) {
     if (r.kind == RequestKind::kInsert) {
       const JobId id{r.job.value + 1'000'000};  // avoid collisions
-      const RequestStats a = recovered.insert(id, r.window);
+      const RequestStats a = recovered.service.insert(id, r.window);
       const RequestStats b = twin.insert(id, r.window);
       EXPECT_EQ(a.reallocations, b.reallocations);
     }
   }
-  expect_identical_schedules(twin.snapshot(), recovered.snapshot(), "post-continue");
-  recovered.inner().audit();
+  expect_identical_schedules(twin.snapshot(), recovered.service.snapshot(),
+                             "post-continue");
+  recovered.machine().audit();
 }
 
 TEST(Recovery, CorruptNewestSnapshotFallsBackToOlder) {
@@ -572,12 +622,12 @@ TEST(Recovery, CorruptNewestSnapshotFallsBackToOlder) {
   const std::vector<Request> trace = churn_trace(17, 3'000);
   DurabilityPolicy policy;
   policy.dir = dir.path;
-  policy.snapshot_every = 500;  // several snapshots at known CSNs
+  policy.snapshot_every = 500;  // several snapshots
   policy.keep_snapshots = 8;
   {
-    DurableScheduler durable(policy, options);
-    for (const Request& r : trace) serve(durable, r);
-    durable.sync();
+    DurableService durable(policy, options);
+    for (const Request& r : trace) serve(durable.service, r);
+    durable.service.sync_wal();
   }
   std::vector<std::uint64_t> snaps = durability::list_snapshots(dir.path);
   ASSERT_GE(snaps.size(), 2u);
@@ -588,14 +638,14 @@ TEST(Recovery, CorruptNewestSnapshotFallsBackToOlder) {
     file.seekp(100);
     file.write("\xff\xff\xff\xff", 4);
   }
-  DurableScheduler recovered(policy, options);
-  EXPECT_EQ(recovered.recovery_report().snapshots_skipped, 1u);
-  EXPECT_EQ(recovered.recovery_report().snapshot_csn, snaps[1]);
-  EXPECT_EQ(recovered.csn(), trace.size());
+  DurableService recovered(policy, options);
+  EXPECT_EQ(recovered.service.recovery_report().snapshots_skipped, 1u);
+  EXPECT_EQ(recovered.service.recovery_report().snapshot_csn, snaps[1]);
+  EXPECT_EQ(recovered.service.csn(), trace.size());
 
   ReservationScheduler twin(options);
   for (const Request& r : trace) serve(twin, r);
-  expect_identical_schedules(twin.snapshot(), recovered.snapshot(), "fallback");
+  expect_identical_schedules(twin.snapshot(), recovered.service.snapshot(), "fallback");
 }
 
 TEST(Recovery, AuditEngineReseedsAfterRecovery) {
@@ -606,13 +656,15 @@ TEST(Recovery, AuditEngineReseedsAfterRecovery) {
   const std::vector<Request> trace = churn_trace(19, 2'000);
   DurabilityPolicy policy;
   policy.dir = dir.path;
+  policy.snapshot_on_flip = true;
   {
-    DurableScheduler durable(policy, options);
-    for (const Request& r : trace) serve(durable, r);
-    durable.sync();
+    DurableService durable(policy, options);
+    for (const Request& r : trace) serve(durable.service, r);
+    durable.service.sync_wal();
   }
-  DurableScheduler recovered(policy, options);
-  ReservationScheduler& rs = recovered.inner();
+  DurableService recovered(policy, options);
+  EXPECT_GT(recovered.service.recovery_report().snapshot_csn, 0u);
+  ReservationScheduler& rs = recovered.machine();
 
   // The loader escalated via mark_all: the first incremental audit after
   // recovery is a full sweep that reseeds the dirty-tracking shadows.
@@ -625,7 +677,7 @@ TEST(Recovery, AuditEngineReseedsAfterRecovery) {
   std::size_t served = 0;
   for (const Request& r : churn_trace(23, 500)) {
     if (r.kind != RequestKind::kInsert) continue;
-    recovered.insert(JobId{r.job.value + 2'000'000}, r.window);
+    recovered.service.insert(JobId{r.job.value + 2'000'000}, r.window);
     if (++served % 100 == 0) rs.incremental_audit();
   }
   const auto after_churn = rs.audit_work();
@@ -635,22 +687,22 @@ TEST(Recovery, AuditEngineReseedsAfterRecovery) {
 }
 
 TEST(Recovery, BatchRejectionRuleSurvivesReopen) {
-  // DurableScheduler::apply under kThrow: a rejected insert is logged and
-  // consumes a CSN, its moot erase in the same batch is neither served nor
-  // logged, and a feasible retry of the same id is served. A reopen replays
-  // exactly that log to the same state.
+  // apply() under kThrow on one machine: a rejected insert is logged and
+  // consumes a CSN, its moot erase is rejected, and a feasible retry of the
+  // same id is served. The sub-batch was logged before a machine rejected
+  // the insert, so the moot erase holds a CSN too. A reopen replays exactly
+  // that log to the same state.
   TempDir dir;
   SchedulerOptions options;
   options.trimming = false;
   options.overflow = OverflowPolicy::kThrow;
   DurabilityPolicy policy;
   policy.dir = dir.path;
-  policy.snapshot_on_flip = false;  // every record is replayed on reopen
   Schedule served;
   {
-    DurableScheduler durable(policy, options);
-    const BatchResult setup =
-        durable.apply(std::vector<Request>{Request::insert(JobId{10}, Window{8, 16})});
+    DurableService durable(policy, options);
+    const BatchResult setup = durable.service.apply(
+        std::vector<Request>{Request::insert(JobId{10}, Window{8, 16})});
     ASSERT_TRUE(setup.all_served());
     EXPECT_EQ(setup.first_csn, 1u);
     EXPECT_EQ(setup.last_csn, 1u);
@@ -659,23 +711,23 @@ TEST(Recovery, BatchRejectionRuleSurvivesReopen) {
     const std::vector<Request> batch = {
         Request::insert(JobId{1}, Window{0, 1}),  // CSN 2
         Request::insert(JobId{2}, Window{0, 1}),  // CSN 3, rejected: slot taken
-        Request::erase(JobId{2}),                 // moot: no CSN
-        Request::erase(JobId{1}),                 // CSN 4
-        Request::insert(JobId{2}, Window{0, 1}),  // CSN 5, the retry fits
+        Request::erase(JobId{2}),                 // CSN 4, moot
+        Request::erase(JobId{1}),                 // CSN 5
+        Request::insert(JobId{2}, Window{0, 1}),  // CSN 6, the retry fits
     };
-    const BatchResult result = durable.apply(batch);
+    const BatchResult result = durable.service.apply(batch);
     EXPECT_EQ(result.rejected, (std::vector<std::uint32_t>{1, 2}));
     EXPECT_EQ(result.first_csn, 2u);
-    EXPECT_EQ(result.last_csn, 5u);
-    EXPECT_EQ(durable.csn(), 5u);
-    EXPECT_EQ(durable.active_jobs(), 2u);
-    served = durable.snapshot();
+    EXPECT_EQ(result.last_csn, 6u);
+    EXPECT_EQ(durable.service.csn(), 6u);
+    EXPECT_EQ(durable.service.active_jobs(), 2u);
+    served = durable.service.snapshot();
   }
-  DurableScheduler recovered(policy, options);
-  EXPECT_EQ(recovered.recovery_report().replayed, 5u);
-  EXPECT_EQ(recovered.recovery_report().rejected_replays, 1u);
-  EXPECT_EQ(recovered.csn(), 5u);
-  expect_identical_schedules(served, recovered.snapshot(), "batch-rejection");
+  DurableService recovered(policy, options);
+  EXPECT_EQ(recovered.service.recovery_report().replayed, 6u);
+  EXPECT_EQ(recovered.service.recovery_report().rejected_replays, 2u);
+  EXPECT_EQ(recovered.service.csn(), 6u);
+  expect_identical_schedules(served, recovered.service.snapshot(), "batch-rejection");
 }
 
 // ------------------------------------------------------------ sharded WAL
@@ -797,10 +849,10 @@ TEST(Recovery, ShardedRefusesPerShardLogDirectory) {
 // ------------------------------------------------- batched replay
 
 TEST(Recovery, ChecksummedInvalidRecordIsCorruption) {
-  // Neither writer logs a precondition-violating request, so a CRC-valid
-  // record that violates one can only be corruption. Both front ends refuse
-  // the log with CorruptInput naming the replay batch's CSN range, and leave
-  // its bytes alone.
+  // The service logs no precondition-violating request, so a CRC-valid
+  // record that violates one can only be corruption. Recovery, on eight
+  // machines and on one, refuses the log with CorruptInput naming the
+  // replay batch's CSN range, and leaves its bytes alone.
   const Window window{0, 64};
   const std::pair<const char*, std::vector<WalRecord>> logs[] = {
       {"erase of an unknown id",
@@ -816,7 +868,7 @@ TEST(Recovery, ChecksummedInvalidRecordIsCorruption) {
        }},
       {"single-machine",
        [](const std::string& dir) {
-         DurableScheduler(DurabilityPolicy{.dir = dir}, base_options());
+         DurableService(DurabilityPolicy{.dir = dir}, base_options());
        }},
   };
   for (const auto& [log_name, records] : logs) {
@@ -996,6 +1048,311 @@ TEST(Recovery, ShardedThrowLogWithLiveRejectionsRecoversTheLiveSchedule) {
   EXPECT_GT(all_rejections, 100u);  // the rejection path really ran
 }
 
+// ------------------------------------------------------- service snapshots
+
+TEST(Recovery, ShardedSnapshotPlusSuffixMatchesTwinAndContinues) {
+  // Four machines, two shards, batched: snapshots hold every machine's
+  // image and the ledger at one CSN, so recovery replays only the suffix
+  // and lands on the twin's schedule, machine by machine.
+  constexpr unsigned kMachines = 4;
+  TempDir dir;
+  const std::vector<Request> trace = sharded_trace(53);
+  DurabilityPolicy policy;
+  policy.dir = dir.path;
+  policy.snapshot_every = 256;
+  policy.snapshot_on_flip = true;
+  {
+    DurableService live(policy, base_options(), kMachines, 2);
+    serve_batched(live.service, trace);
+  }
+  DurableService recovered(policy, base_options(), kMachines, 2);
+  const durability::RecoveryReport& report = recovered.service.recovery_report();
+  EXPECT_GT(report.snapshot_csn, 0u);
+  EXPECT_EQ(report.snapshot_csn + report.replayed, trace.size());
+  EXPECT_EQ(recovered.service.csn(), trace.size());
+  recovered.service.audit_balance();
+
+  std::vector<ReservationScheduler*> twin_machines;
+  ShardedScheduler twin(kMachines, [&twin_machines] {
+    auto machine = std::make_unique<ReservationScheduler>(base_options());
+    twin_machines.push_back(machine.get());
+    return machine;
+  });
+  for (const Request& r : trace) serve(twin, r);
+  expect_identical_schedules(twin.snapshot(), recovered.service.snapshot(), "recovered");
+  for (unsigned m = 0; m < kMachines; ++m) {
+    EXPECT_EQ(twin_machines[m]->n_star(), recovered.machine(m).n_star()) << m;
+    recovered.machine(m).audit();
+  }
+
+  // The recovered ledger makes the twin's delegation and rebalance
+  // decisions: insert fresh jobs, then erase them again.
+  std::vector<JobId> added;
+  for (const Request& r : sharded_trace(54)) {
+    if (r.kind != RequestKind::kInsert) continue;
+    const JobId id{r.job.value + 1'000'000};
+    const RequestStats a = recovered.service.insert(id, r.window);
+    const RequestStats b = twin.insert(id, r.window);
+    EXPECT_EQ(a.reallocations, b.reallocations);
+    added.push_back(id);
+  }
+  for (const JobId id : added) {
+    EXPECT_EQ(recovered.service.erase(id).migrations, twin.erase(id).migrations);
+  }
+  expect_identical_schedules(twin.snapshot(), recovered.service.snapshot(), "continued");
+  recovered.service.audit_balance();
+}
+
+TEST(Recovery, PreconditionViolationsNeverReachTheLog) {
+  // A window the machines refuse (unaligned) is refused before it gets a
+  // CSN, on the sequential path and in a batch. The live service is
+  // unchanged and the log reopens cleanly.
+  struct Path {
+    const char* name;
+    unsigned machines;
+    unsigned shards;
+    bool batched;
+  };
+  for (const Path path : {Path{"sequential", 1, 1, false}, Path{"batch", 4, 2, true}}) {
+    for (const Window bad : {Window{3, 8}, Window{4, 12}}) {
+      SCOPED_TRACE(std::string(path.name) + ", window [" + std::to_string(bad.start) +
+                   "," + std::to_string(bad.end) + ")");
+      TempDir dir;
+      const DurabilityPolicy policy{.dir = dir.path};
+      Schedule before;
+      {
+        DurableService durable(policy, base_options(), path.machines, path.shards);
+        ShardedScheduler& service = durable.service;
+        service.apply(std::vector<Request>{Request::insert(JobId{1}, Window{0, 8}),
+                                           Request::insert(JobId{2}, Window{8, 16})});
+        const std::uint64_t csn = service.csn();
+        before = service.snapshot();
+        if (path.batched) {
+          const std::vector<Request> batch = {Request::insert(JobId{3}, Window{16, 24}),
+                                              Request::insert(JobId{4}, bad)};
+          EXPECT_THROW(service.apply(batch), ContractViolation);
+        } else {
+          EXPECT_THROW(service.insert(JobId{4}, bad), ContractViolation);
+        }
+        EXPECT_EQ(service.csn(), csn);
+        EXPECT_EQ(service.active_jobs(), 2u);
+        expect_identical_schedules(before, service.snapshot(), "live");
+        service.audit_balance();
+        // The directory still agrees with the machines.
+        service.erase(JobId{1});
+        service.insert(JobId{1}, Window{0, 8});
+        before = service.snapshot();
+      }
+      DurableService reopened(policy, base_options(), path.machines, path.shards);
+      EXPECT_EQ(reopened.service.csn(), 4u);
+      expect_identical_schedules(before, reopened.service.snapshot(), "reopened");
+    }
+  }
+}
+
+std::vector<char> read_file(const std::string& path) {
+  std::ifstream in(path, std::ios::binary);
+  return {std::istreambuf_iterator<char>(in), std::istreambuf_iterator<char>()};
+}
+
+void write_file(const std::string& path, const std::vector<char>& bytes) {
+  // A new file rather than an in-place truncation, which some filesystems
+  // flush to disk on close.
+  std::filesystem::remove(path);
+  std::ofstream out(path, std::ios::binary);
+  out.write(bytes.data(), static_cast<std::streamsize>(bytes.size()));
+}
+
+/// `payload` with write_snapshot's trailer (payload_len u64, crc32c u32),
+/// so only the payload decoder can refuse it.
+std::vector<char> sealed(std::vector<char> payload) {
+  const std::uint64_t len = payload.size();
+  const std::uint32_t crc = crc32c(payload.data(), payload.size());
+  for (int i = 0; i < 8; ++i) payload.push_back(static_cast<char>(len >> (8 * i)));
+  for (int i = 0; i < 4; ++i) payload.push_back(static_cast<char>(crc >> (8 * i)));
+  return payload;
+}
+
+std::uint64_t get_u64(const std::vector<char>& bytes, std::size_t at) {
+  std::uint64_t v = 0;
+  for (int i = 0; i < 8; ++i) {
+    v |= std::uint64_t{static_cast<unsigned char>(bytes[at + i])} << (8 * i);
+  }
+  return v;
+}
+
+TEST(ServiceSnapshot, DecoderRefusesDamagedBytesAndRecoveryFallsBack) {
+  // The service snapshot's bytes are untrusted: every damaged copy of the
+  // newest snapshot is refused without crashing, and recovery falls back
+  // to the older snapshot and lands on the live schedule. Runs in the
+  // ASan/UBSan lane.
+  constexpr unsigned kMachines = 3;
+  TempDir dir;
+  ChurnParams params;
+  params.seed = 61;
+  params.requests = 150;
+  params.target_active = 12;
+  params.machines = kMachines;
+  params.min_span = 64;
+  params.max_span = 1024;
+  const std::vector<Request> trace = make_churn_trace(params);
+  DurabilityPolicy policy;
+  policy.dir = dir.path;
+  policy.snapshot_every = 50;
+  policy.keep_snapshots = 8;
+  Schedule live;
+  {
+    DurableService durable(policy, base_options(), kMachines, 2);
+    serve_batched(durable.service, trace);
+    live = durable.service.snapshot();
+  }
+  const std::vector<std::uint64_t> snaps = durability::list_snapshots(dir.path);
+  ASSERT_GE(snaps.size(), 2u);
+  const std::string newest = durability::snapshot_path(dir.path, snaps[0]);
+  const std::vector<char> intact = read_file(newest);
+  ASSERT_GT(intact.size(), 12u);
+  const std::vector<char> payload(intact.begin(), intact.end() - 12);
+
+  const auto recovers_from = [&](std::uint64_t snapshot_csn, const std::string& where) {
+    DurableService recovered(policy, base_options(), kMachines, 2);
+    const durability::RecoveryReport& report = recovered.service.recovery_report();
+    EXPECT_EQ(report.snapshot_csn, snapshot_csn) << where;
+    EXPECT_EQ(recovered.service.csn(), trace.size()) << where;
+    expect_identical_schedules(live, recovered.service.snapshot(), where.c_str());
+    return !::testing::Test::HasFailure();
+  };
+  ASSERT_TRUE(recovers_from(snaps[0], "intact"));
+
+  // Framing: a truncated or byte-flipped file never reaches the decoder.
+  const auto never_decoded = [](durability::ByteSource&) {
+    ADD_FAILURE() << "damaged framing reached the payload decoder";
+  };
+  for (std::size_t len = 0; len < intact.size(); ++len) {
+    write_file(newest, std::vector<char>(intact.begin(), intact.begin() + len));
+    ASSERT_FALSE(durability::load_snapshot(newest, never_decoded)) << "truncated at " << len;
+  }
+  for (std::size_t at = 0; at < intact.size(); ++at) {
+    std::vector<char> flipped = intact;
+    flipped[at] = static_cast<char>(flipped[at] ^ 0x5A);
+    write_file(newest, flipped);
+    ASSERT_FALSE(durability::load_snapshot(newest, never_decoded)) << "flipped at " << at;
+  }
+
+  // Payload: re-sealed damage that only the decoder can refuse.
+  // Layout: magic u64 | machine count u32 | per machine, image length u64 +
+  // image | ledger: window count u64, per window start, end and one pool
+  // (count u64 + ids) per machine.
+  std::vector<std::size_t> image_at;  // offset of each machine's length field
+  std::size_t at = 12;
+  for (unsigned m = 0; m < kMachines; ++m) {
+    image_at.push_back(at);
+    at += 8 + get_u64(payload, at);
+  }
+  const std::size_t ledger_at = at;
+  // Cut the payload at every offset of the service's own fields and near
+  // every image edge, and at a stride inside the images (SchedulerPersist's
+  // decoder has its own cases above).
+  const auto near_field = [&](std::size_t len) {
+    if (len < 12 + 24 || len >= ledger_at) return true;
+    for (const std::size_t edge : image_at) {
+      if (len + 24 > edge && len < edge + 8 + 24) return true;
+    }
+    return false;
+  };
+  std::size_t cuts = 0;
+  for (std::size_t len = 0; len < payload.size(); ++len) {
+    if (!near_field(len) && len % 61 != 0) continue;
+    write_file(newest, sealed(std::vector<char>(payload.begin(), payload.begin() + len)));
+    ASSERT_TRUE(recovers_from(snaps[1], "payload cut at " + std::to_string(len)));
+    ++cuts;
+  }
+  EXPECT_GT(cuts, payload.size() - ledger_at);
+  {
+    std::vector<char> count = payload;
+    count[8] = static_cast<char>(kMachines + 1);
+    write_file(newest, sealed(count));
+    EXPECT_TRUE(recovers_from(snaps[1], "machine count"));
+  }
+  // The ledger's windows: each one's byte range and, per machine, the
+  // offset of its pool's count field.
+  struct LedgerWindow {
+    std::size_t begin = 0, end = 0;
+    std::vector<std::size_t> pools;
+  };
+  std::vector<LedgerWindow> windows(get_u64(payload, ledger_at));
+  at = ledger_at + 8;
+  for (LedgerWindow& w : windows) {
+    w.begin = at;
+    at += 16;
+    for (unsigned m = 0; m < kMachines; ++m) {
+      w.pools.push_back(at);
+      at += 8 + 8 * get_u64(payload, at);
+    }
+    w.end = at;
+  }
+  ASSERT_EQ(at, payload.size());
+  const auto pool_size = [&](const LedgerWindow& w, unsigned m) {
+    return get_u64(payload, w.pools[m]);
+  };
+  // Machines 0 and 1 trade images, and optionally their ledger pools too.
+  const auto machines_traded = [&](bool pools_too) {
+    std::vector<char> out(payload.begin(), payload.begin() + 12);
+    out.insert(out.end(), payload.begin() + image_at[1], payload.begin() + image_at[2]);
+    out.insert(out.end(), payload.begin() + image_at[0], payload.begin() + image_at[1]);
+    out.insert(out.end(), payload.begin() + image_at[2], payload.begin() + ledger_at + 8);
+    for (const LedgerWindow& w : windows) {
+      const std::size_t pool0 = pools_too ? w.pools[1] : w.pools[0];
+      const std::size_t pool1 = pools_too ? w.pools[0] : w.pools[1];
+      out.insert(out.end(), payload.begin() + w.begin, payload.begin() + w.pools[0]);
+      out.insert(out.end(), payload.begin() + pool0, payload.begin() + pool0 + 8 + 8 * get_u64(payload, pool0));
+      out.insert(out.end(), payload.begin() + pool1, payload.begin() + pool1 + 8 + 8 * get_u64(payload, pool1));
+      out.insert(out.end(), payload.begin() + w.pools[2], payload.begin() + w.end);
+    }
+    return out;
+  };
+  // Each image is valid, the ledger is not.
+  write_file(newest, sealed(machines_traded(false)));
+  EXPECT_TRUE(recovers_from(snaps[1], "traded images"));
+  // Images and pools agree, but window shares no longer put the extras on
+  // the earliest machines (Lemma 3).
+  ASSERT_TRUE(std::any_of(windows.begin(), windows.end(), [&](const LedgerWindow& w) {
+    return pool_size(w, 0) != pool_size(w, 1);
+  })) << "layout assumption: a window with unequal shares";
+  write_file(newest, sealed(machines_traded(true)));
+  EXPECT_TRUE(recovers_from(snaps[1], "traded machines"));
+  {
+    // Two machines trade one job of the same window in the ledger: the
+    // shares still satisfy Lemma 3, but the pools disagree with the
+    // machines' job sets.
+    const auto shared = std::find_if(windows.begin(), windows.end(), [&](const LedgerWindow& w) {
+      return pool_size(w, 0) > 0 && pool_size(w, 1) > 0;
+    });
+    ASSERT_NE(shared, windows.end()) << "layout assumption: a window on two machines";
+    std::vector<char> traded = payload;
+    std::swap_ranges(traded.begin() + shared->pools[0] + 8,
+                     traded.begin() + shared->pools[0] + 16,
+                     traded.begin() + shared->pools[1] + 8);
+    write_file(newest, sealed(traded));
+    EXPECT_TRUE(recovers_from(snaps[1], "traded ledger jobs"));
+  }
+  {
+    // A window missing from the ledger: what is left is balanced and held
+    // by the machines, but the machines hold more.
+    std::vector<char> dropped(payload.begin(), payload.begin() + ledger_at);
+    const std::uint64_t fewer = windows.size() - 1;
+    for (int i = 0; i < 8; ++i) dropped.push_back(static_cast<char>(fewer >> (8 * i)));
+    dropped.insert(dropped.end(), payload.begin() + windows[0].end, payload.end());
+    write_file(newest, sealed(dropped));
+    EXPECT_TRUE(recovers_from(snaps[1], "dropped window"));
+  }
+
+  // Every snapshot damaged: a full replay.
+  for (const std::uint64_t csn : snaps) {
+    write_file(durability::snapshot_path(dir.path, csn), sealed({}));
+  }
+  EXPECT_TRUE(recovers_from(0, "no loadable snapshot"));
+}
+
 // ------------------------------------------------------------ trace format
 
 TEST(TraceWal, BinaryTraceRoundTrips) {
@@ -1022,13 +1379,10 @@ TEST(TraceWal, WalFileDoublesAsTrace) {
   {
     TempDir dir;
     const std::vector<Request> trace = churn_trace(43, 1'200);
-    DurabilityPolicy policy;
-    policy.dir = dir.path;
-    policy.snapshot_on_flip = false;
     {
-      DurableScheduler durable(policy, options);
-      for (const Request& r : trace) serve(durable, r);
-      durable.sync();
+      DurableService durable(DurabilityPolicy{.dir = dir.path}, options);
+      for (const Request& r : trace) serve(durable.service, r);
+      durable.service.sync_wal();
     }
     const std::vector<Request> replayed =
         read_trace_wal(durability::wal_path(dir.path));

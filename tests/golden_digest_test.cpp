@@ -9,16 +9,16 @@
 //   * every request's RequestStats (reallocations, migrations,
 //     levels_touched, degraded, rebuilt);
 //   * the WAL — under a fixed buffered policy, the raw log file bytes when
-//     the trace is served one request at a time (through a
-//     DurableScheduler, or through ShardedScheduler's sequential path: the
-//     two writers must agree byte for byte), or the decoded record stream
+//     the trace is served one request at a time through ShardedScheduler's
+//     sequential path (one machine included), or the decoded record stream
 //     for the batched and ingest arms (frames are cut at batch boundaries,
 //     which legitimately differ across ingest producer counts).
 //
 // Every arm of one trace must reproduce the same committed constant: every
-// shard count (1/2/4/8), every ingest producer count (1/2/4/8), and both
-// build flavors (default and -DREASCHED_FORCE_SCALAR_PROBE=ON — CI runs
-// this suite in each lane). A failing
+// shard count (1/2/4/8), with and without service snapshots, every ingest
+// producer count (1/2/4/8), and both build flavors (default and
+// -DREASCHED_FORCE_SCALAR_PROBE=ON — CI runs this suite in each lane). A
+// failing
 // arm prints the digest it computed; after an *intended* behaviour change,
 // re-recording is pasting that value over the constant.
 #include <gtest/gtest.h>
@@ -38,7 +38,7 @@
 #include <vector>
 
 #include "core/reservation_scheduler.hpp"
-#include "durability/durable_scheduler.hpp"
+#include "durability/snapshot.hpp"
 #include "durability/wal.hpp"
 #include "ingest/ingest_service.hpp"
 #include "service/sharded_scheduler.hpp"
@@ -157,7 +157,7 @@ SchedulerOptions best_effort() {
 }
 
 /// Buffered, snapshot-free: the log bytes are then a function of the
-/// request stream alone (a snapshot would sync and cut a frame).
+/// request stream alone (a snapshot mid-frame would sync and cut it).
 durability::DurabilityPolicy golden_policy(const std::string& dir) {
   durability::DurabilityPolicy policy;
   policy.dir = dir;
@@ -171,17 +171,31 @@ void expect_digest(std::uint64_t got, std::uint64_t want, const std::string& arm
   EXPECT_EQ(got, want) << arm << ": computed digest 0x" << std::hex << got;
 }
 
-void sync_log(durability::DurableScheduler& scheduler) { scheduler.sync(); }
-void sync_log(ShardedScheduler& scheduler) { scheduler.sync_wal(); }
+constexpr unsigned kShardedMachines = 8;
 
-/// One request at a time through the scheduler `make(dir)` builds; the WAL
-/// part is the raw log file.
-template <typename Make>
-std::uint64_t serial_digest(const std::vector<Request>& trace, const Make& make) {
+std::unique_ptr<ShardedScheduler> make_sharded(durability::DurabilityPolicy policy,
+                                               unsigned shards,
+                                               unsigned machines = kShardedMachines,
+                                               SchedulerOptions machine_options = best_effort()) {
+  ShardedScheduler::Options options;
+  options.shards = shards;
+  options.wal = std::move(policy);
+  return std::make_unique<ShardedScheduler>(
+      machines,
+      [machine_options] { return std::make_unique<ReservationScheduler>(machine_options); },
+      options);
+}
+
+/// The trace one request at a time through ShardedScheduler's sequential
+/// path (the §3 reduction; on one machine, the single-machine scheduler
+/// behind the durable front end) with the service's WAL. The WAL part is
+/// the raw log file.
+std::uint64_t sequential_digest(const std::vector<Request>& trace, unsigned machines,
+                                const SchedulerOptions& options = best_effort()) {
   TempDir dir;
   Digest digest;
   {
-    const auto scheduler = make(dir.path);
+    const auto scheduler = make_sharded(golden_policy(dir.path), 1, machines, options);
     std::size_t served = 0;
     for (const Request& r : trace) {
       digest.stats(r.kind == RequestKind::kInsert ? scheduler->insert(r.job, r.window)
@@ -189,37 +203,10 @@ std::uint64_t serial_digest(const std::vector<Request>& trace, const Make& make)
       if (++served % kSnapshotEvery == 0) digest.schedule(scheduler->snapshot());
     }
     digest.schedule(scheduler->snapshot());
-    sync_log(*scheduler);
+    scheduler->sync_wal();
   }
   digest.file(durability::wal_path(dir.path));
   return digest.value();
-}
-
-std::uint64_t single_machine_digest(const std::vector<Request>& trace,
-                                    const SchedulerOptions& options) {
-  return serial_digest(trace, [&](const std::string& dir) {
-    return std::make_unique<durability::DurableScheduler>(golden_policy(dir), options);
-  });
-}
-
-constexpr unsigned kShardedMachines = 8;
-
-std::unique_ptr<ShardedScheduler> make_sharded(const std::string& dir, unsigned shards,
-                                               unsigned machines = kShardedMachines) {
-  ShardedScheduler::Options options;
-  options.shards = shards;
-  options.wal = golden_policy(dir);
-  return std::make_unique<ShardedScheduler>(
-      machines, [] { return std::make_unique<ReservationScheduler>(best_effort()); },
-      options);
-}
-
-/// The trace one request at a time through ShardedScheduler's sequential
-/// path (the §3 reduction) with the service's WAL.
-std::uint64_t sequential_sharded_digest(const std::vector<Request>& trace,
-                                        unsigned machines) {
-  return serial_digest(
-      trace, [&](const std::string& dir) { return make_sharded(dir, 1, machines); });
 }
 
 /// The WAL part of a sharded arm: the log's CSN-ordered request stream.
@@ -231,12 +218,17 @@ void mix_wal_records(Digest& digest, ShardedScheduler& scheduler, const std::str
 }
 
 /// The trace through ShardedScheduler::apply in 256-request batches (two
-/// per snapshot period, so snapshots land on batch boundaries).
-std::uint64_t sharded_digest(const std::vector<Request>& trace, unsigned shards) {
+/// per digest period, so schedules are taken on batch boundaries). With
+/// `service_snapshot_every` > 0 the service also writes its own snapshots,
+/// which must change nothing the digest sees.
+std::uint64_t sharded_digest(const std::vector<Request>& trace, unsigned shards,
+                             std::uint64_t service_snapshot_every = 0) {
   static_assert(kSnapshotEvery % 256 == 0);
   TempDir dir;
   Digest digest;
-  const auto scheduler = make_sharded(dir.path, shards);
+  durability::DurabilityPolicy policy = golden_policy(dir.path);
+  policy.snapshot_every = service_snapshot_every;
+  const auto scheduler = make_sharded(policy, shards);
   for (std::size_t first = 0; first < trace.size(); first += 256) {
     const std::size_t len = std::min<std::size_t>(256, trace.size() - first);
     const BatchResult result = scheduler->apply({trace.data() + first, len});
@@ -246,6 +238,7 @@ std::uint64_t sharded_digest(const std::vector<Request>& trace, unsigned shards)
   }
   digest.schedule(scheduler->snapshot());
   mix_wal_records(digest, *scheduler, dir.path);
+  EXPECT_EQ(durability::list_snapshots(dir.path).empty(), service_snapshot_every == 0);
   return digest.value();
 }
 
@@ -256,7 +249,7 @@ std::uint64_t sharded_digest(const std::vector<Request>& trace, unsigned shards)
 std::uint64_t ingest_digest(const std::vector<Request>& trace, std::size_t producers) {
   TempDir dir;
   Digest digest;
-  const auto scheduler = make_sharded(dir.path, 4);
+  const auto scheduler = make_sharded(golden_policy(dir.path), 4);
   ingest::IngestOptions ingest_options;
   ingest_options.external_sequencing = true;
   ingest_options.record_stats = true;
@@ -293,10 +286,7 @@ std::uint64_t ingest_digest(const std::vector<Request>& trace, std::size_t produ
 
 TEST(GoldenDigest, SingleMachinePartitionedRebuild) {
   const auto trace = churn_trace(1234, 9'000, 3'000);
-  expect_digest(single_machine_digest(trace, best_effort()), kSingleMachine, "default");
-  // The sharded service's log writer on one machine: the same stats,
-  // schedules and raw log bytes as DurableScheduler's.
-  expect_digest(sequential_sharded_digest(trace, 1), kSingleMachine, "sharded m=1");
+  expect_digest(sequential_digest(trace, 1), kSingleMachine, "sharded m=1");
 }
 
 TEST(GoldenDigest, SingleMachineStopTheWorldRebuild) {
@@ -305,13 +295,13 @@ TEST(GoldenDigest, SingleMachineStopTheWorldRebuild) {
   const auto trace = churn_trace(1234, 9'000, 3'000);
   SchedulerOptions options = best_effort();
   options.rebuild_batch = std::numeric_limits<std::size_t>::max();
-  expect_digest(single_machine_digest(trace, options), kSingleMachineStopTheWorld,
+  expect_digest(sequential_digest(trace, 1, options), kSingleMachineStopTheWorld,
                 "rebuild_batch=max");
 }
 
 TEST(GoldenDigest, MultiMachine) {
   const auto trace = churn_trace(77, 9'000, 3'000, 4);
-  expect_digest(sequential_sharded_digest(trace, 4), kMultiMachine, "default");
+  expect_digest(sequential_digest(trace, 4), kMultiMachine, "default");
 }
 
 TEST(GoldenDigest, ShardedEveryShardCount) {
@@ -319,6 +309,9 @@ TEST(GoldenDigest, ShardedEveryShardCount) {
   for (const unsigned shards : {1u, 2u, 4u, 8u}) {
     expect_digest(sharded_digest(trace, shards), kSharded,
                   "shards=" + std::to_string(shards));
+    // Snapshots never change a schedule, a stat or a logged record.
+    expect_digest(sharded_digest(trace, shards, 512), kSharded,
+                  "shards=" + std::to_string(shards) + ", snapshot_every=512");
   }
 }
 
@@ -332,7 +325,7 @@ TEST(GoldenDigest, IngestEveryProducerCount) {
 
 TEST(GoldenDigest, FulfillmentCacheStress) {
   const auto trace = churn_trace(5150, 4'000, 512);
-  expect_digest(single_machine_digest(trace, best_effort()), kFulfillment, "default");
+  expect_digest(sequential_digest(trace, 1), kFulfillment, "sharded m=1");
 }
 
 }  // namespace

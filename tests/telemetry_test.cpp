@@ -11,11 +11,13 @@
 #include <cmath>
 #include <cstdint>
 #include <filesystem>
+#include <memory>
 #include <string>
 #include <thread>
 #include <vector>
 
-#include "durability/durable_scheduler.hpp"
+#include "core/reservation_scheduler.hpp"
+#include "service/sharded_scheduler.hpp"
 #include "telemetry/histogram.hpp"
 #include "telemetry/registry.hpp"
 #include "telemetry/trace_ring.hpp"
@@ -263,9 +265,9 @@ TEST_F(TelemetryTest, ResetZeroesButKeepsNames) {
 }
 
 TEST_F(TelemetryTest, WalRecordsCountsEveryDurableRequest) {
-  // wal.records is bumped once per flushed frame, so DurableScheduler's
-  // split encoder path (append_insert/append_erase + commit_record) counts
-  // exactly like WalWriter::append.
+  // wal.records is bumped once per flushed frame by the number of records
+  // it carries, so the durable service's sequential path counts every
+  // logged request exactly once.
   const auto wal_records = [] {
     for (const auto& [name, value] : Registry::global().snapshot().counters) {
       if (name == "wal.records") return value;
@@ -277,15 +279,16 @@ TEST_F(TelemetryTest, WalRecordsCountsEveryDurableRequest) {
   const std::uint64_t before = wal_records();
   constexpr std::uint64_t kJobs = 300;
   {
-    durability::DurabilityPolicy policy;
-    policy.dir = tmpl;
-    durability::DurableScheduler durable(policy);
+    ShardedScheduler::Options options;
+    options.wal = durability::DurabilityPolicy{.dir = tmpl};
+    ShardedScheduler durable(
+        1, [] { return std::make_unique<ReservationScheduler>(); }, options);
     for (std::uint64_t i = 0; i < kJobs; ++i) {
       const Time start = static_cast<Time>(64 * i);
       durable.insert(JobId{i}, Window{start, start + 64});
     }
     for (std::uint64_t i = 0; i < kJobs; i += 2) durable.erase(JobId{i});
-    durable.sync();
+    durable.sync_wal();
   }
   EXPECT_EQ(wal_records() - before, kJobs + kJobs / 2);
   std::filesystem::remove_all(tmpl);
