@@ -49,6 +49,9 @@ std::vector<Request> trace_for(std::size_t n, WindowPlacement placement,
 struct RunResult {
   SegmentResult churn;  // best of kChurnReps
   SegmentResult audited;
+  /// Interval-arena bytes reserved over every level after the churn
+  /// segments, divided by n (ungated; tracks the slot-table layout).
+  double arena_bytes_per_job = 0;
 };
 
 RunResult run_trace(const std::vector<Request>& trace, std::size_t warmup,
@@ -92,6 +95,12 @@ RunResult run_trace(const std::vector<Request>& trace, std::size_t warmup,
     const SegmentResult segment = timed_segment(churn);
     if (segment.ops_per_sec > result.churn.ops_per_sec) result.churn = segment;
   }
+  std::size_t arena_bytes = 0;
+  for (unsigned level = 1; level < options.levels.level_count(); ++level) {
+    arena_bytes += scheduler.arena_stats(level).bytes_reserved;
+  }
+  result.arena_bytes_per_job =
+      static_cast<double>(arena_bytes) / static_cast<double>(warmup);
   scheduler.set_audit_policy({.mode = audit::Mode::kFull});  // full sweep per request
   result.audited = timed_segment(audit_churn);
   return result;
@@ -106,17 +115,20 @@ int run(int argc, char** argv) {
   const std::size_t churn = args.quick ? 3'000 : 100'000;
 
   Table table("E12 hot-path throughput (insert/delete churn)");
-  table.set_header({"n", "placement", "audit", "requests", "seconds", "ops/sec"});
+  table.set_header(
+      {"n", "placement", "audit", "requests", "seconds", "ops/sec", "arena B/job"});
   JsonRows json("e12_hotpath");
 
   const auto emit_row = [&](std::size_t n, const char* placement, bool audit,
-                            const SegmentResult& segment) {
+                            const SegmentResult& segment, double arena_bytes_per_job) {
     char seconds[32];
     char ops[32];
+    char arena[32];
     std::snprintf(seconds, sizeof(seconds), "%.3f", segment.seconds);
     std::snprintf(ops, sizeof(ops), "%.0f", segment.ops_per_sec);
+    std::snprintf(arena, sizeof(arena), "%.1f", arena_bytes_per_job);
     table.add_row({std::to_string(n), placement, audit ? "on" : "off",
-                   std::to_string(segment.requests), seconds, ops});
+                   std::to_string(segment.requests), seconds, ops, arena});
     auto& row = json.row()
                     .field("n", n)
                     .field("placement", placement)
@@ -125,7 +137,8 @@ int run(int argc, char** argv) {
                     .field("seconds", segment.seconds)
                     .field("ops_per_sec", segment.ops_per_sec)
                     .field("reallocations", segment.reallocations)
-                    .field("degraded", segment.degraded);
+                    .field("degraded", segment.degraded)
+                    .field("arena_bytes_per_job", arena_bytes_per_job);
     latency_fields(row, segment.latency);
   };
 
@@ -140,8 +153,8 @@ int run(int argc, char** argv) {
           std::pair{WindowPlacement::kNestedHotspots, "hotspot"}}) {
       const auto trace = trace_for(n, placement, churn, audit_churn);
       const RunResult result = run_trace(trace, n, churn, audit_churn);
-      emit_row(n, label, false, result.churn);
-      emit_row(n, label, true, result.audited);
+      emit_row(n, label, false, result.churn, result.arena_bytes_per_job);
+      emit_row(n, label, true, result.audited, result.arena_bytes_per_job);
     }
   }
 

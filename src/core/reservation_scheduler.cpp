@@ -35,8 +35,8 @@ ReservationScheduler::ReservationScheduler(SchedulerOptions options)
   static_assert(alignof(SlotInfo) <= BlockArena::kAlign &&
                     alignof(FulRow) <= BlockArena::kAlign,
                 "arena blocks must satisfy the row alignments");
-  static_assert(sizeof(SlotInfo) % alignof(FulRow) == 0,
-                "fulfillment rows must start aligned inside the block");
+  static_assert(sizeof(SlotInfo) == 1 && sizeof(FulRow) == 8,
+                "interval blocks are sized for one-byte slot cells and 8-byte rows");
   RS_REQUIRE(is_pow2(options_.gamma),
              "SchedulerOptions::gamma must be a power of two (keeps trimmed "
              "windows aligned)");
@@ -54,11 +54,16 @@ ReservationScheduler::ReservationScheduler(SchedulerOptions options)
       ls.interval_log = options_.levels.interval_size_log(level);
       ls.min_span_log = ls.interval_log + 1;
       RS_CHECK(ls.class_count() <= 64,
-               "level table has more span classes than the class bitmask holds");
+               "level table has more span classes than the class bitmask and "
+               "SlotInfo::cls hold");
       ls.active_per_class.assign(ls.class_count(), 0);
       // One block carries all three per-interval arrays (Interval doc
-      // comment); sizeof(FulRow) is a multiple of 4, so the trailing u32
-      // counters are aligned too.
+      // comment). The rows follow the one-byte slot cells, so the interval
+      // size must keep them aligned (interval sizes are powers of two >= 32);
+      // sizeof(FulRow) is a multiple of 4, so the trailing u32 counters are
+      // aligned too.
+      RS_CHECK(ls.interval_size * sizeof(SlotInfo) % alignof(FulRow) == 0,
+               "interval size leaves the fulfillment rows misaligned");
       ls.arena.configure(ls.interval_size * sizeof(SlotInfo) +
                          ls.class_count() * sizeof(FulRow) +
                          ls.class_count() * sizeof(std::uint32_t));
@@ -147,14 +152,11 @@ void ReservationScheduler::compute_fulfillment_into(unsigned level,
   // (Invariant 5). Exactly one aligned window of each span contains this
   // interval; windows with zero jobs ("virtual") still hold one baseline
   // reservation per interval and consume priority.
-  for (unsigned span_log = ls.min_span_log; span_log <= ls.max_span_log; ++span_log) {
-    const u64 span = pow2(span_log);
-    WindowKey key;
-    key.start = align_down(interval.base, span);
-    key.span_log = static_cast<std::uint8_t>(span_log);
+  for (unsigned cls = 0; cls < ls.class_count(); ++cls) {
+    const WindowKey key = ls.window_of_class(interval.base, cls);
     const ActiveWindow* window = ls.windows.find(key);
     const u64 x = window ? window->jobs : 0;
-    const unsigned k_log = span_log - ls.interval_log;
+    const unsigned k_log = key.span_log - ls.interval_log;
     const u64 num_intervals = pow2(k_log);
     const u64 idx = static_cast<u64>(interval.base - key.start) >> ls.interval_log;
     const u64 quotient = (2 * x) >> k_log;
@@ -162,7 +164,7 @@ void ReservationScheduler::compute_fulfillment_into(unsigned level,
     const u64 reservations = quotient + 1 + (idx < remainder ? 1 : 0);
     const u64 fulfilled = std::min(reservations, remaining);
     remaining -= fulfilled;
-    rows.push_back(FulRow{key, static_cast<std::uint32_t>(reservations),
+    rows.push_back(FulRow{static_cast<std::uint32_t>(reservations),
                           static_cast<std::uint32_t>(fulfilled)});
   }
 }
@@ -187,22 +189,18 @@ const ReservationScheduler::FulRow* ReservationScheduler::fulfillment(
     // hold any active window at all; every other row is a virtual baseline
     // of exactly one reservation.
     for (unsigned cls = 0; cls < ls.class_count(); ++cls) {
-      const unsigned span_log = ls.min_span_log + cls;
-      WindowKey key;
-      key.start = align_down(interval.base, pow2(span_log));
-      key.span_log = static_cast<std::uint8_t>(span_log);
+      const WindowKey key = ls.window_of_class(interval.base, cls);
       u64 x = 0;
       if (ls.active_per_class[cls] > 0) {
         if (const ActiveWindow* window = ls.windows.find(key)) x = window->jobs;
       }
-      const unsigned k_log = span_log - ls.interval_log;
+      const unsigned k_log = key.span_log - ls.interval_log;
       const u64 num_intervals = pow2(k_log);
       const u64 idx = static_cast<u64>(interval.base - key.start) >> ls.interval_log;
       const u64 quotient = (2 * x) >> k_log;
       const u64 remainder = (2 * x) & (num_intervals - 1);
       const u64 reservations = quotient + 1 + (idx < remainder ? 1 : 0);
-      interval.ful_cache[cls] =
-          FulRow{key, static_cast<std::uint32_t>(reservations), 0};
+      interval.ful_cache[cls] = FulRow{static_cast<std::uint32_t>(reservations), 0};
     }
   }
 
@@ -249,7 +247,6 @@ void ReservationScheduler::adjust_cached_reservation(unsigned level, const Windo
   Interval* interval = find_interval(level, base);
   if (interval == nullptr || interval->ful_state == FulState::kInvalid) return;
   FulRow& row = interval->ful_cache[levels_[level].class_of(w)];
-  RS_ASSERT(row.key == w, "adjust_cached_reservation: class row mismatch");
   row.reservations = static_cast<std::uint32_t>(
       static_cast<std::int64_t>(row.reservations) + delta);
   interval->ful_state = FulState::kFulfilledStale;
@@ -265,10 +262,10 @@ void ReservationScheduler::assign_slot(unsigned level, Interval& interval, Time 
   mark_window_dirty(level, w);
   SlotInfo& info = interval.slots[static_cast<std::size_t>(slot - interval.base)];
   RS_CHECK(!info.assigned && !info.lower_occupied, "assign_slot: slot unavailable");
-  info.assigned = true;
-  info.owner = w;
-  ++interval.assigned_count;
   const unsigned cls = levels_[level].class_of(w);
+  info.assigned = true;
+  info.cls = static_cast<std::uint8_t>(cls);
+  ++interval.assigned_count;
   ++interval.assigned_by_class[cls];
   interval.assigned_class_mask |= u64{1} << cls;
   auto& window = levels_[level].windows.at(w);
@@ -281,17 +278,18 @@ void ReservationScheduler::assign_slot(unsigned level, Interval& interval, Time 
 void ReservationScheduler::unassign_slot(unsigned level, Interval& interval, Time slot) {
   SlotInfo& info = interval.slots[static_cast<std::size_t>(slot - interval.base)];
   RS_CHECK(info.assigned, "unassign_slot: slot not assigned");
+  const unsigned cls = info.cls;
+  const WindowKey owner = levels_[level].window_of_class(interval.base, cls);
   mark_interval_dirty(level, interval.base);
-  mark_window_dirty(level, info.owner);
-  auto& window = levels_[level].windows.at(info.owner);
+  mark_window_dirty(level, owner);
+  auto& window = levels_[level].windows.at(owner);
   RS_CHECK(window.assigned_slots.erase(slot) == 1, "unassign_slot: ledger mismatch");
   window.free_assigned.erase(slot);
-  const unsigned cls = levels_[level].class_of(info.owner);
   if (--interval.assigned_by_class[cls] == 0) {
     interval.assigned_class_mask &= ~(u64{1} << cls);
   }
   info.assigned = false;
-  info.owner = WindowKey{};
+  info.cls = 0;
   --interval.assigned_count;
 }
 
@@ -315,14 +313,13 @@ void ReservationScheduler::reconcile_interval(unsigned level, Interval& interval
     const unsigned cls = static_cast<unsigned>(std::countr_zero(mask));
     const std::uint32_t a = interval.assigned_by_class[cls];
     if (a <= rows[cls].fulfilled) continue;
-    release_over_assignment(level, interval, rows[cls].key, a - rows[cls].fulfilled,
-                            to_move);
+    release_over_assignment(level, interval, cls, a - rows[cls].fulfilled, to_move);
   }
   for (const JobId job : to_move) move_job(job, pending);
 }
 
 void ReservationScheduler::release_over_assignment(unsigned level, Interval& interval,
-                                                   const WindowKey& w,
+                                                   unsigned cls,
                                                    std::uint32_t to_release,
                                                    std::vector<JobId>& to_move) {
   // Prefer releasing slots that carry no job of this level (silent); only
@@ -331,7 +328,7 @@ void ReservationScheduler::release_over_assignment(unsigned level, Interval& int
   std::vector<Time> occupied;
   for (std::size_t off = 0; off < levels_[level].interval_size; ++off) {
     const SlotInfo& info = interval.slots[off];
-    if (!info.assigned || info.owner != w) continue;
+    if (!info.assigned || info.cls != cls) continue;
     const Time slot = interval.base + static_cast<Time>(off);
     const JobId* occupant = occ_.find(slot);
     if (occupant == nullptr || jobs_.at(*occupant).level != level) {
@@ -396,7 +393,6 @@ Time ReservationScheduler::acquire_slot(const WindowKey& w, unsigned level, Time
     // Cached table + incrementally tracked assignment count: the spare
     // check costs O(1); slots are scanned only when a claim will succeed.
     const FulRow* rows = fulfillment(level, interval);
-    RS_ASSERT(rows[cls].key == w, "acquire_slot: class row mismatch");
     if (rows[cls].fulfilled > interval.assigned_by_class[cls]) {
       Time free_any = kNoSlot;
       Time free_empty = kNoSlot;
@@ -554,13 +550,17 @@ void ReservationScheduler::swap_ancestor_bookkeeping(Time s1, Time s2,
              "swap: slots not in the same ancestor interval");
     SlotInfo& a = interval->slots[static_cast<std::size_t>(s1 - interval->base)];
     SlotInfo& b = interval->slots[static_cast<std::size_t>(s2 - interval->base)];
+    // Both slots lie in this interval, so equal classes mean one owner.
+    const auto owner = [&](const SlotInfo& info) {
+      return levels_[level].window_of_class(interval->base, info.cls);
+    };
     mark_interval_dirty(level, interval->base);
-    if (a.assigned) mark_window_dirty(level, a.owner);
-    if (b.assigned) mark_window_dirty(level, b.owner);
-    if (a.assigned && b.assigned && a.owner == b.owner) {
+    if (a.assigned) mark_window_dirty(level, owner(a));
+    if (b.assigned) mark_window_dirty(level, owner(b));
+    if (a.assigned && b.assigned && a.cls == b.cls) {
       // Same owner on both slots: set membership is unchanged; only the
       // free/occupied status may differ and follows the physical swap.
-      auto& window = levels_[level].windows.at(a.owner);
+      auto& window = levels_[level].windows.at(owner(a));
       const bool free1 = window.free_assigned.contains(s1);
       const bool free2 = window.free_assigned.contains(s2);
       if (free1 != free2) {
@@ -575,7 +575,7 @@ void ReservationScheduler::swap_ancestor_bookkeeping(Time s1, Time s2,
     } else {
       const auto transfer = [&](SlotInfo& info, Time from, Time to) {
         if (!info.assigned) return;
-        auto& window = levels_[level].windows.at(info.owner);
+        auto& window = levels_[level].windows.at(owner(info));
         RS_CHECK(window.assigned_slots.erase(from) == 1, "swap: ledger mismatch");
         window.assigned_slots.insert(to);
         if (window.free_assigned.erase(from) > 0) window.free_assigned.insert(to);
@@ -1259,9 +1259,10 @@ ReservationScheduler::fulfillment_of_interval(unsigned level, Time interval_base
   // full exact table (and must not observe—or be observed to depend
   // on—cache state).
   const std::vector<FulRow> rows = compute_fulfillment(level, *interval);
-  for (const auto& row : rows) {
-    out.push_back(FulfillmentEntry{row.key, ls.windows.find(row.key) != nullptr,
-                                   row.reservations, row.fulfilled});
+  for (unsigned cls = 0; cls < rows.size(); ++cls) {
+    const WindowKey key = ls.window_of_class(interval_base, cls);
+    out.push_back(FulfillmentEntry{key, ls.windows.find(key) != nullptr,
+                                   rows[cls].reservations, rows[cls].fulfilled});
   }
   return out;
 }
@@ -1276,8 +1277,7 @@ std::size_t ReservationScheduler::verify_interval_cache(unsigned level, Time bas
     // The reservation column is promised exact in every non-invalid
     // state; the fulfilled column only below ful_bound once re-cascaded
     // (kValid).
-    RS_CHECK(cold[i].key == interval.ful_cache[i].key &&
-                 cold[i].reservations == interval.ful_cache[i].reservations,
+    RS_CHECK(cold[i].reservations == interval.ful_cache[i].reservations,
              "fulfillment cache: cached reservations diverged from cold "
              "recomputation");
     if (interval.ful_state == FulState::kValid && i < interval.ful_bound) {
@@ -1354,7 +1354,7 @@ void ReservationScheduler::audit_window_body(unsigned level, const WindowKey& ke
     RS_CHECK(interval != nullptr, "audit: ledger slot in an unmaterialized interval");
     const SlotInfo& info =
         interval->slots[static_cast<std::size_t>(slot - interval->base)];
-    RS_CHECK(info.assigned && info.owner == key,
+    RS_CHECK(info.assigned && ls.window_of_class(interval->base, info.cls) == key,
              "audit: ledger slot not backed by an interval assignment");
   });
   window.free_assigned.for_each([&](Time slot) {
@@ -1414,12 +1414,13 @@ void ReservationScheduler::audit_interval_body(unsigned level, Time base,
     if (info.lower_occupied) ++lower;
     if (info.assigned) {
       RS_CHECK(!info.lower_occupied, "audit: assigned slot is lower-occupied");
-      const ActiveWindow* window = ls.windows.find(info.owner);
+      RS_CHECK(info.cls < ls.class_count(), "audit: slot owner class out of range");
+      const ActiveWindow* window = ls.windows.find(ls.window_of_class(base, info.cls));
       RS_CHECK(window != nullptr, "audit: slot owned by inactive window");
       RS_CHECK(window->assigned_slots.contains(slot),
                "audit: owner ledger missing slot");
       ++assigned;
-      ++per_class[ls.class_of(info.owner)];
+      ++per_class[info.cls];
     }
   }
   RS_CHECK(lower == interval.lower_count, "audit: lower_count mismatch");

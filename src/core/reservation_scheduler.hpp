@@ -40,7 +40,10 @@
 //    BlockArena (util/arena.hpp), so materializing an interval is a single
 //    O(1) zeroed carve and tearing a level down is O(1) (arena reset or
 //    wholesale release). An Interval itself is a trivially-copyable view:
-//    pointers into its level's arena plus scalar counters.
+//    pointers into its level's arena plus scalar counters. A slot cell is
+//    one byte and a fulfillment row eight: neither stores a window key,
+//    because the span class alone names the one aligned window of that
+//    class containing the interval (LevelState::window_of_class).
 //
 //  * Concrete slot assignment is lazy. A window's *assigned* slots (the
 //    slots backing its fulfilled reservations) are materialized on demand,
@@ -293,20 +296,24 @@ class ReservationScheduler final : public IReallocScheduler {
     bool parked = false;  // placed outside the reservation system
   };
 
+  /// One slot of an interval's table: one byte. An assigned slot stores
+  /// only its owner's span class (span_log - min_span_log, < 64 by the
+  /// constructor's check): exactly one aligned window of each class
+  /// contains the interval, so the class names the owner
+  /// (LevelState::window_of_class).
   struct SlotInfo {
-    bool lower_occupied = false;  // occupied by a job "below" this level
-    bool assigned = false;        // concrete fulfilled reservation
-    WindowKey owner{};            // valid iff assigned
+    std::uint8_t lower_occupied : 1 = 0;  // occupied by a job "below" this level
+    std::uint8_t assigned : 1 = 0;        // concrete fulfilled reservation
+    std::uint8_t cls : 6 = 0;             // owner's span class; valid iff assigned
   };
 
-  /// One row of an interval's fulfillment table. Exactly one aligned window
-  /// of each span class contains the interval, so tables are indexed by
-  /// span class (span_log - min_span_log). Deliberately carries no
-  /// activity flag or window pointer: rows must stay a pure function of
-  /// the inputs the cache invalidation tracks (job counts via p1/p2,
-  /// lower occupancy), and activation elsewhere changes neither value.
+  /// One row of an interval's fulfillment table, indexed by span class
+  /// like SlotInfo::cls (the row's window is implied by the same rule).
+  /// Deliberately carries no activity flag or window pointer: rows must
+  /// stay a pure function of the inputs the cache invalidation tracks (job
+  /// counts via p1/p2, lower occupancy), and activation elsewhere changes
+  /// neither value.
   struct FulRow {
-    WindowKey key;
     std::uint32_t reservations = 0;
     std::uint32_t fulfilled = 0;
     friend bool operator==(const FulRow&, const FulRow&) = default;
@@ -325,7 +332,10 @@ class ReservationScheduler final : public IReallocScheduler {
   /// of the owning level (util/arena.hpp). Layout of the block, in order:
   ///
   ///   [ SlotInfo × interval_size | FulRow × class_count | u32 × class_count ]
-  ///     ^slots                     ^ful_cache             ^assigned_by_class
+  ///     ^slots (1 B each)          ^ful_cache (8 B each)  ^assigned_by_class
+  ///
+  /// At the paper's constants that is 32 + 3·8 + 3·4 = 68 B (80 B carved)
+  /// at L₁ and 256 + 54·8 + 54·4 = 904 B (912 B carved) at L₂.
   ///
   /// The arrays never move (arena chunks are stable), so Interval values
   /// may be copied/moved freely by the enclosing flat map; the memory is
@@ -400,6 +410,15 @@ class ReservationScheduler final : public IReallocScheduler {
     [[nodiscard]] unsigned class_of(const WindowKey& w) const noexcept {
       return w.span_log - min_span_log;
     }
+    /// The one aligned window of class `cls` that contains the interval at
+    /// `interval_base`: the owner of that interval's class-`cls` slots and
+    /// the window of its class-`cls` fulfillment row.
+    [[nodiscard]] WindowKey window_of_class(Time interval_base, unsigned cls) const {
+      WindowKey key;
+      key.span_log = static_cast<std::uint8_t>(min_span_log + cls);
+      key.start = align_down(interval_base, key.span());
+      return key;
+    }
   };
 
   /// A request that arrived while a migration was in flight: served by the
@@ -473,9 +492,9 @@ class ReservationScheduler final : public IReallocScheduler {
   /// releasing.
   void reconcile(unsigned level, Time interval_base, std::vector<JobId>& pending);
   void reconcile_interval(unsigned level, Interval& interval, std::vector<JobId>& pending);
-  /// Releases `to_release` of `w`'s concrete slots in the interval (silent
-  /// slots first); jobs on released slots join `to_move`.
-  void release_over_assignment(unsigned level, Interval& interval, const WindowKey& w,
+  /// Releases `to_release` of the concrete slots of class `cls` in the
+  /// interval (silent slots first); jobs on released slots join `to_move`.
+  void release_over_assignment(unsigned level, Interval& interval, unsigned cls,
                                std::uint32_t to_release, std::vector<JobId>& to_move);
   void unassign_slot(unsigned level, Interval& interval, Time slot);
   void assign_slot(unsigned level, Interval& interval, Time slot, const WindowKey& w);

@@ -1,5 +1,8 @@
 #include "durability/scheduler_persist.hpp"
 
+#include <algorithm>
+#include <vector>
+
 #include "core/reservation_scheduler.hpp"
 #include "util/assert.hpp"
 
@@ -109,7 +112,8 @@ void SchedulerPersist::save(const ReservationScheduler& s, ByteSink& sink) {
         sink.u32(static_cast<std::uint32_t>(i));
         sink.u8(static_cast<std::uint8_t>((slot.lower_occupied ? 1 : 0) |
                                           (slot.assigned ? 2 : 0)));
-        if (slot.assigned) put_window_key(sink, slot.owner);
+        // Cells hold the owner's span class; the image keeps the full key.
+        if (slot.assigned) put_window_key(sink, ls.window_of_class(interval.base, slot.cls));
       }
     });
     // Interval-map layout: serialize the FlatHashMap shell separately so
@@ -173,6 +177,7 @@ void SchedulerPersist::load(ReservationScheduler& s, ByteSource& source) {
   }
   for (auto& ls : s.levels_) {
     const unsigned class_count = ls.interval_size > 0 ? ls.class_count() : 0;
+    std::vector<std::uint32_t> per_class(class_count);
     // Interval payloads arrive before the map shell (the write order
     // above); stage them by base, then wire each into a fresh arena block
     // as the shell deserializes.
@@ -202,7 +207,35 @@ void SchedulerPersist::load(ReservationScheduler& s, ByteSource& source) {
         auto& slot = interval.slots[offset];
         slot.lower_occupied = (flags & 1) != 0;
         slot.assigned = (flags & 2) != 0;
-        if (slot.assigned) slot.owner = get_window_key(source);
+        if (!slot.assigned) continue;
+        // A cell keeps only the owner's span class, so the stored key must
+        // be the one window of that class containing this interval.
+        const WindowKey owner = get_window_key(source);
+        if (owner.span_log < ls.min_span_log || owner.span_log > ls.max_span_log) {
+          throw CorruptInput("snapshot: slot owner span is not a class of its level");
+        }
+        slot.cls = static_cast<std::uint8_t>(ls.class_of(owner));
+        if (ls.window_of_class(interval.base, slot.cls) != owner) {
+          throw CorruptInput("snapshot: slot owner window does not contain its interval");
+        }
+      }
+      // The cells, counted per class, must agree with the counters the
+      // reconcile path trusts instead of scanning.
+      std::fill(per_class.begin(), per_class.end(), 0);
+      for (u64 i = 0; i < ls.interval_size; ++i) {
+        if (interval.slots[i].assigned) ++per_class[interval.slots[i].cls];
+      }
+      std::uint32_t assigned = 0;
+      u64 mask = 0;
+      for (unsigned c = 0; c < class_count; ++c) {
+        if (per_class[c] != interval.assigned_by_class[c]) {
+          throw CorruptInput("snapshot: slot owners disagree with the per-class counts");
+        }
+        assigned += per_class[c];
+        if (per_class[c] > 0) mask |= u64{1} << c;
+      }
+      if (assigned != interval.assigned_count || mask != interval.assigned_class_mask) {
+        throw CorruptInput("snapshot: slot owners disagree with the assignment counters");
       }
       const bool fresh = staged.insert_or_assign(interval.base, interval);
       if (!fresh) throw CorruptInput("snapshot: duplicate interval base");

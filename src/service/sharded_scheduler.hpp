@@ -60,6 +60,15 @@
 // OverflowPolicy::kBestEffort) parks instead of rejecting, so this path
 // never fires there.
 //
+// Precondition violations: the scan checks each sub-batch just before that
+// sub-batch is planned and applied, so a ContractViolation raised in a
+// later sub-batch leaves every earlier sub-batch applied and, with a WAL,
+// appended to the log; the throw carries no BatchResult for them. Their
+// records stay buffered until the next request's frame is cut or the
+// service is destroyed. Nothing from the violating sub-batch on is
+// applied or logged, so state and log agree: csn() and active_jobs()
+// report the applied prefix, and a reopened service recovers exactly it.
+//
 // Threading: the public entry points follow the repository-wide
 // single-caller discipline; all parallelism is internal to apply(). Each
 // per-machine scheduler — and therefore each per-level interval arena it
@@ -125,6 +134,9 @@ class ShardedScheduler final : public IReallocScheduler {
 
   RequestStats insert(JobId id, Window window) override;
   RequestStats erase(JobId id) override;
+  /// Serves `batch` in sub-batches (header comment). Throws
+  /// ContractViolation at the first precondition violation, with the
+  /// earlier sub-batches already applied and logged.
   BatchResult apply(std::span<const Request> batch) override;
   /// Every machine's window preconditions: apply() checks them before the
   /// plan picks the machine.

@@ -1,13 +1,14 @@
 // Fixed-size-block bump arena for per-interval scheduler state.
 //
 // Every materialized Interval of a level needs exactly the same amount of
-// backing memory — interval_size SlotInfo cells, class_count fulfillment
-// rows, class_count assignment counters — so each LevelState owns one
-// BlockArena configured with that block size, and interval materialization
-// is a single O(1) carve instead of three heap allocations (the seed's
-// `slots` / `ful_cache` / `assigned_by_class` vectors). The three arrays of
-// one interval are adjacent in memory, which also helps the reconcile /
-// acquire hot loops that touch all three.
+// backing memory — interval_size one-byte SlotInfo cells, class_count
+// 8-byte fulfillment rows, class_count u32 assignment counters (80 B at
+// the paper's L1, 912 B at L2, after rounding to kAlign) — so each
+// LevelState owns one BlockArena configured with that block size, and
+// interval materialization is a single O(1) carve instead of three heap
+// allocations (the seed's `slots` / `ful_cache` / `assigned_by_class`
+// vectors). The three arrays of one interval are adjacent in memory,
+// which also helps the reconcile / acquire hot loops that touch all three.
 //
 // Lifecycle contract (matches how the scheduler uses interval state):
 //   * carve() hands out a zeroed block; blocks are never freed one by one.

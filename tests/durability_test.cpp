@@ -1150,6 +1150,32 @@ TEST(Recovery, PreconditionViolationsNeverReachTheLog) {
   }
 }
 
+TEST(Recovery, LaterSubBatchViolationKeepsEarlierSubBatches) {
+  // apply() checks preconditions one sub-batch at a time. The second
+  // insert of id 1 starts a new sub-batch (the id still looks active), and
+  // its check throws after the first sub-batch was applied and logged.
+  TempDir dir;
+  const DurabilityPolicy policy{.dir = dir.path};
+  Schedule applied;
+  {
+    DurableService durable(policy, base_options());
+    ShardedScheduler& service = durable.service;
+    const std::vector<Request> batch = {Request::insert(JobId{1}, Window{0, 8}),
+                                        Request::insert(JobId{1}, Window{8, 16})};
+    EXPECT_THROW(service.apply(batch), ContractViolation);
+    EXPECT_EQ(service.csn(), 1u);
+    EXPECT_EQ(service.active_jobs(), 1u);
+    applied = service.snapshot();
+    ASSERT_TRUE(applied.find(JobId{1}).has_value());
+    EXPECT_TRUE(Window(0, 8).contains(applied.find(JobId{1})->slot));
+    service.audit_balance();
+  }
+  DurableService reopened(policy, base_options());
+  EXPECT_EQ(reopened.service.csn(), 1u);
+  EXPECT_EQ(reopened.service.active_jobs(), 1u);
+  expect_identical_schedules(applied, reopened.service.snapshot(), "reopened");
+}
+
 std::vector<char> read_file(const std::string& path) {
   std::ifstream in(path, std::ios::binary);
   return {std::istreambuf_iterator<char>(in), std::istreambuf_iterator<char>()};
@@ -1351,6 +1377,89 @@ TEST(ServiceSnapshot, DecoderRefusesDamagedBytesAndRecoveryFallsBack) {
     write_file(durability::snapshot_path(dir.path, csn), sealed({}));
   }
   EXPECT_TRUE(recovers_from(0, "no loadable snapshot"));
+}
+
+TEST(ServiceSnapshot, SlotOwnerOutsideItsClassWindowIsRefused) {
+  // A slot cell keeps only its owner's span class, so the image's stored
+  // owner key is checked against the one window of that class containing
+  // the slot's interval. Each re-sealed image with one owner key changed
+  // is refused, and recovery falls back to the older snapshot and matches
+  // a twin that never crashed.
+  TempDir dir;
+  DurabilityPolicy policy;
+  policy.dir = dir.path;
+  policy.snapshot_every = 8;
+  policy.keep_snapshots = 8;
+  // Two level-1 jobs in each of eight span-64 windows: no trimming, no
+  // parking, and every job sits on a slot assigned to its own window.
+  std::vector<Request> trace;
+  for (std::uint64_t k = 0; k < 16; ++k) {
+    const Time start = static_cast<Time>(64 * (k / 2));
+    trace.push_back(Request::insert(JobId{k + 1}, Window{start, start + 64}));
+  }
+  ShardedScheduler twin(1, [] { return std::make_unique<ReservationScheduler>(base_options()); });
+  Schedule live;
+  {
+    DurableService durable(policy, base_options());
+    for (const Request& r : trace) {
+      serve(durable.service, r);
+      serve(twin, r);
+    }
+    live = durable.service.snapshot();
+  }
+  expect_identical_schedules(twin.snapshot(), live, "twin");
+  const std::vector<std::uint64_t> snaps = durability::list_snapshots(dir.path);
+  ASSERT_GE(snaps.size(), 2u);
+  ASSERT_EQ(snaps[0], trace.size()) << "layout assumption: the newest snapshot is the live state";
+  const std::string newest = durability::snapshot_path(dir.path, snaps[0]);
+  const std::vector<char> intact = read_file(newest);
+  ASSERT_GT(intact.size(), 12u);
+  const std::vector<char> payload(intact.begin(), intact.end() - 12);
+
+  // Job 3 sits on a slot assigned to [64, 128). Its slot-table entry is
+  // offset u32 | flags u8 (2 = assigned) | owner start i64 | owner span_log u8.
+  // Job 4 may sit at the same offset of the window's other interval, so
+  // the first match is either job's entry; both hold a class-0 owner.
+  const Time slot = live.find(JobId{3})->slot;
+  ASSERT_TRUE(Window(64, 128).contains(slot));
+  std::vector<char> entry;
+  const auto put = [&entry](std::uint64_t v, int bytes) {
+    for (int i = 0; i < bytes; ++i) entry.push_back(static_cast<char>(v >> (8 * i)));
+  };
+  put(static_cast<std::uint64_t>(slot % 32), 4);
+  put(2, 1);
+  put(64, 8);
+  put(6, 1);
+  const auto found = std::search(payload.begin(), payload.end(), entry.begin(), entry.end());
+  ASSERT_NE(found, payload.end()) << "layout assumption: the owner entry is in the image";
+  const std::size_t owner_at = static_cast<std::size_t>(found - payload.begin()) + 5;
+
+  const auto recovers_from_older = [&](std::int64_t start, std::uint8_t span_log,
+                                       const char* where) {
+    std::vector<char> damaged = payload;
+    for (int i = 0; i < 8; ++i) {
+      damaged[owner_at + i] = static_cast<char>(static_cast<std::uint64_t>(start) >> (8 * i));
+    }
+    damaged[owner_at + 8] = static_cast<char>(span_log);
+    write_file(newest, sealed(damaged));
+    DurableService recovered(policy, base_options());
+    EXPECT_EQ(recovered.service.recovery_report().snapshot_csn, snaps[1]) << where;
+    EXPECT_EQ(recovered.service.csn(), trace.size()) << where;
+    expect_identical_schedules(twin.snapshot(), recovered.service.snapshot(), where);
+    recovered.machine().audit();
+  };
+  // The neighbouring window of the same class: it does not hold the slot.
+  recovers_from_older(128, 6, "neighbouring window");
+  // A span that is no class of level 1.
+  recovers_from_older(64, 5, "span below the level");
+  // The class-7 window that does contain the interval: a valid owner, but
+  // the per-class counts no longer match the cells.
+  recovers_from_older(0, 7, "another class");
+  // The intact image still loads.
+  write_file(newest, intact);
+  DurableService recovered(policy, base_options());
+  EXPECT_EQ(recovered.service.recovery_report().snapshot_csn, snaps[0]);
+  expect_identical_schedules(twin.snapshot(), recovered.service.snapshot(), "intact");
 }
 
 // ------------------------------------------------------------ trace format

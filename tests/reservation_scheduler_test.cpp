@@ -294,5 +294,22 @@ TEST(ReservationScheduler, SpanBeyondTableRejected) {
   EXPECT_THROW(s.insert(JobId{1}, Window{0, huge * 2}), ContractViolation);
 }
 
+TEST(ReservationScheduler, PaperLevelIntervalBlocksUseOneByteSlotCells) {
+  // One block per interval: a one-byte cell per slot, then an 8-byte
+  // fulfillment row and a 4-byte counter per span class, rounded up to the
+  // arena alignment. L1: 32 + 3 * 12 = 68 -> 80 B. L2: 256 + 54 * 12 =
+  // 904 -> 912 B.
+  SchedulerOptions options = audited();
+  options.trimming = false;  // keep the span-1024 job at level 2
+  ReservationScheduler s(options);
+  EXPECT_EQ(s.arena_stats(1).block_bytes, 80u);
+  EXPECT_LE(s.arena_stats(2).block_bytes, 1024u);
+  // Both levels still carve and audit cleanly at these sizes.
+  s.insert(JobId{1}, Window{0, 64});
+  s.insert(JobId{2}, Window{0, 1024});
+  EXPECT_GE(s.arena_stats(1).blocks_carved, 1u);
+  EXPECT_GE(s.arena_stats(2).blocks_carved, 1u);
+}
+
 }  // namespace
 }  // namespace reasched
