@@ -24,7 +24,10 @@ struct Window {
   constexpr Window(Time a, Time d) : start(a), end(d) {}
 
   /// Number of usable slots, |W| = d - a. Valid windows have span >= 1.
-  [[nodiscard]] constexpr Time span() const noexcept { return end - start; }
+  /// No signed overflow: a span beyond Time reads back exactly as a u64.
+  [[nodiscard]] constexpr Time span() const noexcept {
+    return static_cast<Time>(static_cast<u64>(end) - static_cast<u64>(start));
+  }
 
   [[nodiscard]] constexpr bool valid() const noexcept { return end > start; }
 
@@ -46,7 +49,7 @@ struct Window {
   [[nodiscard]] bool aligned() const {
     if (!valid()) return false;
     const auto s = static_cast<u64>(span());
-    return is_pow2(s) && align_down(start, s) == start;
+    return is_pow2(s) && (static_cast<u64>(start) & (s - 1)) == 0;
   }
 
   friend constexpr auto operator<=>(const Window&, const Window&) = default;

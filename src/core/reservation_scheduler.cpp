@@ -1337,6 +1337,12 @@ void ReservationScheduler::check_jobs_and_occupancy() const {
   });
   RS_CHECK(parked_seen == parked_count_, "audit: parked count mismatch");
   RS_CHECK(occ_.size() == jobs_.size(), "audit: orphan occupancy entries");
+  // n* (§4 trimming): a power of two from kMinNStar up whose trim span 2γn*
+  // Time can hold; it moves only with trimming, and bounds the active set.
+  RS_CHECK(is_pow2(n_star_) && n_star_ >= trimming::kMinNStar &&
+               n_star_ <= (u64{1} << 62) / options_.gamma &&
+               (options_.trimming ? jobs_.size() <= n_star_ : n_star_ == trimming::kMinNStar),
+           "audit: n* out of range");
   occ_.for_each([&](Time slot, JobId) {
     RS_CHECK(occ_.runs().occupied(slot), "audit: run index missing an occupied slot");
   });
@@ -1398,6 +1404,7 @@ void ReservationScheduler::audit_interval_body(unsigned level, Time base,
                                                const Interval& interval) const {
   const auto& ls = levels_[level];
   RS_CHECK(interval.base == base, "audit: interval base mismatch");
+  RS_CHECK(align_down(base, ls.interval_size) == base, "audit: interval base not aligned");
   RS_CHECK(interval.slots != nullptr && interval.ful_cache != nullptr &&
                interval.assigned_by_class != nullptr,
            "audit: interval not backed by an arena block");
@@ -1425,12 +1432,13 @@ void ReservationScheduler::audit_interval_body(unsigned level, Time base,
   }
   RS_CHECK(lower == interval.lower_count, "audit: lower_count mismatch");
   RS_CHECK(assigned == interval.assigned_count, "audit: assigned_count mismatch");
+  u64 mask = 0;
   for (unsigned cls = 0; cls < ls.class_count(); ++cls) {
     RS_CHECK(per_class[cls] == interval.assigned_by_class[cls],
              "audit: per-class assignment count mismatch");
-    RS_CHECK(((interval.assigned_class_mask >> cls) & 1) == (per_class[cls] > 0),
-             "audit: assigned class mask mismatch");
+    if (per_class[cls] > 0) mask |= u64{1} << cls;
   }
+  RS_CHECK(mask == interval.assigned_class_mask, "audit: assigned class mask mismatch");
   // Lazy invariant: concrete assignments never exceed fulfillment.
   // Checked against a cold recomputation so a stale cache cannot mask a
   // violation.
@@ -1466,6 +1474,10 @@ void ReservationScheduler::check_migration_coherence() const {
 
 void ReservationScheduler::audit() const {
   ++full_sweeps_;
+  check_invariants();
+}
+
+void ReservationScheduler::check_invariants() const {
   check_jobs_and_occupancy();          // §1 / I1
   check_window_ledgers();              // §2 / I2
   check_interval_assignment_bound();   // §3 / I3

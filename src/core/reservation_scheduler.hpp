@@ -594,6 +594,8 @@ class ReservationScheduler final : public IReallocScheduler {
   /// slot containment, interval backing (anti-orphan), free-set sanity.
   void audit_window_body(unsigned level, const WindowKey& key,
                          const ActiveWindow& window) const;
+  /// audit() minus the full_sweeps_ count: how the snapshot loader checks.
+  void check_invariants() const;
   // Full-sweep sections as named invariant-check units (I1–I5):
   void check_jobs_and_occupancy() const;
   void check_window_ledgers() const;

@@ -14,6 +14,7 @@
 #include <cstdint>
 #include <cstring>
 #include <stdexcept>
+#include <string>
 #include <vector>
 
 #include "base/window.hpp"
@@ -28,6 +29,19 @@ namespace reasched::durability {
 struct CorruptInput final : std::runtime_error {
   using std::runtime_error::runtime_error;
 };
+
+/// Runs the owner's audit over freshly decoded state: a decoder checks only
+/// what keeps it memory-safe and exact. A failed check (InternalError, or
+/// a check's own ContractViolation) means no writer made these bytes, so
+/// the load is refused like any other malformed input.
+template <class Audit>
+void audit_decoded(const char* what, Audit&& audit) {
+  try {
+    audit();
+  } catch (const std::logic_error& violated) {
+    throw CorruptInput(std::string(what) + ": " + violated.what());
+  }
+}
 
 /// Append-only byte sink.
 class ByteSink {

@@ -68,7 +68,9 @@ void recover_log(const DurabilityPolicy& policy, IReallocScheduler& target,
   };
   for (const WalRecord& record : wal.records) {
     if (record.csn <= report.snapshot_csn) continue;
-    RS_CHECK(record.csn > report.last_csn, "recovery: replay stream not ascending");
+    if (record.csn <= report.last_csn) {
+      throw CorruptInput("wal: csn " + std::to_string(record.csn) + " out of order");
+    }
     report.last_csn = record.csn;
     ++report.replayed;
     // An id an earlier batch rejected: its erase is moot, and a re-insert

@@ -1,8 +1,5 @@
 #include "durability/scheduler_persist.hpp"
 
-#include <algorithm>
-#include <vector>
-
 #include "core/reservation_scheduler.hpp"
 #include "util/assert.hpp"
 
@@ -25,10 +22,6 @@ WindowKey get_window_key(ByteSource& source) {
   w.start = source.i64();
   w.span_log = source.u8();
   return w;
-}
-
-void put_time_key(ByteSink& sink, const Time& t) {
-  sink.i64(t);
 }
 
 }  // namespace
@@ -123,7 +116,7 @@ void SchedulerPersist::save(const ReservationScheduler& s, ByteSink& sink) {
     // of Sink-template plumbing for the arena re-carve on load.
     ls.intervals.serialize(sink, [](ByteSink& out, const Time& base,
                                     const ReservationScheduler::Interval&) {
-      put_time_key(out, base);
+      out.i64(base);
     });
 
     ls.windows.serialize(sink, [](ByteSink& out, const WindowKey& key,
@@ -177,11 +170,23 @@ void SchedulerPersist::load(ReservationScheduler& s, ByteSource& source) {
   }
   for (auto& ls : s.levels_) {
     const unsigned class_count = ls.interval_size > 0 ? ls.class_count() : 0;
-    std::vector<std::uint32_t> per_class(class_count);
+    // A key's span must be a class of its level (level 0 has none):
+    // class_of indexes by it, and window_of_class shifts by it.
+    const auto class_key = [&ls](ByteSource& in) {
+      const WindowKey key = get_window_key(in);
+      if (ls.interval_size == 0 || key.span_log < ls.min_span_log ||
+          key.span_log > ls.max_span_log) {
+        throw CorruptInput("snapshot: window key is not a class of its level");
+      }
+      return key;
+    };
     // Interval payloads arrive before the map shell (the write order
     // above); stage them by base, then wire each into a fresh arena block
     // as the shell deserializes.
     const std::uint64_t interval_count = source.u64();
+    if (interval_count > source.remaining()) {
+      throw CorruptInput("snapshot: interval count exceeds the input");
+    }
     FlatHashMap<Time, ReservationScheduler::Interval> staged;
     staged.reserve(static_cast<std::size_t>(interval_count));
     for (std::uint64_t n = 0; n < interval_count; ++n) {
@@ -204,41 +209,21 @@ void SchedulerPersist::load(ReservationScheduler& s, ByteSource& source) {
           throw CorruptInput("snapshot: slot offset out of range");
         }
         const std::uint8_t flags = source.u8();
+        if (flags > 3) throw CorruptInput("snapshot: unknown slot flag bits");
         auto& slot = interval.slots[offset];
         slot.lower_occupied = (flags & 1) != 0;
         slot.assigned = (flags & 2) != 0;
         if (!slot.assigned) continue;
         // A cell keeps only the owner's span class, so the stored key must
         // be the one window of that class containing this interval.
-        const WindowKey owner = get_window_key(source);
-        if (owner.span_log < ls.min_span_log || owner.span_log > ls.max_span_log) {
-          throw CorruptInput("snapshot: slot owner span is not a class of its level");
-        }
+        const WindowKey owner = class_key(source);
         slot.cls = static_cast<std::uint8_t>(ls.class_of(owner));
         if (ls.window_of_class(interval.base, slot.cls) != owner) {
           throw CorruptInput("snapshot: slot owner window does not contain its interval");
         }
       }
-      // The cells, counted per class, must agree with the counters the
-      // reconcile path trusts instead of scanning.
-      std::fill(per_class.begin(), per_class.end(), 0);
-      for (u64 i = 0; i < ls.interval_size; ++i) {
-        if (interval.slots[i].assigned) ++per_class[interval.slots[i].cls];
-      }
-      std::uint32_t assigned = 0;
-      u64 mask = 0;
-      for (unsigned c = 0; c < class_count; ++c) {
-        if (per_class[c] != interval.assigned_by_class[c]) {
-          throw CorruptInput("snapshot: slot owners disagree with the per-class counts");
-        }
-        assigned += per_class[c];
-        if (per_class[c] > 0) mask |= u64{1} << c;
-      }
-      if (assigned != interval.assigned_count || mask != interval.assigned_class_mask) {
-        throw CorruptInput("snapshot: slot owners disagree with the assignment counters");
-      }
-      const bool fresh = staged.insert_or_assign(interval.base, interval);
-      if (!fresh) throw CorruptInput("snapshot: duplicate interval base");
+      // A repeated base leaves a shell entry without its payload below.
+      staged.insert_or_assign(interval.base, interval);
     }
     ls.intervals.deserialize(
         source, [&staged](ByteSource& in, Time& base,
@@ -255,9 +240,9 @@ void SchedulerPersist::load(ReservationScheduler& s, ByteSource& source) {
     }
 
     ls.windows.deserialize(
-        source, [](ByteSource& in, WindowKey& key,
-                   ReservationScheduler::ActiveWindow& window) {
-          key = get_window_key(in);
+        source, [&class_key](ByteSource& in, WindowKey& key,
+                             ReservationScheduler::ActiveWindow& window) {
+          key = class_key(in);
           window.jobs = in.u64();
           window.claim_cursor = in.u64();
           window.assigned_slots.deserialize(
@@ -278,11 +263,11 @@ void SchedulerPersist::load(ReservationScheduler& s, ByteSource& source) {
   }
   if (!source.exhausted()) throw CorruptInput("snapshot: trailing bytes");
 
-  // Wholesale state change under an attached engine: escalate so the next
-  // incremental audit runs one full sweep and reseeds the dirty-tracking
-  // shadows from the recovered ledgers (the same path a fresh attach or an
-  // emergency rebuild takes).
-  if (s.audit_engine_) s.audit_engine_->mark_all();
+  // The decode is exact; whether the state is one the scheduler could
+  // have reached is the audit's call. It then reseeds an attached engine's
+  // dirty-tracking shadows from the state it just verified.
+  audit_decoded("snapshot: image fails the audit", [&s] { s.check_invariants(); });
+  if (s.audit_engine_) s.reseed_audit_engine();
 }
 
 }  // namespace reasched::durability

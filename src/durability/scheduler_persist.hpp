@@ -15,9 +15,23 @@
 //   * the occupancy run index — rebuilt from the occupant map;
 //   * retired generations awaiting deferred trimming — memory bookkeeping
 //     with no schedule effect;
-//   * the audit engine's shadows — the loader escalates via mark_all(), so
-//     the first post-recovery audit is a full sweep that reseeds them
-//     (the same escalation path a fresh engine attach uses).
+//   * the audit engine's shadows — reseeded from the loaded state.
+//
+// Loading is decode, then audit. The decode checks only what it needs to
+// stay memory-safe and exact: magic, version and options fingerprint (an
+// image of another format or configuration); the level and census counts
+// and an interval count within the input (the sizes it allocates by); a
+// slot offset inside its interval and its flag bits (the cells it
+// writes); a window key whose span is a class of its level (class_of
+// indexes by it); a slot owner that is the window of its class holding
+// the interval (the cell keeps only the class); one payload per interval
+// shell; active_bound within the census (the audit reads the class below
+// it); no trailing bytes; and the flat-hash and dense-set containers' own
+// structure. Whether the decoded state is one the scheduler could have
+// reached — I1–I5 — is the scheduler's own audit's call, as it is at run
+// time: a failed audit refuses the image as CorruptInput, and recovery
+// falls back. The audit then reseeds an attached engine; it is not
+// counted in audit_work().
 //
 // Saving requires a quiescent scheduler: no partitioned-rebuild migration
 // in flight. ShardedScheduler's snapshot trigger guarantees that by
@@ -43,8 +57,7 @@ struct SchedulerPersist {
   /// Rebuilds the serialized state into `s`, which must be freshly
   /// constructed with the same SchedulerOptions the saved instance ran
   /// under (verified via fingerprint; mismatch throws CorruptInput, as
-  /// does any malformed input). On success the attached audit engine (if
-  /// any) is escalated with mark_all().
+  /// does any malformed input or a state that fails the audit).
   static void load(ReservationScheduler& s, ByteSource& source);
 
   /// Whether `s` holds job `id` with `window` as its submitted window: a

@@ -2,14 +2,12 @@
 
 #include <dirent.h>
 #include <fcntl.h>
-#include <sys/stat.h>
 #include <unistd.h>
 
 #include <algorithm>
 #include <cerrno>
 #include <cinttypes>
 #include <cstdio>
-#include <cstring>
 
 #include "durability/crashpoint.hpp"
 #include "util/assert.hpp"
@@ -20,24 +18,6 @@ namespace reasched::durability {
 namespace {
 
 constexpr std::size_t kTrailerBytes = 12;  // payload_len u64 + crc32c u32
-
-[[noreturn]] void throw_errno(const char* what, const std::string& path) {
-  RS_REQUIRE(false, std::string(what) + " " + path + ": " + std::strerror(errno));
-  __builtin_unreachable();
-}
-
-void write_all(int fd, const void* data, std::size_t len, const std::string& path) {
-  const auto* p = static_cast<const std::byte*>(data);
-  while (len > 0) {
-    const ssize_t wrote = ::write(fd, p, len);
-    if (wrote < 0) {
-      if (errno == EINTR) continue;
-      throw_errno("snapshot: write failed", path);
-    }
-    p += wrote;
-    len -= static_cast<std::size_t>(wrote);
-  }
-}
 
 /// Parses "snap-<csn>.snap"; returns false for anything else.
 bool parse_snapshot_name(const char* name, std::uint64_t& csn) {
@@ -125,26 +105,8 @@ void write_snapshot(const std::string& dir, std::uint64_t csn,
 }
 
 bool load_snapshot(const std::string& path, const PayloadReader& read_payload) {
-  const int fd = ::open(path.c_str(), O_RDONLY | O_CLOEXEC);
-  if (fd < 0) return false;
   std::vector<std::byte> file;
-  {
-    struct stat st {};
-    if (::fstat(fd, &st) != 0) {
-      ::close(fd);
-      return false;
-    }
-    file.resize(static_cast<std::size_t>(st.st_size));
-    std::size_t off = 0;
-    while (off < file.size()) {
-      const ssize_t got = ::read(fd, file.data() + off, file.size() - off);
-      if (got < 0 && errno == EINTR) continue;
-      if (got <= 0) break;
-      off += static_cast<std::size_t>(got);
-    }
-    ::close(fd);
-    if (off != file.size()) return false;
-  }
+  if (!read_file(path, file)) return false;
   if (file.size() < kTrailerBytes) return false;
   ByteSource trailer(file.data() + file.size() - kTrailerBytes, kTrailerBytes);
   const std::uint64_t payload_len = trailer.u64();

@@ -25,12 +25,46 @@ constexpr std::size_t kFrameHeaderBytes = kWalFrameHeaderBytes;
 /// torn frame header must not trigger a giant allocation.
 constexpr std::uint32_t kMaxFramePayload = 64u << 20;
 
-[[noreturn]] void throw_errno(const char* what, const std::string& path) {
+}  // namespace
+
+void throw_errno(const char* what, const std::string& path) {
   RS_REQUIRE(false, std::string(what) + " " + path + ": " + std::strerror(errno));
   __builtin_unreachable();
 }
 
-}  // namespace
+void write_all(int fd, const void* data, std::size_t len, const std::string& path) {
+  const auto* p = static_cast<const std::byte*>(data);
+  while (len > 0) {
+    const ssize_t wrote = ::write(fd, p, len);
+    if (wrote < 0) {
+      if (errno == EINTR) continue;
+      throw_errno("durability: write failed", path);
+    }
+    p += wrote;
+    len -= static_cast<std::size_t>(wrote);
+  }
+}
+
+bool read_file(const std::string& path, std::vector<std::byte>& out) {
+  const int fd = ::open(path.c_str(), O_RDONLY | O_CLOEXEC);
+  if (fd < 0) return false;
+  struct stat st {};
+  if (::fstat(fd, &st) != 0) {
+    ::close(fd);
+    return false;
+  }
+  out.resize(static_cast<std::size_t>(st.st_size));
+  std::size_t off = 0;
+  while (off < out.size()) {
+    const ssize_t got = ::read(fd, out.data() + off, out.size() - off);
+    if (got < 0 && errno == EINTR) continue;
+    if (got <= 0) break;
+    off += static_cast<std::size_t>(got);
+  }
+  out.resize(off);
+  ::close(fd);
+  return true;
+}
 
 WalRecord get_record(ByteSource& source) {
   WalRecord record;
@@ -104,7 +138,7 @@ void WalWriter::open(const std::string& path, const DurabilityPolicy& policy) {
     header.byte_block(kMagic, sizeof(kMagic));
     header.u32(kVersion);
     header.u32(0);  // reserved
-    write_all(header.bytes().data(), header.size());
+    write_all(fd_, header.bytes().data(), header.size(), path);
     if (::fsync(fd_) != 0) throw_errno("wal: cannot sync", path);
   } else {
     // Appending to an existing log: validate the header so a stray file
@@ -140,11 +174,11 @@ void WalWriter::flush() {
     // roughly half the payload — exactly what a power cut mid-write
     // leaves, then die. Recovery must truncate here.
     const std::size_t torn = kFrameHeaderBytes + payload / 2;
-    write_all(buffer_.bytes().data(), torn);
+    write_all(fd_, buffer_.bytes().data(), torn, "(fd)");
     ::fsync(fd_);
     CrashPoint::die();
   }
-  write_all(buffer_.bytes().data(), buffer_.size());
+  write_all(fd_, buffer_.bytes().data(), buffer_.size(), "(fd)");
   ++stats_.frames;
   stats_.records += buffered_records_;
   stats_.bytes += buffer_.size();
@@ -180,49 +214,16 @@ void WalWriter::close() {
   fd_ = -1;
 }
 
-void WalWriter::write_all(const void* data, std::size_t len) {
-  const auto* p = static_cast<const std::byte*>(data);
-  while (len > 0) {
-    const ssize_t wrote = ::write(fd_, p, len);
-    if (wrote < 0) {
-      if (errno == EINTR) continue;
-      throw_errno("wal: write failed", "(fd)");
-    }
-    p += wrote;
-    len -= static_cast<std::size_t>(wrote);
-  }
-}
-
 // ---------------------------------------------------------------- reader --
 
 WalReadResult read_wal(const std::string& path) {
   WalReadResult result;
-  const int fd = ::open(path.c_str(), O_RDONLY | O_CLOEXEC);
-  if (fd < 0) {
-    if (errno == ENOENT) {
-      result.missing = true;
-      return result;
-    }
-    throw_errno("wal: cannot open", path);
-  }
   std::vector<std::byte> file;
-  {
-    struct stat st {};
-    if (::fstat(fd, &st) != 0) {
-      ::close(fd);
-      throw_errno("wal: cannot stat", path);
-    }
-    file.resize(static_cast<std::size_t>(st.st_size));
-    std::size_t off = 0;
-    while (off < file.size()) {
-      const ssize_t got = ::read(fd, file.data() + off, file.size() - off);
-      if (got < 0 && errno == EINTR) continue;
-      if (got <= 0) break;
-      off += static_cast<std::size_t>(got);
-    }
-    file.resize(off);
+  if (!read_file(path, file)) {
+    if (errno != ENOENT) throw_errno("wal: cannot read", path);
+    result.missing = true;
+    return result;
   }
-  ::close(fd);
 
   if (file.size() < kHeaderBytes ||
       std::memcmp(file.data(), kMagic, sizeof(kMagic)) != 0) {

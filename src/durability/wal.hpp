@@ -150,7 +150,6 @@ class WalWriter {
       out[i] = static_cast<std::byte>(v >> (8 * i));
     }
   }
-  void write_all(const void* data, std::size_t len);
   void reset_frame();
 
   int fd_ = -1;
@@ -192,5 +191,15 @@ void truncate_wal(const std::string& path, std::uint64_t valid_end);
 
 /// mkdir -p: creates every missing component of `dir`.
 void ensure_dir(const std::string& dir);
+
+// File I/O shared by the log and the snapshot files. A failed system call
+// is fatal (ContractViolation naming the call, the path and errno); only
+// a file's contents can be corrupt.
+[[noreturn]] void throw_errno(const char* what, const std::string& path);
+/// write(2) until all `len` bytes are out.
+void write_all(int fd, const void* data, std::size_t len, const std::string& path);
+/// Reads the whole file into `out` (up to EOF or a failed read). Returns
+/// false, with errno set, when the file cannot be opened or stat'ed.
+[[nodiscard]] bool read_file(const std::string& path, std::vector<std::byte>& out);
 
 }  // namespace reasched::durability

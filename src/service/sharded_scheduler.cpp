@@ -148,9 +148,10 @@ void ShardedScheduler::load_state(durability::ByteSource& in) {
   }
   ledger_.deserialize(in);
   if (!in.exhausted()) throw CorruptInput("snapshot: trailing bytes");
-  // Every ledger pool must be exactly its machine's job set, windows
-  // included: ids are unique across pools, each is held by its machine,
-  // and the per-machine counts match.
+  durability::audit_decoded("snapshot: ledger fails the audit", [this] { ledger_.audit(); });
+  // No audit sees both the ledger and the machines: every ledger pool must
+  // be exactly its machine's job set, windows included (unique ids, each
+  // held by its machine, per-machine counts equal).
   std::vector<std::size_t> delegated(machines_.size(), 0);
   ledger_.for_each_job([&](JobId id, const Window& window, MachineId machine) {
     const auto [info, fresh] = jobs_.try_emplace(id);

@@ -552,23 +552,32 @@ class FlatHashMap {
   /// Rebuilds the exact serialized state into *this (any prior contents are
   /// discarded). Throws whatever Source throws on truncated input, and
   /// reports impossible fields through Source::corrupt — a capacity that
-  /// is not a power of two or exceeds the remaining bytes (checked before
-  /// anything is allocated), a ctrl byte outside kEmpty..kTombstone — so
-  /// corrupt input can neither fabricate slots nor force a huge allocation.
+  /// is neither 0 nor a power of two of at least one probe group, or that
+  /// exceeds the remaining bytes (checked before anything is allocated), a
+  /// ctrl byte outside kEmpty..kTombstone, a table without an empty slot,
+  /// an entry that a lookup would not find where it sits (a duplicate key,
+  /// or one off its probe path) — so corrupt input can neither fabricate
+  /// slots nor force a huge allocation, and the loaded table answers every
+  /// lookup as the saved one did.
   template <class Source, class ReadSlot>
   void deserialize(Source& source, ReadSlot&& read) {
     FlatHashMap fresh;
-    fresh.size_ = 0;
     fresh.used_ = deserialize_table(source, fresh.ctrl_, fresh.slots_, read,
                                     fresh.size_);
-    std::size_t old_used = 0;  // retiring tables track no tombstone budget
-    fresh.old_live_ = 0;
-    old_used = deserialize_table(source, fresh.old_ctrl_, fresh.old_slots_, read,
-                                 fresh.old_live_);
-    static_cast<void>(old_used);
+    // Retiring tables track no tombstone budget.
+    static_cast<void>(deserialize_table(source, fresh.old_ctrl_, fresh.old_slots_, read,
+                                        fresh.old_live_));
     fresh.size_ += fresh.old_live_;
     fresh.migrate_pos_ = static_cast<std::size_t>(source.u64());
     fresh.migrating_ = !fresh.old_ctrl_.empty();
+    for (const auto& [ctrl, slots] : {std::pair{&fresh.ctrl_, &fresh.slots_},
+                                      std::pair{&fresh.old_ctrl_, &fresh.old_slots_}}) {
+      for (std::size_t i = 0; i < ctrl->size(); ++i) {
+        if ((*ctrl)[i] == kFull && fresh.find((*slots)[i].key) != &(*slots)[i].value) {
+          source.corrupt("FlatHashMap::deserialize: an entry a lookup cannot find");
+        }
+      }
+    }
     *this = std::move(fresh);
   }
 
@@ -591,25 +600,32 @@ class FlatHashMap {
                                        SlotArray& slots, ReadSlot& read,
                                        std::size_t& live) {
     const std::uint64_t capacity = source.u64();
-    if ((capacity & (capacity - 1)) != 0) {
-      source.corrupt("FlatHashMap::deserialize: capacity must be a power of two");
+    if ((capacity & (capacity - 1)) != 0 || (capacity != 0 && capacity < probe::kGroupWidth)) {
+      source.corrupt("FlatHashMap::deserialize: capacity must be 0 or a power of two >= 16");
     }
     // The ctrl array alone takes `capacity` bytes of input.
     if (capacity > source.remaining()) {
       source.corrupt("FlatHashMap::deserialize: capacity exceeds the input");
     }
-    ctrl.assign(static_cast<std::size_t>(capacity), kEmpty);
     if (capacity == 0) return 0;
-    source.byte_block(ctrl.data(), ctrl.size());
-    slots.allocate(ctrl.size());
+    std::vector<std::uint8_t> read_ctrl(static_cast<std::size_t>(capacity));
+    source.byte_block(read_ctrl.data(), read_ctrl.size());
     std::size_t used = 0;
+    for (const std::uint8_t c : read_ctrl) {
+      if (c > kTombstone) source.corrupt("FlatHashMap::deserialize: bad ctrl byte");
+      if (c != kEmpty) ++used;
+    }
+    // A probe for an absent key ends at an empty slot.
+    if (used == capacity) source.corrupt("FlatHashMap::deserialize: no empty slot");
+    // Every full slot is constructed before the first entry is read, so a
+    // read that throws leaves a table its destructor can tear down.
+    slots.allocate(read_ctrl.size());
+    for (std::size_t i = 0; i < read_ctrl.size(); ++i) {
+      if (read_ctrl[i] == kFull) construct_slot(slots, i, K{});
+    }
+    ctrl = std::move(read_ctrl);
     for (std::size_t i = 0; i < ctrl.size(); ++i) {
-      if (ctrl[i] > kTombstone) {
-        source.corrupt("FlatHashMap::deserialize: bad ctrl byte");
-      }
-      if (ctrl[i] != kEmpty) ++used;
       if (ctrl[i] != kFull) continue;
-      construct_slot(slots, i, K{});
       read(source, slots[i].key, slots[i].value);
       ++live;
     }
@@ -631,8 +647,8 @@ class FlatHashMap {
   // table the first (partial) group's bytes are re-examined as part of the
   // final full group; that re-examination is benign — any hit or
   // terminating empty among them would have ended the scan a lap earlier.
-  // Tables smaller than one group (possible only through deserialization;
-  // every grow path starts at 16 slots) take the byte-by-byte path.
+  // Every table holds at least one group: each grow path starts at 16
+  // slots, and deserialize() refuses less.
 
   [[nodiscard]] static std::size_t group_find(const std::vector<std::uint8_t>& ctrl,
                                               const SlotArray& slots,
@@ -640,15 +656,7 @@ class FlatHashMap {
                                               const K& key) noexcept {
     const std::size_t cap = ctrl.size();
     const std::size_t mask = cap - 1;
-    if (cap < probe::kGroupWidth) [[unlikely]] {
-      if (cap == 0) return kNpos;
-      std::size_t idx = hash & mask;
-      while (ctrl[idx] != kEmpty) {
-        if (ctrl[idx] == kFull && slots[idx].key == key) return idx;
-        idx = (idx + 1) & mask;
-      }
-      return kNpos;
-    }
+    if (cap == 0) return kNpos;
     const std::size_t start = hash & mask;
     std::size_t group = start & ~(probe::kGroupWidth - 1);
     probe::mask_t valid =
@@ -680,16 +688,6 @@ class FlatHashMap {
     const std::size_t cap = ctrl.size();
     const std::size_t mask = cap - 1;
     std::size_t first_tombstone = kNpos;
-    if (cap < probe::kGroupWidth) [[unlikely]] {
-      std::size_t idx = hash & mask;
-      while (ctrl[idx] != kEmpty) {
-        if (ctrl[idx] == kFull && slots[idx].key == key) return idx;
-        if (ctrl[idx] == kTombstone && first_tombstone == kNpos)
-          first_tombstone = idx;
-        idx = (idx + 1) & mask;
-      }
-      return first_tombstone != kNpos ? first_tombstone : idx;
-    }
     const std::size_t start = hash & mask;
     std::size_t group = start & ~(probe::kGroupWidth - 1);
     probe::mask_t valid =
@@ -726,15 +724,6 @@ class FlatHashMap {
     const std::size_t cap = ctrl_.size();
     const std::size_t mask = cap - 1;
     std::size_t first_tombstone = kNpos;
-    if (cap < probe::kGroupWidth) [[unlikely]] {
-      std::size_t idx = hash & mask;
-      while (ctrl_[idx] != kEmpty) {
-        if (ctrl_[idx] == kTombstone && first_tombstone == kNpos)
-          first_tombstone = idx;
-        idx = (idx + 1) & mask;
-      }
-      return first_tombstone != kNpos ? first_tombstone : idx;
-    }
     const std::size_t start = hash & mask;
     std::size_t group = start & ~(probe::kGroupWidth - 1);
     probe::mask_t valid =

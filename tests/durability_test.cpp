@@ -666,12 +666,14 @@ TEST(Recovery, AuditEngineReseedsAfterRecovery) {
   EXPECT_GT(recovered.service.recovery_report().snapshot_csn, 0u);
   ReservationScheduler& rs = recovered.machine();
 
-  // The loader escalated via mark_all: the first incremental audit after
-  // recovery is a full sweep that reseeds the dirty-tracking shadows.
-  const auto before = rs.audit_work();
+  // The loader's audit reseeded the dirty-tracking shadows from the image
+  // it verified, without counting as audit work: no full sweep is pending
+  // or spent, and the first audit after recovery is already incremental.
+  EXPECT_EQ(rs.audit_work().full_sweeps, 0u);
   rs.incremental_audit();
   const auto after_first = rs.audit_work();
-  EXPECT_GT(after_first.full_sweeps, before.full_sweeps);
+  EXPECT_EQ(after_first.full_sweeps, 0u);
+  EXPECT_EQ(after_first.incremental_audits, 1u);
 
   // From then on the engine runs incrementally and stays clean.
   std::size_t served = 0;
@@ -684,6 +686,25 @@ TEST(Recovery, AuditEngineReseedsAfterRecovery) {
   EXPECT_EQ(after_churn.full_sweeps, after_first.full_sweeps);
   EXPECT_GT(after_churn.incremental_audits, after_first.incremental_audits);
   rs.audit();  // and the full sweep agrees
+}
+
+TEST(Recovery, AuditOffStaysZeroWorkThroughASnapshotLoad) {
+  // The loader audits every image it decodes, but that check is part of
+  // the decode: a machine recovered with the audit off reports zero audit
+  // work, as one that never crashed does.
+  TempDir dir;
+  DurabilityPolicy policy;
+  policy.dir = dir.path;
+  policy.snapshot_every = 300;
+  const std::vector<Request> trace = churn_trace(29, 1'000);
+  {
+    DurableService durable(policy, base_options());
+    for (const Request& r : trace) serve(durable.service, r);
+  }
+  DurableService recovered(policy, base_options());
+  EXPECT_GT(recovered.service.recovery_report().snapshot_csn, 0u);
+  EXPECT_TRUE(recovered.machine().audit_work().zero());
+  EXPECT_EQ(recovered.machine().audit_backlog(), 0u);
 }
 
 TEST(Recovery, BatchRejectionRuleSurvivesReopen) {
@@ -1453,7 +1474,8 @@ TEST(ServiceSnapshot, SlotOwnerOutsideItsClassWindowIsRefused) {
   // A span that is no class of level 1.
   recovers_from_older(64, 5, "span below the level");
   // The class-7 window that does contain the interval: a valid owner, but
-  // the per-class counts no longer match the cells.
+  // the per-class counts no longer match the cells, which the audit that
+  // ends the load finds.
   recovers_from_older(0, 7, "another class");
   // The intact image still loads.
   write_file(newest, intact);

@@ -1,5 +1,7 @@
 #include <gtest/gtest.h>
 
+#include <string>
+
 #include "core/reservation_scheduler.hpp"
 #include "schedule/validator.hpp"
 #include "util/rng.hpp"
@@ -289,9 +291,23 @@ TEST(ReservationScheduler, GammaMustBePowerOfTwo) {
 }
 
 TEST(ReservationScheduler, SpanBeyondTableRejected) {
-  ReservationScheduler s;
-  const Time huge = static_cast<Time>(u64{1} << 62);
-  EXPECT_THROW(s.insert(JobId{1}, Window{0, huge * 2}), ContractViolation);
+  // A custom tower whose top span is 1024: an aligned span-2048 window is
+  // refused for its span, not for anything else.
+  SchedulerOptions options;
+  options.levels = LevelTable::custom({32, 256, 1024});
+  ReservationScheduler s(options);
+  try {
+    s.insert(JobId{1}, Window{0, 2048});
+    ADD_FAILURE() << "span 2048 accepted by a table that ends at 1024";
+  } catch (const ContractViolation& e) {
+    EXPECT_NE(std::string(e.what()).find("span exceeds the level table limit"),
+              std::string::npos)
+        << e.what();
+  }
+  EXPECT_EQ(s.active_jobs(), 0u);
+  // The paper table's limit is 2^62, and a window of exactly that span is
+  // within it.
+  EXPECT_NO_THROW(ReservationScheduler{}.check_window(Window{0, Time{1} << 62}));
 }
 
 TEST(ReservationScheduler, PaperLevelIntervalBlocksUseOneByteSlotCells) {
