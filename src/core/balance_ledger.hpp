@@ -9,18 +9,23 @@
 //   * delete from machine d: the latest-extra machine ((n_W - 1) mod m)
 //     donates one W-job to d, a single migration (none if d is the donor).
 //
+// The ledger is also the reduction's one job directory: JobId → {window,
+// machine, position in that machine's pool of the window}, each pool a
+// plain vector indexed by those positions.
+//
 // The API is split into *plan* (const decision) and *commit* (ledger
 // mutation) so callers can order machine-level operations around the ledger
 // exactly as the paper's sequential reduction does, and so the batched
 // service layer can commit a whole batch of decisions up front and apply
-// the machine operations in parallel afterwards. Every commit has a
-// matching rollback, used by the service layer to unwind an optimistically
-// committed batch when a machine rejects one of its inserts.
+// the machine operations in parallel afterwards. The commits invert each
+// other (erase undoes insert and vice versa; migrating a job back undoes a
+// migration), which is how the service layer unwinds a committed batch
+// when a machine rejects one of its inserts.
 //
 // Determinism: all decisions are pure functions of the per-window
 // operation history. The donor pick is the pool's most recently added job
-// (DenseHashSet::back(), O(1)) — the pools are insertion-ordered dense
-// sets, so the pick depends only on the per-window set's own insert/erase
+// (pool.back(), O(1)): inserts append and erases swap the last job into
+// the hole, so the pick depends only on the per-window insert/erase
 // sequence and NEVER on hash layout or migration state. Two ledgers fed
 // the same per-window sequences make identical choices — the property the
 // sharded scheduler's byte-identical guarantee and the golden digests
@@ -38,11 +43,12 @@
 
 namespace reasched {
 
-/// Directory entry for one active job: its window and the machine the §3
-/// reduction delegated it to.
+/// Directory entry for one active job: its window, the machine the §3
+/// reduction delegated it to, and its index in that machine's W-pool.
 struct JobInfo {
   Window window;
   MachineId machine = 0;
+  std::uint32_t pos = 0;
 };
 
 class BalanceLedger {
@@ -57,30 +63,28 @@ class BalanceLedger {
     MachineId donor = 0; ///< latest-extra machine, (n_W - 1) mod m
   };
 
+  /// The directory entry of an active job, nullptr when `id` is not active.
+  /// Valid until the next commit.
+  [[nodiscard]] const JobInfo* find(JobId id) const { return jobs_.find(id); }
+  [[nodiscard]] bool contains(JobId id) const { return jobs_.contains(id); }
+  /// Active jobs across all windows and machines.
+  [[nodiscard]] std::size_t jobs() const noexcept { return jobs_.size(); }
+
   /// Round-robin delegation target for inserting a W-job: (n_W mod m).
   [[nodiscard]] MachineId plan_insert(const Window& w) const {
     const BalanceState* balance = windows_.find(w);
-    const std::uint64_t count = balance ? balance->count : 0;
-    return static_cast<MachineId>(count % machines_);
+    return static_cast<MachineId>((balance ? balance->count : 0) % machines_);
   }
 
-  /// Records a delegated insert after the machine accepted it.
+  /// Records a delegated insert of an inactive id; also undoes commit_erase.
   void commit_insert(JobId id, const Window& w, MachineId machine) {
+    const auto [info, fresh] = jobs_.try_emplace(id);
+    RS_CHECK(fresh, "BalanceLedger::commit_insert: job already active");
     mark_dirty(w);
     BalanceState& balance = windows_[w];
-    ensure_pools(balance);
+    if (balance.per_machine.empty()) balance.per_machine.resize(machines_);
     ++balance.count;
-    balance.per_machine[machine].insert(id);
-  }
-
-  /// Unwinds a commit_insert (service-layer batch rollback).
-  void rollback_insert(JobId id, const Window& w, MachineId machine) {
-    mark_dirty(w);
-    BalanceState& balance = windows_.at(w);
-    RS_CHECK(balance.per_machine[machine].erase(id) == 1,
-             "BalanceLedger::rollback_insert: job not on recorded machine");
-    --balance.count;
-    if (balance.count == 0) windows_.erase(w);
+    *info = JobInfo{w, machine, append(balance.per_machine[machine], id)};
   }
 
   /// Erase decision for a W-job held by `machine`: whether the §3 rebalance
@@ -103,84 +107,67 @@ class BalanceLedger {
     return migration;
   }
 
-  /// Records the erase itself (not the migration — see commit_migration).
-  void commit_erase(JobId id, const Window& w, MachineId machine) {
-    mark_dirty(w);
-    BalanceState& balance = windows_.at(w);
-    RS_CHECK(balance.per_machine[machine].erase(id) == 1,
-             "BalanceLedger::commit_erase: job not on recorded machine");
-    --balance.count;
-    if (balance.count == 0) windows_.erase(w);
+  /// Records the erase of an active job (not the migration — see
+  /// commit_migration); also undoes commit_insert.
+  void commit_erase(JobId id) {
+    JobInfo info;
+    RS_CHECK(jobs_.take(id, info) == 1, "BalanceLedger::commit_erase: job not active");
+    mark_dirty(info.window);
+    BalanceState& balance = windows_.at(info.window);
+    remove(balance.per_machine[info.machine], info.pos);
+    if (--balance.count == 0) windows_.erase(info.window);
   }
 
-  /// Unwinds a commit_erase (service-layer batch rollback).
-  void rollback_erase(JobId id, const Window& w, MachineId machine) {
-    mark_dirty(w);
-    BalanceState& balance = windows_[w];
-    ensure_pools(balance);
-    ++balance.count;
-    balance.per_machine[machine].insert(id);
+  /// Moves an active job's delegation to `dest`: records a completed
+  /// rebalance migration (`dest` is the machine the erased job vacated), and
+  /// undoes one when `dest` is the donor.
+  void commit_migration(JobId moved, MachineId dest) {
+    JobInfo& info = jobs_.at(moved);
+    mark_dirty(info.window);
+    BalanceState& balance = windows_.at(info.window);
+    remove(balance.per_machine[info.machine], info.pos);
+    info.machine = dest;
+    info.pos = append(balance.per_machine[dest], moved);
   }
-
-  /// Records a completed rebalance migration: `moved` left the donor for
-  /// `dest` (the machine the erased job vacated).
-  void commit_migration(const Window& w, const Migration& migration, MachineId dest) {
-    mark_dirty(w);
-    BalanceState& balance = windows_.at(w);
-    RS_CHECK(balance.per_machine[migration.donor].erase(migration.moved) == 1,
-             "BalanceLedger::commit_migration: moved job not on donor");
-    balance.per_machine[dest].insert(migration.moved);
-  }
-
-  /// Unwinds a commit_migration (service-layer batch rollback).
-  void rollback_migration(const Window& w, const Migration& migration, MachineId dest) {
-    mark_dirty(w);
-    BalanceState& balance = windows_.at(w);
-    RS_CHECK(balance.per_machine[dest].erase(migration.moved) == 1,
-             "BalanceLedger::rollback_migration: moved job not on dest");
-    balance.per_machine[migration.donor].insert(migration.moved);
-  }
-
-  [[nodiscard]] unsigned machines() const noexcept { return machines_; }
-  [[nodiscard]] std::size_t tracked_windows() const noexcept { return windows_.size(); }
 
   /// Balancing invariant check (Lemma 3): every machine holds between
   /// ⌊n_W/m⌋ and ⌈n_W/m⌉ jobs of each window W, extras on the earliest
-  /// machines. Throws InternalError on violation. Full sweep over every
-  /// tracked window — this is the "svc.L3.balance-shares" invariant-check
-  /// unit.
+  /// machines; and the directory indexes exactly the pools' jobs, each at
+  /// its window, machine and position. Throws InternalError on violation.
+  /// Full sweep over every tracked window and job — this is the
+  /// "svc.L3.balance-shares" invariant-check unit.
   void audit() const {
-    windows_.for_each(
-        [&](const Window& w, const BalanceState&) { audit_window(w); });
+    std::uint64_t pooled = 0;
+    windows_.for_each([&](const Window& w, const BalanceState& balance) {
+      audit_window(w);
+      pooled += balance.count;
+    });
+    // Every directory entry points at its own pool cell, so the entries
+    // are distinct cells; equal totals make them all of the cells.
+    RS_CHECK(pooled == jobs_.size(), "audit_balance: directory and pools disagree");
+    jobs_.for_each([&](const JobId& id, const JobInfo& info) {
+      const BalanceState* balance = windows_.find(info.window);
+      RS_CHECK(balance != nullptr && info.machine < machines_ &&
+                   info.pos < balance->per_machine[info.machine].size() &&
+                   balance->per_machine[info.machine][info.pos] == id,
+               "audit_balance: directory and pools disagree");
+    });
     // The sweep just verified every window, dirty ones included; a
     // following audit_incremental need not re-verify them.
     dirty_.clear();
   }
 
-  /// The per-window body of audit(): checks W's shares only. A window
-  /// absent from the ledger (deactivated since it was marked dirty) is
-  /// vacuously balanced.
-  void audit_window(const Window& w) const {
-    const BalanceState* balance = windows_.find(w);
-    if (balance == nullptr) return;
-    RS_CHECK(balanced(*balance),
-             "audit_balance: machine share deviates from round-robin invariant");
-  }
-
   /// f(job, window, machine) for every delegated job.
   template <class F>
   void for_each_job(F&& f) const {
-    windows_.for_each([&](const Window& w, const BalanceState& balance) {
-      for (MachineId machine = 0; machine < machines_; ++machine) {
-        balance.per_machine[machine].for_each(
-            [&](const JobId& id) { f(id, w, machine); });
-      }
-    });
+    jobs_.for_each(
+        [&](const JobId& id, const JobInfo& info) { f(id, info.window, info.machine); });
   }
 
-  /// Serializes every window's per-machine pools in their dense order, the
-  /// order plan_erase's pool.back() pick reads, so a reloaded ledger makes
-  /// the same decisions. n_W is the pools' total and is not stored.
+  /// Serializes every window's per-machine pools in their order, the order
+  /// plan_erase's pool.back() pick reads, so a reloaded ledger makes the
+  /// same decisions. n_W is the pools' total and the directory is the
+  /// pools' index; neither is stored.
   template <class Sink>
   void serialize(Sink& sink) const {
     sink.u64(windows_.size());
@@ -188,14 +175,16 @@ class BalanceLedger {
       sink.i64(w.start);
       sink.i64(w.end);
       for (const auto& pool : balance.per_machine) {
-        pool.serialize(sink, [](Sink& out, const JobId& id) { out.u64(id.value); });
+        sink.u64(pool.size());
+        for (const JobId id : pool) sink.u64(id.value);
       }
     });
   }
 
-  /// Loads serialize()'s bytes into this empty ledger. Malformed input and
-  /// an empty or repeated window are rejected through source.corrupt();
-  /// whether the shares keep Lemma 3 is audit()'s call.
+  /// Loads serialize()'s bytes into this empty ledger and rebuilds the
+  /// directory. Malformed input, an empty or repeated window and an id
+  /// listed twice are rejected through source.corrupt(); whether the
+  /// shares keep Lemma 3 is audit()'s call.
   template <class Source>
   void deserialize(Source& source) {
     const std::uint64_t count = source.u64();
@@ -208,17 +197,25 @@ class BalanceLedger {
       w.end = source.i64();
       const auto [balance, fresh] = windows_.try_emplace(w);
       if (!fresh) source.corrupt("BalanceLedger::deserialize: duplicate window");
-      ensure_pools(*balance);
-      for (auto& pool : balance->per_machine) {
-        pool.deserialize(source, [](Source& in, JobId& id) { id.value = in.u64(); });
-        balance->count += pool.size();
+      balance->per_machine.resize(machines_);
+      for (MachineId machine = 0; machine < machines_; ++machine) {
+        auto& pool = balance->per_machine[machine];
+        // No reserve: a size beyond the input runs out of bytes first.
+        const std::uint64_t size = source.u64();
+        for (std::uint64_t k = 0; k < size; ++k) {
+          const JobId id{source.u64()};
+          const auto [info, unseen] = jobs_.try_emplace(id);
+          if (!unseen) source.corrupt("BalanceLedger::deserialize: duplicate job");
+          *info = JobInfo{w, machine, append(pool, id)};
+        }
+        balance->count += size;
       }
       if (balance->count == 0) source.corrupt("BalanceLedger::deserialize: empty window");
     }
   }
 
   /// Incremental audit: re-verifies only the windows whose balance state
-  /// changed since the last call (commits/rollbacks mark them dirty).
+  /// changed since the last call (commits mark them dirty).
   /// The first call is a full sweep — dirt accumulated only from then on —
   /// after which the cost is O(windows touched since last audit). Returns
   /// the number of windows verified. Not thread-safe; the owning front end
@@ -227,13 +224,10 @@ class BalanceLedger {
     if (!track_dirty_) {
       track_dirty_ = true;
       audit();
-      return tracked_windows();
+      return windows_.size();
     }
     return dirty_.drain(0, [&](const Window& w) { audit_window(w); });
   }
-
-  [[nodiscard]] bool dirty_tracking() const noexcept { return track_dirty_; }
-  [[nodiscard]] std::size_t dirty_windows() const noexcept { return dirty_.size(); }
 
   /// Registers the Lemma 3 check as "svc.L3.balance-shares".
   void register_invariants(audit::InvariantTable& table) const {
@@ -244,55 +238,66 @@ class BalanceLedger {
   }
 
   /// Deliberate corruption for the differential audit tests: moves one job
-  /// between two machines' share sets without touching the counts (marks
-  /// the window dirty, as the buggy mutation path would have). Returns
-  /// false when no window has a movable job (needs m >= 2 and n_W >= 1).
+  /// to the next machine without touching the counts (marks the window
+  /// dirty, as the buggy mutation path would have). Returns false when
+  /// there is no job to move or no machine to move it to.
   bool corrupt_for_test() {
-    if (machines_ < 2) return false;
-    bool done = false;
-    windows_.for_each([&](const Window& w, BalanceState& balance) {
-      if (done || balance.count == 0) return;
-      for (unsigned from = 0; from < machines_; ++from) {
-        if (balance.per_machine[from].empty()) continue;
-        const JobId moved = balance.per_machine[from].back();
-        balance.per_machine[from].erase(moved);
-        balance.per_machine[(from + 1) % machines_].insert(moved);
-        mark_dirty(w);
-        done = true;
-        return;
-      }
+    if (machines_ < 2 || jobs_.empty()) return false;
+    JobId moved{};
+    MachineId dest = 0;
+    jobs_.for_each_until([&](const JobId& id, const JobInfo& info) {
+      moved = id;
+      dest = (info.machine + 1) % machines_;
+      return true;
     });
-    return done;
+    commit_migration(moved, dest);
+    return true;
   }
 
  private:
   struct BalanceState {
-    std::uint64_t count = 0;                       // n_W
-    std::vector<DenseHashSet<JobId>> per_machine;  // W-jobs per machine
+    std::uint64_t count = 0;                      // n_W
+    std::vector<std::vector<JobId>> per_machine;  // W-jobs per machine
   };
 
-  /// Lemma 3 for one window: machine i holds ⌊n_W/m⌋ jobs, plus one for
-  /// the first n_W mod m machines.
-  [[nodiscard]] bool balanced(const BalanceState& balance) const {
+  /// Appends `id` to `pool` and returns its position.
+  static std::uint32_t append(std::vector<JobId>& pool, JobId id) {
+    pool.push_back(id);
+    return static_cast<std::uint32_t>(pool.size() - 1);
+  }
+
+  /// Swap-with-last removal of pool[pos]; the displaced last job takes the
+  /// hole and its directory position is rewritten.
+  void remove(std::vector<JobId>& pool, std::uint32_t pos) {
+    if (pos + 1 != pool.size()) {
+      pool[pos] = pool.back();
+      jobs_.at(pool[pos]).pos = pos;
+    }
+    pool.pop_back();
+  }
+
+  /// Lemma 3 for one window, the per-window body of audit(): machine i
+  /// holds ⌊n_W/m⌋ jobs, plus one for the first n_W mod m machines. A
+  /// window absent from the ledger (deactivated since it was marked dirty)
+  /// is vacuously balanced.
+  void audit_window(const Window& w) const {
+    const BalanceState* balance = windows_.find(w);
+    if (balance == nullptr) return;
     for (std::uint64_t i = 0; i < machines_; ++i) {
       const std::uint64_t expected =
-          balance.count / machines_ + (i < balance.count % machines_ ? 1 : 0);
-      if (balance.per_machine[i].size() != expected) return false;
+          balance->count / machines_ + (i < balance->count % machines_ ? 1 : 0);
+      RS_CHECK(balance->per_machine[i].size() == expected,
+               "audit_balance: machine share deviates from round-robin invariant");
     }
-    return true;
   }
 
   void mark_dirty(const Window& w) {
     if (track_dirty_) dirty_.mark(w);
   }
 
-  /// Materializes a fresh window's per-machine pools.
-  void ensure_pools(BalanceState& balance) {
-    if (balance.per_machine.empty()) balance.per_machine.resize(machines_);
-  }
-
   unsigned machines_ = 1;
   FlatHashMap<Window, BalanceState> windows_;
+  FlatHashMap<JobId, JobInfo> jobs_;  // the directory: one entry per pooled job
   /// Dirty-window queue for audit_incremental; off until the first
   /// incremental call so the sequential front end pays nothing by default.
   /// Mutable: a successful const full sweep discharges the queue.

@@ -73,7 +73,6 @@ void ShardedScheduler::build_machines(unsigned machines, const Factory& factory)
     machines_.push_back(std::move(scheduler));
   }
   ledger_ = BalanceLedger(machines);
-  jobs_.clear();
 }
 
 // ---------------------------------------------------------- durability tier
@@ -119,8 +118,8 @@ void ShardedScheduler::maybe_snapshot(bool flipped) {
 }
 
 // Payload: magic | machine count u32 | per machine, its SchedulerPersist
-// image as u64 length + bytes | the BalanceLedger. The job directory is
-// the ledger's pools, so it is rebuilt on load rather than stored.
+// image as u64 length + bytes | the BalanceLedger, whose job directory is
+// rebuilt from its pools on load rather than stored.
 void ShardedScheduler::save_state(durability::ByteSink& out) const {
   out.u64(kServiceSnapshotMagic);
   out.u32(static_cast<std::uint32_t>(machines_.size()));
@@ -150,16 +149,14 @@ void ShardedScheduler::load_state(durability::ByteSource& in) {
   if (!in.exhausted()) throw CorruptInput("snapshot: trailing bytes");
   durability::audit_decoded("snapshot: ledger fails the audit", [this] { ledger_.audit(); });
   // No audit sees both the ledger and the machines: every ledger pool must
-  // be exactly its machine's job set, windows included (unique ids, each
-  // held by its machine, per-machine counts equal).
+  // be exactly its machine's job set, windows included (each id, unique
+  // since deserialize, held by its machine; per-machine counts equal).
   std::vector<std::size_t> delegated(machines_.size(), 0);
   ledger_.for_each_job([&](JobId id, const Window& window, MachineId machine) {
-    const auto [info, fresh] = jobs_.try_emplace(id);
-    if (!fresh || !durability::SchedulerPersist::holds(*loaded[machine], id, window)) {
+    if (!durability::SchedulerPersist::holds(*loaded[machine], id, window)) {
       throw CorruptInput("snapshot: ledger disagrees with machine " +
                          std::to_string(machine));
     }
-    *info = JobInfo{window, machine};
     ++delegated[machine];
   });
   for (std::size_t machine = 0; machine < machines_.size(); ++machine) {
@@ -182,7 +179,7 @@ RequestStats ShardedScheduler::insert(JobId id, Window window) {
   const MachineId machine = ledger_.plan_insert(window);
   // Every precondition is checked before the record is logged.
   machines_[machine]->check_window(window);
-  RS_REQUIRE(!jobs_.contains(id), "ShardedScheduler::insert: id already active");
+  RS_REQUIRE(!ledger_.contains(id), "ShardedScheduler::insert: id already active");
   // Write-ahead; a rejection replays as a rejection.
   log_request(RequestKind::kInsert, id, window);
 
@@ -190,13 +187,12 @@ RequestStats ShardedScheduler::insert(JobId id, Window window) {
   // insert leaves no trace.
   const RequestStats stats = machines_[machine]->insert(id, window);
   ledger_.commit_insert(id, window, machine);
-  jobs_[id] = JobInfo{window, machine};
   if (snapshots_ && wal_logging_) maybe_snapshot(stats.rebuilt);
   return stats;
 }
 
 RequestStats ShardedScheduler::erase(JobId id) {
-  const JobInfo* info = jobs_.find(id);
+  const JobInfo* info = ledger_.find(id);
   RS_REQUIRE(info != nullptr, "ShardedScheduler::erase: id not active");
   const Window window = info->window;
   const MachineId machine = info->machine;
@@ -206,8 +202,7 @@ RequestStats ShardedScheduler::erase(JobId id) {
   // that lost one — the single migration Theorem 1 allows per request.
   const BalanceLedger::Migration migration = ledger_.plan_erase(window, machine);
   RequestStats stats = machines_[machine]->erase(id);
-  ledger_.commit_erase(id, window, machine);
-  jobs_.erase(id);
+  ledger_.commit_erase(id);
 
   if (migration.needed) {
     stats += machines_[migration.donor]->erase(migration.moved);
@@ -219,8 +214,7 @@ RequestStats ShardedScheduler::erase(JobId id) {
       machines_[migration.donor]->insert(migration.moved, window);
       throw;
     }
-    ledger_.commit_migration(window, migration, machine);
-    jobs_.at(migration.moved).machine = machine;
+    ledger_.commit_migration(migration.moved, machine);
     ++stats.reallocations;
     ++stats.migrations;
   }
@@ -309,7 +303,7 @@ std::size_t ShardedScheduler::scan_subbatch(std::span<const Request> batch,
         // against the real directory.
         if (*entry) break;
       } else {
-        RS_REQUIRE(!jobs_.contains(request.job),
+        RS_REQUIRE(!ledger_.contains(request.job),
                    "ShardedScheduler::apply: insert of an active id");
       }
       rejected_ids.erase(request.job);  // id may be reused after a rejection
@@ -317,7 +311,7 @@ std::size_t ShardedScheduler::scan_subbatch(std::span<const Request> batch,
     } else {
       if (entry != nullptr) {
         RS_REQUIRE(*entry, "ShardedScheduler::apply: erase of an inactive id");
-      } else if (!jobs_.contains(request.job)) {
+      } else if (!ledger_.contains(request.job)) {
         // A job whose insert was rejected never entered the scheduler; its
         // delete is moot. Any other unknown id is a caller error.
         RS_REQUIRE(rejected_ids.contains(request.job),
@@ -354,32 +348,28 @@ void ShardedScheduler::apply_subbatch(std::span<const Request> batch,
       if (request.kind == RequestKind::kInsert) {
         const MachineId machine = ledger_.plan_insert(request.window);
         ledger_.commit_insert(request.job, request.window, machine);
-        jobs_[request.job] = JobInfo{request.window, machine};
         machine_ops[machine].push_back(
             Op{RequestKind::kInsert, index, request.job, request.window, {}});
-        log.push_back(LedgerRecord{LedgerRecord::kInsert, request.job, request.window,
-                                   machine, 0});
+        log.push_back(LedgerRecord{LedgerRecord::kInsert, request.job, {}, 0});
         continue;
       }
-      const JobInfo* info = jobs_.find(request.job);
+      const JobInfo* info = ledger_.find(request.job);
       RS_CHECK(info != nullptr, "ShardedScheduler::apply: planned erase lost its job");
       const Window window = info->window;
       const MachineId machine = info->machine;
       const BalanceLedger::Migration migration = ledger_.plan_erase(window, machine);
-      ledger_.commit_erase(request.job, window, machine);
-      jobs_.erase(request.job);
+      ledger_.commit_erase(request.job);
       machine_ops[machine].push_back(
           Op{RequestKind::kDelete, index, request.job, window, {}});
-      log.push_back(LedgerRecord{LedgerRecord::kErase, request.job, window, machine, 0});
+      log.push_back(LedgerRecord{LedgerRecord::kErase, request.job, window, machine});
       if (migration.needed) {
-        ledger_.commit_migration(window, migration, machine);
-        jobs_.at(migration.moved).machine = machine;
+        ledger_.commit_migration(migration.moved, machine);
         machine_ops[migration.donor].push_back(
             Op{RequestKind::kDelete, index, migration.moved, window, {}});
         machine_ops[machine].push_back(
             Op{RequestKind::kInsert, index, migration.moved, window, {}});
-        log.push_back(LedgerRecord{LedgerRecord::kMigration, migration.moved, window,
-                                   machine, migration.donor});
+        log.push_back(
+            LedgerRecord{LedgerRecord::kMigration, migration.moved, {}, migration.donor});
         // The §3 rebalance migration itself, exactly as the sequential
         // reduction accounts it.
         ++stats[i].reallocations;
@@ -469,27 +459,19 @@ void ShardedScheduler::rollback_subbatch(
     RS_CHECK(false, "ShardedScheduler::apply: batch rollback failed");
   }
 
-  // Ledger and directory: unwind every commit in reverse plan order.
+  // Ledger: unwind every commit in reverse plan order by its inverse.
   for (std::size_t k = log.size(); k-- > 0;) {
     const LedgerRecord& record = log[k];
     switch (record.kind) {
       case LedgerRecord::kInsert:
-        ledger_.rollback_insert(record.job, record.window, record.machine);
-        jobs_.erase(record.job);
+        ledger_.commit_erase(record.job);
         break;
       case LedgerRecord::kErase:
-        ledger_.rollback_erase(record.job, record.window, record.machine);
-        jobs_[record.job] = JobInfo{record.window, record.machine};
+        ledger_.commit_insert(record.job, record.window, record.machine);
         break;
-      case LedgerRecord::kMigration: {
-        BalanceLedger::Migration migration;
-        migration.needed = true;
-        migration.moved = record.job;
-        migration.donor = record.donor;
-        ledger_.rollback_migration(record.window, migration, record.machine);
-        jobs_.at(record.job).machine = record.donor;
+      case LedgerRecord::kMigration:
+        ledger_.commit_migration(record.job, record.machine);
         break;
-      }
     }
   }
 }

@@ -4,8 +4,8 @@
 // A ShardedScheduler owns one single-machine scheduler per machine and a
 // ThreadPool (util/thread_pool.hpp) of shards - 1 workers; with the caller,
 // `shards` threads run the apply phase. Delegation state is the reduction's
-// own: one BalanceLedger and one JobId → JobInfo directory, touched only by
-// the caller thread.
+// own: one BalanceLedger, which is also the JobId → JobInfo directory,
+// touched only by the caller thread.
 //
 // insert()/erase() are the sequential reduction, one request at a time:
 // round-robin delegation per window, and on a delete at most one rebalance
@@ -48,8 +48,8 @@
 // Rejection handling: if a machine rejects an insert mid-batch
 // (InfeasibleError), the optimistically applied sub-batch is rolled back
 // (machine operations inverted in reverse order, ledger commits unwound in
-// reverse) and the sub-batch is replayed through the sequential
-// per-request path (serve_request). The rolled-back machine state is
+// reverse by their inverse commits) and the sub-batch is replayed through
+// the sequential per-request path (serve_request). The rolled-back machine state is
 // *equivalent* (same job set, feasible, balance invariant intact) but —
 // because per-machine
 // placement is not history independent (see bench_e8) — not necessarily
@@ -74,8 +74,8 @@
 // per-machine scheduler — and therefore each per-level interval arena it
 // owns (util/arena.hpp) and any in-flight partitioned-rebuild generation —
 // is touched by exactly one task of the apply phase, which is joined
-// before apply() returns; the ledger and directory are never touched off
-// the caller thread. Nothing is locked (DESIGN.md §6).
+// before apply() returns; the ledger is never touched off the caller
+// thread. Nothing is locked (DESIGN.md §6).
 #pragma once
 
 #include <cstdint>
@@ -143,7 +143,7 @@ class ShardedScheduler final : public IReallocScheduler {
   void check_window(Window window) const override;
 
   [[nodiscard]] Schedule snapshot() const override;
-  [[nodiscard]] std::size_t active_jobs() const override { return jobs_.size(); }
+  [[nodiscard]] std::size_t active_jobs() const override { return ledger_.jobs(); }
   [[nodiscard]] unsigned machines() const override {
     return static_cast<unsigned>(machines_.size());
   }
@@ -200,14 +200,13 @@ class ShardedScheduler final : public IReallocScheduler {
   struct LedgerRecord {
     enum Kind : std::uint8_t { kInsert, kErase, kMigration } kind = kInsert;
     JobId job;  // for kMigration: the moved job
-    Window window;
-    MachineId machine = 0;  // insert/erase: delegated machine; migration: dest
-    MachineId donor = 0;    // migration only
+    Window window;          // erase only
+    MachineId machine = 0;  // erase: delegated machine; migration: donor
   };
 
   enum Status : std::uint8_t { kServed = 0, kRejected = 1 };
 
-  /// Fresh machines from `factory`, with an empty ledger and directory.
+  /// Fresh machines from `factory`, with an empty ledger.
   void build_machines(unsigned machines, const Factory& factory);
 
   /// Assigns the next CSN and appends the request's record to the log,
@@ -240,7 +239,6 @@ class ShardedScheduler final : public IReallocScheduler {
   std::vector<std::unique_ptr<IReallocScheduler>> machines_;
   unsigned shards_ = 1;
   BalanceLedger ledger_;
-  FlatHashMap<JobId, JobInfo> jobs_;
   ThreadPool pool_;                 // shards_ - 1 workers
   std::uint64_t caller_tasks_ = 0;  // steal_count()
   std::string label_;

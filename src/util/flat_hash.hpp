@@ -55,6 +55,7 @@
 // to std::hash otherwise.
 #pragma once
 
+#include <algorithm>
 #include <cstddef>
 #include <cstdint>
 #include <functional>
@@ -556,9 +557,11 @@ class FlatHashMap {
   /// exceeds the remaining bytes (checked before anything is allocated), a
   /// ctrl byte outside kEmpty..kTombstone, a table without an empty slot,
   /// an entry that a lookup would not find where it sits (a duplicate key,
-  /// or one off its probe path) — so corrupt input can neither fabricate
-  /// slots nor force a huge allocation, and the loaded table answers every
-  /// lookup as the saved one did.
+  /// or one off its probe path), a migration cursor past the retiring table
+  /// or past one of its live entries (the drain would release that entry
+  /// unmoved) — so corrupt input can neither fabricate slots nor force a
+  /// huge allocation, and the loaded table answers every lookup as the
+  /// saved one did.
   template <class Source, class ReadSlot>
   void deserialize(Source& source, ReadSlot&& read) {
     FlatHashMap fresh;
@@ -568,7 +571,15 @@ class FlatHashMap {
     static_cast<void>(deserialize_table(source, fresh.old_ctrl_, fresh.old_slots_, read,
                                         fresh.old_live_));
     fresh.size_ += fresh.old_live_;
-    fresh.migrate_pos_ = static_cast<std::size_t>(source.u64());
+    // migrate_step and relocate-on-touch leave no live entry below the cursor.
+    const std::uint64_t cursor = source.u64();
+    const auto& retiring = fresh.old_ctrl_;
+    if (cursor > retiring.size() ||
+        std::count(retiring.begin(), retiring.begin() + static_cast<std::ptrdiff_t>(cursor),
+                   kFull) != 0) {
+      source.corrupt("FlatHashMap::deserialize: migration cursor past a live retiring entry");
+    }
+    fresh.migrate_pos_ = static_cast<std::size_t>(cursor);
     fresh.migrating_ = !fresh.old_ctrl_.empty();
     for (const auto& [ctrl, slots] : {std::pair{&fresh.ctrl_, &fresh.slots_},
                                       std::pair{&fresh.old_ctrl_, &fresh.old_slots_}}) {
@@ -938,8 +949,8 @@ class FlatHashSet {
   /// Some element (unspecified which); the set must be non-empty. The pick
   /// depends on table layout — a caller whose *behavior* feeds off the
   /// choice must use an insertion-ordered DenseHashSet (back(), or a
-  /// deterministic scan) instead, as acquire_slot and the balance ledger
-  /// do (see the iteration-order note above).
+  /// deterministic scan) instead, as acquire_slot does (see the
+  /// iteration-order note above).
   [[nodiscard]] K any() const {
     RS_CHECK(!map_.empty(), "FlatHashSet::any: empty set");
     K out{};
@@ -960,8 +971,8 @@ class FlatHashSet {
 /// the dense vector, so the order — and therefore any "first element
 /// satisfying P" pick — is a pure function of the set's insert/erase
 /// sequence, never of hash layout or migration state. The scheduler's
-/// choice points that want a cheap early-exit scan (the acquire_slot fast
-/// path, the balance ledger's donor pick) use this container; that is what
+/// choice point that wants a cheap early-exit scan (the acquire_slot fast
+/// path) uses this container; that is what
 /// keeps schedules independent of table layout
 /// (tests/golden_digest_test.cpp) without paying a full-scan canonical
 /// minimum per pick. Dense iteration is also faster than probing

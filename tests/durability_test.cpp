@@ -1228,6 +1228,43 @@ std::uint64_t get_u64(const std::vector<char>& bytes, std::size_t at) {
   return v;
 }
 
+/// Offsets into a service snapshot payload. Layout: magic u64 | machine
+/// count u32 | per machine, image length u64 + image | ledger: window count
+/// u64, per window start, end and one pool (count u64 + ids) per machine.
+struct LedgerWindow {
+  std::size_t begin = 0, end = 0;
+  std::vector<std::size_t> pools;  // offset of each machine's pool count
+};
+struct PayloadLayout {
+  std::vector<std::size_t> image_at;  // offset of each machine's length field
+  std::size_t ledger_at = 0;
+  std::vector<LedgerWindow> windows;
+  std::size_t end = 0;
+};
+
+PayloadLayout payload_layout(const std::vector<char>& payload, unsigned machines) {
+  PayloadLayout layout;
+  std::size_t at = 12;
+  for (unsigned m = 0; m < machines; ++m) {
+    layout.image_at.push_back(at);
+    at += 8 + get_u64(payload, at);
+  }
+  layout.ledger_at = at;
+  layout.windows.resize(get_u64(payload, at));
+  at += 8;
+  for (LedgerWindow& w : layout.windows) {
+    w.begin = at;
+    at += 16;
+    for (unsigned m = 0; m < machines; ++m) {
+      w.pools.push_back(at);
+      at += 8 + 8 * get_u64(payload, at);
+    }
+    w.end = at;
+  }
+  layout.end = at;
+  return layout;
+}
+
 TEST(ServiceSnapshot, DecoderRefusesDamagedBytesAndRecoveryFallsBack) {
   // The service snapshot's bytes are untrusted: every damaged copy of the
   // newest snapshot is refused without crashing, and recovery falls back
@@ -1286,16 +1323,11 @@ TEST(ServiceSnapshot, DecoderRefusesDamagedBytesAndRecoveryFallsBack) {
   }
 
   // Payload: re-sealed damage that only the decoder can refuse.
-  // Layout: magic u64 | machine count u32 | per machine, image length u64 +
-  // image | ledger: window count u64, per window start, end and one pool
-  // (count u64 + ids) per machine.
-  std::vector<std::size_t> image_at;  // offset of each machine's length field
-  std::size_t at = 12;
-  for (unsigned m = 0; m < kMachines; ++m) {
-    image_at.push_back(at);
-    at += 8 + get_u64(payload, at);
-  }
-  const std::size_t ledger_at = at;
+  const PayloadLayout layout = payload_layout(payload, kMachines);
+  ASSERT_EQ(layout.end, payload.size());
+  const std::vector<std::size_t>& image_at = layout.image_at;
+  const std::size_t ledger_at = layout.ledger_at;
+  const std::vector<LedgerWindow>& windows = layout.windows;
   // Cut the payload at every offset of the service's own fields and near
   // every image edge, and at a stride inside the images (SchedulerPersist's
   // decoder has its own cases above).
@@ -1320,24 +1352,6 @@ TEST(ServiceSnapshot, DecoderRefusesDamagedBytesAndRecoveryFallsBack) {
     write_file(newest, sealed(count));
     EXPECT_TRUE(recovers_from(snaps[1], "machine count"));
   }
-  // The ledger's windows: each one's byte range and, per machine, the
-  // offset of its pool's count field.
-  struct LedgerWindow {
-    std::size_t begin = 0, end = 0;
-    std::vector<std::size_t> pools;
-  };
-  std::vector<LedgerWindow> windows(get_u64(payload, ledger_at));
-  at = ledger_at + 8;
-  for (LedgerWindow& w : windows) {
-    w.begin = at;
-    at += 16;
-    for (unsigned m = 0; m < kMachines; ++m) {
-      w.pools.push_back(at);
-      at += 8 + 8 * get_u64(payload, at);
-    }
-    w.end = at;
-  }
-  ASSERT_EQ(at, payload.size());
   const auto pool_size = [&](const LedgerWindow& w, unsigned m) {
     return get_u64(payload, w.pools[m]);
   };
@@ -1398,6 +1412,60 @@ TEST(ServiceSnapshot, DecoderRefusesDamagedBytesAndRecoveryFallsBack) {
     write_file(durability::snapshot_path(dir.path, csn), sealed({}));
   }
   EXPECT_TRUE(recovers_from(0, "no loadable snapshot"));
+}
+
+TEST(ServiceSnapshot, LedgerListingAJobTwiceIsRefused) {
+  // A re-sealed snapshot whose ledger lists one id twice, in one pool or in
+  // two windows, with every share and per-machine count unchanged: the
+  // ledger's decoder refuses it (its directory holds each job once), and
+  // recovery falls back to the older snapshot and the live schedule.
+  constexpr unsigned kMachines = 2;
+  TempDir dir;
+  DurabilityPolicy policy;
+  policy.dir = dir.path;
+  policy.snapshot_every = 4;
+  policy.keep_snapshots = 8;
+  // Six jobs in each of two windows: three per machine per window.
+  std::vector<Request> trace;
+  for (std::uint64_t k = 0; k < 12; ++k) {
+    const Time start = k < 6 ? 0 : 64;
+    trace.push_back(Request::insert(JobId{k + 1}, Window{start, start + 64}));
+  }
+  Schedule live;
+  {
+    DurableService durable(policy, base_options(), kMachines, 2);
+    serve_one_at_a_time(durable.service, trace);
+    live = durable.service.snapshot();
+  }
+  const std::vector<std::uint64_t> snaps = durability::list_snapshots(dir.path);
+  ASSERT_GE(snaps.size(), 2u);
+  const std::string newest = durability::snapshot_path(dir.path, snaps[0]);
+  const std::vector<char> intact = read_file(newest);
+  const std::vector<char> payload(intact.begin(), intact.end() - 12);
+  const PayloadLayout layout = payload_layout(payload, kMachines);
+  ASSERT_EQ(layout.end, payload.size());
+  ASSERT_EQ(layout.windows.size(), 2u);
+  // Job k of machine m's pool in window w.
+  const auto job_at = [&](std::size_t w, unsigned m, std::uint64_t k) {
+    const std::size_t pool = layout.windows[w].pools[m];
+    EXPECT_LT(k, get_u64(payload, pool));
+    return pool + 8 + 8 * k;
+  };
+  const auto listed_twice = [&](std::size_t from, std::size_t to, const char* where) {
+    std::vector<char> twice = payload;
+    std::copy_n(payload.begin() + static_cast<long>(from), 8,
+                twice.begin() + static_cast<long>(to));
+    write_file(newest, sealed(twice));
+    DurableService recovered(policy, base_options(), kMachines, 2);
+    EXPECT_EQ(recovered.service.recovery_report().snapshot_csn, snaps[1]) << where;
+    EXPECT_EQ(recovered.service.csn(), trace.size()) << where;
+    expect_identical_schedules(live, recovered.service.snapshot(), where);
+  };
+  listed_twice(job_at(0, 1, 0), job_at(0, 1, 2), "an id twice in one pool");
+  listed_twice(job_at(0, 0, 1), job_at(1, 0, 1), "an id in two windows");
+  write_file(newest, intact);
+  DurableService reopened(policy, base_options(), kMachines, 2);
+  EXPECT_EQ(reopened.service.recovery_report().snapshot_csn, snaps[0]);
 }
 
 TEST(ServiceSnapshot, SlotOwnerOutsideItsClassWindowIsRefused) {

@@ -470,10 +470,10 @@ TEST(FlatHashMapSerialize, MidMigrationRoundTripKeepsBothTables) {
   // the copy drains the migration exactly like the original.
   FlatHashMap<Time, int> map;
   Time t = 0;
-  // Default growth doubles at 7/8 load; keep inserting until a serialize →
-  // deserialize at this instant exposes a non-empty old table (checked via
-  // behavioral lockstep below regardless).
-  for (; t < 3'000; ++t) map[t * 8] = static_cast<int>(t);
+  // Growth doubles at 3/4 load: the 3,073rd insert retires the 4,096-slot
+  // table, which drains over the next 128 mutations.
+  for (; t < 3'100; ++t) map[t * 8] = static_cast<int>(t);
+  ASSERT_TRUE(map.rehash_in_flight());
 
   durability::ByteSink sink;
   map.serialize(sink, write_time_int);
@@ -553,6 +553,29 @@ TEST(FlatHashMapSerialize, CorruptCtrlByteIsRejected) {
   durability::ByteSource source(bytes.data(), bytes.size());
   FlatHashMap<Time, int> copy;
   EXPECT_THROW(copy.deserialize(source, read_time_int), durability::CorruptInput);
+}
+
+TEST(FlatHashMapSerialize, MigrationCursorPastLiveRetiringEntriesIsRejected) {
+  // The trailing u64 is the migration cursor. A cursor at the end of the
+  // retiring table (live entries below it) or past it would let the next
+  // drain release live entries that were never moved.
+  FlatHashMap<Time, int> map;
+  for (Time t = 0; t < 3'100; ++t) map[t * 8] = static_cast<int>(t);
+  ASSERT_TRUE(map.rehash_in_flight());
+  ASSERT_GT(map.migration_pending(), 0u);
+  durability::ByteSink sink;
+  map.serialize(sink, write_time_int);
+  // A doubling: the retiring table has half the active capacity.
+  const std::uint64_t retiring = map.capacity() / 2;
+  for (const std::uint64_t cursor : {retiring, retiring + 1, std::uint64_t{1} << 40}) {
+    std::vector<std::byte> bytes(sink.bytes().begin(), sink.bytes().end());
+    const std::size_t at = bytes.size() - 8;
+    for (int i = 0; i < 8; ++i) bytes[at + i] = static_cast<std::byte>(cursor >> (8 * i));
+    durability::ByteSource source(bytes.data(), bytes.size());
+    FlatHashMap<Time, int> copy;
+    EXPECT_THROW(copy.deserialize(source, read_time_int), durability::CorruptInput)
+        << "cursor " << cursor;
+  }
 }
 
 TEST(FlatHashMapSerialize, ImpossibleCapacityIsRejectedBeforeAllocating) {

@@ -6,10 +6,16 @@
 #include <gtest/gtest.h>
 
 #include <memory>
+#include <unordered_map>
+#include <vector>
 
+#include "core/balance_ledger.hpp"
 #include "core/naive_scheduler.hpp"
+#include "durability/codec.hpp"
 #include "feasibility/underallocation.hpp"
 #include "service/reallocating_scheduler.hpp"
+#include "util/flat_hash.hpp"
+#include "util/rng.hpp"
 #include "workload/churn.hpp"
 
 namespace reasched {
@@ -87,6 +93,231 @@ TEST(Lemma3, SingleWindowClassSplitsEvenly) {
     EXPECT_TRUE(gamma_underallocated(subset, 1, 8));
   }
 }
+
+/// The balance ledger as it stood with one insertion-ordered DenseHashSet
+/// pool per machine per window and no directory: the reference whose
+/// decisions (insert target, donor, moved job) and bytes BalanceLedger must
+/// reproduce. The caller keeps each job's window and machine.
+class ReferenceLedger {
+ public:
+  explicit ReferenceLedger(unsigned machines) : machines_(machines) {}
+
+  [[nodiscard]] MachineId plan_insert(const Window& w) const {
+    const State* state = windows_.find(w);
+    return static_cast<MachineId>((state ? state->count : 0) % machines_);
+  }
+  [[nodiscard]] BalanceLedger::Migration plan_erase(const Window& w,
+                                                    MachineId machine) const {
+    const State& state = windows_.at(w);
+    BalanceLedger::Migration migration;
+    migration.donor = static_cast<MachineId>((state.count - 1) % machines_);
+    if (migration.donor != machine && state.count > 1) {
+      migration.needed = true;
+      migration.moved = state.pools[migration.donor].back();
+    }
+    return migration;
+  }
+  void insert(JobId id, const Window& w, MachineId machine) {
+    State& state = windows_[w];
+    if (state.pools.empty()) state.pools.resize(machines_);
+    ++state.count;
+    ASSERT_TRUE(state.pools[machine].insert(id));
+  }
+  void erase(JobId id, const Window& w, MachineId machine) {
+    State& state = windows_.at(w);
+    ASSERT_EQ(state.pools[machine].erase(id), 1u);
+    if (--state.count == 0) windows_.erase(w);
+  }
+  void migrate(JobId id, const Window& w, MachineId from, MachineId to) {
+    State& state = windows_.at(w);
+    ASSERT_EQ(state.pools[from].erase(id), 1u);
+    state.pools[to].insert(id);
+  }
+  void serialize(durability::ByteSink& sink) const {
+    sink.u64(windows_.size());
+    windows_.for_each([&](const Window& w, const State& state) {
+      sink.i64(w.start);
+      sink.i64(w.end);
+      for (const auto& pool : state.pools) {
+        pool.serialize(sink, [](durability::ByteSink& out, const JobId& id) {
+          out.u64(id.value);
+        });
+      }
+    });
+  }
+  void deserialize(durability::ByteSource& source) {
+    const std::uint64_t count = source.u64();
+    for (std::uint64_t i = 0; i < count; ++i) {
+      Window w;
+      w.start = source.i64();
+      w.end = source.i64();
+      State& state = *windows_.try_emplace(w).first;
+      state.pools.resize(machines_);
+      for (auto& pool : state.pools) {
+        pool.deserialize(source, [](durability::ByteSource& in, JobId& id) {
+          id.value = in.u64();
+        });
+        state.count += pool.size();
+      }
+    }
+  }
+
+ private:
+  struct State {
+    std::uint64_t count = 0;
+    std::vector<DenseHashSet<JobId>> pools;
+  };
+  unsigned machines_;
+  FlatHashMap<Window, State> windows_;
+};
+
+std::vector<std::byte> ledger_bytes(const BalanceLedger& ledger) {
+  durability::ByteSink sink;
+  ledger.serialize(sink);
+  return sink.bytes();
+}
+std::vector<std::byte> ledger_bytes(const ReferenceLedger& ledger) {
+  durability::ByteSink sink;
+  ledger.serialize(sink);
+  return sink.bytes();
+}
+
+/// Both ledgers through a serialize → deserialize round trip.
+template <class Ledger>
+void round_trip(Ledger& ledger, unsigned machines) {
+  durability::ByteSink sink;
+  ledger.serialize(sink);
+  durability::ByteSource source(sink.bytes().data(), sink.size());
+  Ledger loaded(machines);
+  loaded.deserialize(source);
+  ASSERT_TRUE(source.exhausted());
+  ledger = std::move(loaded);
+}
+
+class LedgerVsReference : public testing::TestWithParam<unsigned> {};
+
+TEST_P(LedgerVsReference, SameDecisionsAndBytesAsDenseHashSetPools) {
+  // Random inserts, erases (with their rebalance migrations) and unwound
+  // runs of commits at a few windows, so pools grow deep and every
+  // swap-with-last path fires. Every plan must agree, and so must the
+  // serialized pools (which also pins the window table's history).
+  const unsigned machines = GetParam();
+  constexpr int kSteps = 6'000;
+  BalanceLedger ledger(machines);
+  ReferenceLedger reference(machines);
+  std::unordered_map<JobId, JobInfo> where;  // the reference's directory
+  std::vector<JobId> active;
+  Rng rng(2700 + machines);
+  std::uint64_t next_id = 1;
+  std::size_t migrations = 0;
+
+  // One committed step, as ShardedScheduler's rollback log records it.
+  struct Step {
+    enum Kind { kInsert, kErase, kMigration } kind;
+    JobId job;
+    Window window;
+    MachineId machine;  // insert/erase: delegated machine; migration: donor
+  };
+  const auto insert = [&](std::vector<Step>& log) {
+    const Time start = 64 * static_cast<Time>(rng.uniform(0, 3));
+    const Window w{start, start + 64 * static_cast<Time>(rng.uniform(1, 2))};
+    const MachineId target = reference.plan_insert(w);
+    ASSERT_EQ(ledger.plan_insert(w), target);
+    const JobId id{next_id++};
+    ledger.commit_insert(id, w, target);
+    reference.insert(id, w, target);
+    where[id] = JobInfo{w, target, 0};
+    active.push_back(id);
+    log.push_back({Step::kInsert, id, w, target});
+  };
+  const auto erase = [&](std::vector<Step>& log) {
+    const std::size_t pick = rng.uniform(0, active.size() - 1);
+    const JobId id = active[pick];
+    active[pick] = active.back();
+    active.pop_back();
+    const JobInfo info = where.at(id);
+    const JobInfo* found = ledger.find(id);
+    ASSERT_NE(found, nullptr);
+    ASSERT_EQ(found->window, info.window);
+    ASSERT_EQ(found->machine, info.machine);
+    const BalanceLedger::Migration expected = reference.plan_erase(info.window, info.machine);
+    const BalanceLedger::Migration migration = ledger.plan_erase(info.window, info.machine);
+    ASSERT_EQ(migration.needed, expected.needed);
+    ASSERT_EQ(migration.donor, expected.donor);
+    ledger.commit_erase(id);
+    reference.erase(id, info.window, info.machine);
+    where.erase(id);
+    log.push_back({Step::kErase, id, info.window, info.machine});
+    if (!expected.needed) return;
+    ASSERT_EQ(migration.moved, expected.moved);
+    ledger.commit_migration(migration.moved, info.machine);
+    reference.migrate(migration.moved, info.window, migration.donor, info.machine);
+    where.at(migration.moved).machine = info.machine;
+    log.push_back({Step::kMigration, migration.moved, info.window, migration.donor});
+    ++migrations;
+  };
+  // The rollback of a sub-batch: every step's inverse, in reverse order.
+  const auto unwind = [&](const std::vector<Step>& log) {
+    for (std::size_t k = log.size(); k-- > 0;) {
+      const Step& step = log[k];
+      switch (step.kind) {
+        case Step::kInsert:
+          ledger.commit_erase(step.job);
+          reference.erase(step.job, step.window, step.machine);
+          where.erase(step.job);
+          std::erase(active, step.job);
+          break;
+        case Step::kErase:
+          ledger.commit_insert(step.job, step.window, step.machine);
+          reference.insert(step.job, step.window, step.machine);
+          where[step.job] = JobInfo{step.window, step.machine, 0};
+          active.push_back(step.job);
+          break;
+        case Step::kMigration: {
+          const MachineId dest = where.at(step.job).machine;
+          ledger.commit_migration(step.job, step.machine);
+          reference.migrate(step.job, step.window, dest, step.machine);
+          where.at(step.job).machine = step.machine;
+          break;
+        }
+      }
+    }
+  };
+
+  for (int step = 0; step < kSteps; ++step) {
+    std::vector<Step> log;
+    const std::size_t run = rng.chance(0.05) ? rng.uniform(2, 8) : 1;
+    for (std::size_t k = 0; k < run; ++k) {
+      // Drift the population between ~20 and ~200 jobs.
+      const bool grow = active.empty() || rng.chance(active.size() < 20    ? 0.8
+                                                     : active.size() > 200 ? 0.2
+                                                                           : 0.5);
+      if (grow) {
+        insert(log);
+      } else {
+        erase(log);
+      }
+      if (HasFatalFailure()) return;
+    }
+    if (run > 1) unwind(log);
+    if (step == kSteps / 2) {
+      round_trip(ledger, machines);
+      round_trip(reference, machines);
+    }
+    if (step % 500 == 0) {
+      ledger.audit();
+      ASSERT_EQ(ledger_bytes(ledger), ledger_bytes(reference)) << "step " << step;
+    }
+  }
+  ledger.audit();
+  EXPECT_EQ(ledger.jobs(), where.size());
+  EXPECT_EQ(ledger_bytes(ledger), ledger_bytes(reference));
+  if (machines > 1) {
+    EXPECT_GT(migrations, 100u);
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(Machines, LedgerVsReference, testing::Values(1u, 2u, 3u, 8u));
 
 }  // namespace
 }  // namespace reasched
