@@ -15,16 +15,20 @@
 //     suffix? A log of L records (snapshots disabled) is recovered cold,
 //     timed; a second row recovers the same workload *with* flip
 //     snapshots to show the snapshot cutting the suffix to O(churn since
-//     the last flip). Absolute ms — recorded, not gated.
+//     the last flip), and a third takes one snapshot at the trace's end,
+//     so its recovery is the snapshot load alone (`image_bytes` is the
+//     newest snapshot file's size). Absolute ms — recorded, not gated.
 #include <algorithm>
 #include <chrono>
 #include <cstdio>
 #include <cstdlib>
+#include <filesystem>
 #include <string>
 #include <vector>
 
 #include "common.hpp"
 #include "durability/recovery.hpp"
+#include "durability/snapshot.hpp"
 #include "durability/wal.hpp"
 
 namespace reasched::bench {
@@ -213,17 +217,25 @@ int run(int argc, char** argv) {
       args.quick ? std::vector<std::size_t>{2'000, 10'000}
                  : std::vector<std::size_t>{10'000, 50'000, 200'000};
   for (const std::size_t suffix : suffixes) {
-    for (const bool with_snapshots : {false, true}) {
+    for (const std::string mode : {"full-replay", "snapshot+suffix", "snapshot-load"}) {
       TempDir dir;
       DurabilityPolicy policy;
       policy.dir = dir.path;
-      policy.snapshot_on_flip = with_snapshots;
       const std::vector<Request> trace = trace_for(suffix / 4, suffix);
+      policy.snapshot_on_flip = mode == "snapshot+suffix";
+      // One snapshot due at the trace's end: recovery replays nothing, so
+      // its time is the image load (plus reading the log's checksums).
+      if (mode == "snapshot-load") policy.snapshot_every = trace.size();
       {
         ShardedScheduler durable = one_machine(&policy);
         for (const Request& r : trace) serve_one(durable, r);
         durable.sync_wal();
       }
+      const std::vector<std::uint64_t> snapshots = durability::list_snapshots(dir.path);
+      const std::uintmax_t image_bytes =
+          snapshots.empty()
+              ? 0
+              : std::filesystem::file_size(durability::snapshot_path(dir.path, snapshots[0]));
       const auto start = std::chrono::steady_clock::now();
       const ShardedScheduler recovered = one_machine(&policy);
       const double seconds =
@@ -231,7 +243,6 @@ int run(int argc, char** argv) {
               .count();
       const std::uint64_t replayed = recovered.recovery_report().replayed;
       const double per_sec = seconds > 0 ? static_cast<double>(replayed) / seconds : 0;
-      const char* mode = with_snapshots ? "snapshot+suffix" : "full-replay";
       char ms[32], ops[32];
       std::snprintf(ms, sizeof(ms), "%.1f ms", seconds * 1e3);
       std::snprintf(ops, sizeof(ops), "%.0f", per_sec);
@@ -243,7 +254,8 @@ int run(int argc, char** argv) {
           .field("mode", mode)
           .field("replayed", replayed)
           .field("recovery_ms", seconds * 1e3)
-          .field("records_per_sec", per_sec);
+          .field("records_per_sec", per_sec)
+          .field("image_bytes", static_cast<std::uint64_t>(image_bytes));
     }
   }
 

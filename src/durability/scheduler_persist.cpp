@@ -10,7 +10,7 @@ namespace {
 constexpr std::uint64_t kStateMagic = 0x5253534E41503031ULL;  // "RSSNAP01"
 // Bumped on any change to the encoding. A snapshot of another version is
 // refused, and recovery falls back to an older snapshot or a WAL replay.
-constexpr std::uint32_t kStateVersion = 2;
+constexpr std::uint32_t kStateVersion = 3;
 
 void put_window_key(ByteSink& sink, const WindowKey& w) {
   sink.i64(w.start);
@@ -77,20 +77,16 @@ void SchedulerPersist::save(const ReservationScheduler& s, ByteSink& sink) {
     out.u8(job.parked ? 1 : 0);
   });
 
-  s.occ_.serialize(sink);
-
   sink.u64(s.levels_.size());
   for (const auto& ls : s.levels_) {
     const unsigned class_count = ls.interval_size > 0 ? ls.class_count() : 0;
-    sink.u64(ls.intervals.size());
-    ls.intervals.for_each([&](const Time& base,
-                              const ReservationScheduler::Interval& interval) {
-      static_cast<void>(base);
-      sink.i64(interval.base);
-      sink.u32(interval.lower_count);
-      sink.u32(interval.assigned_count);
-      sink.u64(interval.assigned_class_mask);
-      for (unsigned c = 0; c < class_count; ++c) sink.u32(interval.assigned_by_class[c]);
+    ls.intervals.serialize(sink, [&](ByteSink& out, const Time& base,
+                                     const ReservationScheduler::Interval& interval) {
+      out.i64(base);
+      out.u32(interval.lower_count);
+      out.u32(interval.assigned_count);
+      out.u64(interval.assigned_class_mask);
+      for (unsigned c = 0; c < class_count; ++c) out.u32(interval.assigned_by_class[c]);
       // Sparse slot table: only slots carrying state. The fulfillment
       // cache is skipped — kInvalid on load, recomputed on first touch.
       std::uint32_t interesting = 0;
@@ -98,25 +94,16 @@ void SchedulerPersist::save(const ReservationScheduler& s, ByteSink& sink) {
         const auto& slot = interval.slots[i];
         if (slot.lower_occupied || slot.assigned) ++interesting;
       }
-      sink.u32(interesting);
+      out.u32(interesting);
       for (u64 i = 0; i < ls.interval_size; ++i) {
         const auto& slot = interval.slots[i];
         if (!slot.lower_occupied && !slot.assigned) continue;
-        sink.u32(static_cast<std::uint32_t>(i));
-        sink.u8(static_cast<std::uint8_t>((slot.lower_occupied ? 1 : 0) |
-                                          (slot.assigned ? 2 : 0)));
+        out.u32(static_cast<std::uint32_t>(i));
+        out.u8(static_cast<std::uint8_t>((slot.lower_occupied ? 1 : 0) |
+                                         (slot.assigned ? 2 : 0)));
         // Cells hold the owner's span class; the image keeps the full key.
-        if (slot.assigned) put_window_key(sink, ls.window_of_class(interval.base, slot.cls));
+        if (slot.assigned) put_window_key(out, ls.window_of_class(base, slot.cls));
       }
-    });
-    // Interval-map layout: serialize the FlatHashMap shell separately so
-    // ctrl/probe state round-trips exactly. The values were written above
-    // in for_each (index) order; writing them inline through the map's own
-    // serialize would work too, but the split keeps the value codec free
-    // of Sink-template plumbing for the arena re-carve on load.
-    ls.intervals.serialize(sink, [](ByteSink& out, const Time& base,
-                                    const ReservationScheduler::Interval&) {
-      out.i64(base);
     });
 
     ls.windows.serialize(sink, [](ByteSink& out, const WindowKey& key,
@@ -161,8 +148,12 @@ void SchedulerPersist::load(ReservationScheduler& s, ByteSource& source) {
     job.slot = in.i64();
     job.parked = in.u8() != 0;
   });
-
-  s.occ_.deserialize(source);
+  // The occupant map is the inverse of the job table's slots.
+  s.occ_.reserve(s.jobs_.size());
+  s.jobs_.for_each([&s](const JobId& id, const ReservationScheduler::JobState& job) {
+    if (s.occ_.occupied(job.slot)) throw CorruptInput("snapshot: two jobs on one slot");
+    s.occ_.place(job.slot, id);
+  });
 
   const std::uint64_t level_count = source.u64();
   if (level_count != s.levels_.size()) {
@@ -180,35 +171,25 @@ void SchedulerPersist::load(ReservationScheduler& s, ByteSource& source) {
       }
       return key;
     };
-    // Interval payloads arrive before the map shell (the write order
-    // above); stage them by base, then wire each into a fresh arena block
-    // as the shell deserializes.
-    const std::uint64_t interval_count = source.u64();
-    if (interval_count > source.remaining()) {
-      throw CorruptInput("snapshot: interval count exceeds the input");
-    }
-    FlatHashMap<Time, ReservationScheduler::Interval> staged;
-    staged.reserve(static_cast<std::size_t>(interval_count));
-    for (std::uint64_t n = 0; n < interval_count; ++n) {
-      ReservationScheduler::Interval interval;
-      interval.base = source.i64();
-      interval.lower_count = source.u32();
-      interval.assigned_count = source.u32();
-      interval.assigned_class_mask = source.u64();
+    ls.intervals.deserialize(source, [&](ByteSource& in, Time& base,
+                                         ReservationScheduler::Interval& interval) {
+      base = in.i64();
+      interval.base = base;
+      interval.lower_count = in.u32();
+      interval.assigned_count = in.u32();
+      interval.assigned_class_mask = in.u64();
       if (ls.interval_size == 0) {
         throw CorruptInput("snapshot: interval on a level without intervals");
       }
       ReservationScheduler::carve_interval_block(ls, interval);
-      for (unsigned c = 0; c < class_count; ++c) {
-        interval.assigned_by_class[c] = source.u32();
-      }
-      const std::uint32_t interesting = source.u32();
+      for (unsigned c = 0; c < class_count; ++c) interval.assigned_by_class[c] = in.u32();
+      const std::uint32_t interesting = in.u32();
       for (std::uint32_t e = 0; e < interesting; ++e) {
-        const std::uint32_t offset = source.u32();
+        const std::uint32_t offset = in.u32();
         if (offset >= ls.interval_size) {
           throw CorruptInput("snapshot: slot offset out of range");
         }
-        const std::uint8_t flags = source.u8();
+        const std::uint8_t flags = in.u8();
         if (flags > 3) throw CorruptInput("snapshot: unknown slot flag bits");
         auto& slot = interval.slots[offset];
         slot.lower_occupied = (flags & 1) != 0;
@@ -216,28 +197,13 @@ void SchedulerPersist::load(ReservationScheduler& s, ByteSource& source) {
         if (!slot.assigned) continue;
         // A cell keeps only the owner's span class, so the stored key must
         // be the one window of that class containing this interval.
-        const WindowKey owner = class_key(source);
+        const WindowKey owner = class_key(in);
         slot.cls = static_cast<std::uint8_t>(ls.class_of(owner));
-        if (ls.window_of_class(interval.base, slot.cls) != owner) {
+        if (ls.window_of_class(base, slot.cls) != owner) {
           throw CorruptInput("snapshot: slot owner window does not contain its interval");
         }
       }
-      // A repeated base leaves a shell entry without its payload below.
-      staged.insert_or_assign(interval.base, interval);
-    }
-    ls.intervals.deserialize(
-        source, [&staged](ByteSource& in, Time& base,
-                          ReservationScheduler::Interval& interval) {
-          base = in.i64();
-          ReservationScheduler::Interval* found = staged.find(base);
-          if (found == nullptr) {
-            throw CorruptInput("snapshot: interval shell without payload");
-          }
-          interval = *found;
-        });
-    if (ls.intervals.size() != static_cast<std::size_t>(interval_count)) {
-      throw CorruptInput("snapshot: interval shell/payload count mismatch");
-    }
+    });
 
     ls.windows.deserialize(
         source, [&class_key](ByteSource& in, WindowKey& key,

@@ -2,17 +2,19 @@
 // of every snapshot file (DESIGN.md §9).
 //
 // What is saved is the scheduler's *behavior-relevant* state, exactly:
-// the job table, the occupancy map, every level's interval slot tables and
-// window ledgers (insertion order of the per-window dense sets included —
-// that order feeds acquire_slot's pick), the active-window census, and the
-// scalar counters (n*, parked count, audit cadence position). Flat-hash
-// tables round-trip with their exact ctrl layout (util/flat_hash.hpp), so
-// a recovered scheduler is bit-compatible in probe behavior too.
+// the job table, every level's interval slot tables and window ledgers
+// (insertion order of the per-window dense sets included — that order
+// feeds acquire_slot's pick), the active-window census, and the scalar
+// counters (n*, parked count, audit cadence position). Each hash table is
+// written as its entry count followed by its entries, never as table
+// memory: capacity, tombstones and an in-flight rehash feed no decision,
+// so a table is loaded by its own insert path (util/flat_hash.hpp).
 //
 // What is deliberately NOT saved, because it is recomputable or inert:
 //   * fulfillment caches — a pure function of the ledgers (Observation 7);
 //     every interval reloads as kInvalid and recomputes on first touch;
-//   * the occupancy run index — rebuilt from the occupant map;
+//   * the occupancy map and its run index — the inverse of the job
+//     table's slots, rebuilt from it;
 //   * retired generations awaiting deferred trimming — memory bookkeeping
 //     with no schedule effect;
 //   * the audit engine's shadows — reseeded from the loaded state.
@@ -20,18 +22,18 @@
 // Loading is decode, then audit. The decode checks only what it needs to
 // stay memory-safe and exact: magic, version and options fingerprint (an
 // image of another format or configuration); the level and census counts
-// and an interval count within the input (the sizes it allocates by); a
-// slot offset inside its interval and its flag bits (the cells it
-// writes); a window key whose span is a class of its level (class_of
-// indexes by it); a slot owner that is the window of its class holding
-// the interval (the cell keeps only the class); one payload per interval
-// shell; active_bound within the census (the audit reads the class below
-// it); no trailing bytes; and the flat-hash and dense-set containers' own
-// structure. Whether the decoded state is one the scheduler could have
-// reached — I1–I5 — is the scheduler's own audit's call, as it is at run
-// time: a failed audit refuses the image as CorruptInput, and recovery
-// falls back. The audit then reseeds an attached engine; it is not
-// counted in audit_work().
+// and each table's entry count within the input (the sizes it allocates
+// by); no key twice in one table and no two jobs on one slot (the maps
+// hold one entry per key); a slot offset inside its interval and its
+// flag bits (the cells it writes); a window key whose span is a class of
+// its level (class_of indexes by it); a slot owner that is the window of
+// its class holding the interval (the cell keeps only the class);
+// active_bound within the census (the audit reads the class below it);
+// and no trailing bytes. Whether the decoded state is one the scheduler
+// could have reached — I1–I5 — is the scheduler's own audit's call, as it
+// is at run time: a failed audit refuses the image as CorruptInput, and
+// recovery falls back. The audit then reseeds an attached engine; it is
+// not counted in audit_work().
 //
 // Saving requires a quiescent scheduler: no partitioned-rebuild migration
 // in flight. ShardedScheduler's snapshot trigger guarantees that by

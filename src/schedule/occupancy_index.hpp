@@ -68,28 +68,8 @@ class OccupancyIndex {
   }
 
   [[nodiscard]] std::size_t size() const noexcept { return slots_.size(); }
+  void reserve(std::size_t count) { slots_.reserve(count); }
   [[nodiscard]] const SlotRuns& runs() const noexcept { return runs_; }
-
-  /// Snapshot hook (DESIGN.md §9): persists the occupant map exactly
-  /// (FlatHashMap::serialize); the run index is rebuilt from it on load —
-  /// SlotRuns is a pure function of the occupied-slot *set* (bitmap pages),
-  /// so the rebuild order cannot influence any later scan.
-  template <class Sink>
-  void serialize(Sink& sink) const {
-    slots_.serialize(sink, [](Sink& s, const Time& t, const JobId& id) {
-      s.u64(static_cast<std::uint64_t>(t));
-      s.u64(id.value);
-    });
-  }
-  template <class Source>
-  void deserialize(Source& source) {
-    slots_.deserialize(source, [](Source& s, Time& t, JobId& id) {
-      t = static_cast<Time>(s.u64());
-      id.value = s.u64();
-    });
-    runs_ = SlotRuns{};
-    slots_.for_each([&](Time t, const JobId&) { runs_.occupy(t); });
-  }
 
   void clear() {
     slots_.clear();

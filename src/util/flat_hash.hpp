@@ -532,117 +532,43 @@ class FlatHashMap {
 
   // ---- serialization (durability tier, DESIGN.md §9) ----
   //
-  // The on-disk form is the table's exact layout: each table's capacity and
-  // full ctrl array (kEmpty/kFull/kTombstone bytes) plus the live slots in
-  // index order — a mid-flight incremental migration round-trips with both
-  // its tables, cursor included. Reconstructing ctrl verbatim (tombstones
-  // too) makes the deserialized table *bit-identical* in probe behavior and
-  // iteration order to the original, so recovered schedulers cannot diverge
-  // from their uninterrupted twin even through layout-sensitive code.
-  // Key/value encoding stays with the caller: `write(sink, key, value)` /
-  // `read(source, key&, value&)`. Sink needs u64(v)/byte_block(p, n);
-  // Source needs u64()/byte_block(p, n) (see durability/codec.hpp).
+  // A table is written as what it holds: the entry count, then each entry
+  // in iteration order. Capacity, tombstones and an in-flight migration are
+  // layout, which no decision reads (see the iteration-order note above),
+  // so none of it is stored: deserialize() reserves for the count and
+  // inserts every entry through the table's own insert path, so a loaded
+  // table is one this code built. `write(sink, key, value)` /
+  // `read(source, key&, value&)` encode one entry.
 
-  template <class Sink, class WriteSlot>
-  void serialize(Sink& sink, WriteSlot&& write) const {
-    serialize_table(sink, ctrl_, slots_, write);
-    serialize_table(sink, old_ctrl_, old_slots_, write);
-    sink.u64(migrate_pos_);
+  template <class Sink, class WriteEntry>
+  void serialize(Sink& sink, WriteEntry&& write) const {
+    sink.u64(size_);
+    for_each([&](const K& key, const V& value) { write(sink, key, value); });
   }
 
-  /// Rebuilds the exact serialized state into *this (any prior contents are
-  /// discarded). Throws whatever Source throws on truncated input, and
-  /// reports impossible fields through Source::corrupt — a capacity that
-  /// is neither 0 nor a power of two of at least one probe group, or that
-  /// exceeds the remaining bytes (checked before anything is allocated), a
-  /// ctrl byte outside kEmpty..kTombstone, a table without an empty slot,
-  /// an entry that a lookup would not find where it sits (a duplicate key,
-  /// or one off its probe path), a migration cursor past the retiring table
-  /// or past one of its live entries (the drain would release that entry
-  /// unmoved) — so corrupt input can neither fabricate slots nor force a
-  /// huge allocation, and the loaded table answers every lookup as the
-  /// saved one did.
-  template <class Source, class ReadSlot>
-  void deserialize(Source& source, ReadSlot&& read) {
-    FlatHashMap fresh;
-    fresh.used_ = deserialize_table(source, fresh.ctrl_, fresh.slots_, read,
-                                    fresh.size_);
-    // Retiring tables track no tombstone budget.
-    static_cast<void>(deserialize_table(source, fresh.old_ctrl_, fresh.old_slots_, read,
-                                        fresh.old_live_));
-    fresh.size_ += fresh.old_live_;
-    // migrate_step and relocate-on-touch leave no live entry below the cursor.
-    const std::uint64_t cursor = source.u64();
-    const auto& retiring = fresh.old_ctrl_;
-    if (cursor > retiring.size() ||
-        std::count(retiring.begin(), retiring.begin() + static_cast<std::ptrdiff_t>(cursor),
-                   kFull) != 0) {
-      source.corrupt("FlatHashMap::deserialize: migration cursor past a live retiring entry");
+  /// Replaces the contents with serialize()'s entries. A count beyond the
+  /// remaining input (every entry takes at least one byte) and a repeated
+  /// key are reported through Source::corrupt; a throw leaves the map
+  /// partly loaded.
+  template <class Source, class ReadEntry>
+  void deserialize(Source& source, ReadEntry&& read) {
+    clear();
+    const std::uint64_t count = source.u64();
+    if (count > source.remaining()) {
+      source.corrupt("FlatHashMap::deserialize: count exceeds the input");
     }
-    fresh.migrate_pos_ = static_cast<std::size_t>(cursor);
-    fresh.migrating_ = !fresh.old_ctrl_.empty();
-    for (const auto& [ctrl, slots] : {std::pair{&fresh.ctrl_, &fresh.slots_},
-                                      std::pair{&fresh.old_ctrl_, &fresh.old_slots_}}) {
-      for (std::size_t i = 0; i < ctrl->size(); ++i) {
-        if ((*ctrl)[i] == kFull && fresh.find((*slots)[i].key) != &(*slots)[i].value) {
-          source.corrupt("FlatHashMap::deserialize: an entry a lookup cannot find");
-        }
-      }
+    reserve(static_cast<std::size_t>(count));
+    for (std::uint64_t i = 0; i < count; ++i) {
+      K key{};
+      V value{};
+      read(source, key, value);
+      const auto [slot, inserted] = try_emplace(key);
+      if (!inserted) source.corrupt("FlatHashMap::deserialize: duplicate key");
+      *slot = std::move(value);
     }
-    *this = std::move(fresh);
   }
 
  private:
-  template <class Sink, class WriteSlot>
-  static void serialize_table(Sink& sink, const std::vector<std::uint8_t>& ctrl,
-                              const SlotArray& slots, WriteSlot& write) {
-    sink.u64(ctrl.size());
-    if (ctrl.empty()) return;
-    sink.byte_block(ctrl.data(), ctrl.size());
-    for (std::size_t i = 0; i < ctrl.size(); ++i) {
-      if (ctrl[i] == kFull) write(sink, slots[i].key, slots[i].value);
-    }
-  }
-
-  /// Returns used (kFull + kTombstone); live count accumulates into `live`.
-  template <class Source, class ReadSlot>
-  static std::size_t deserialize_table(Source& source,
-                                       std::vector<std::uint8_t>& ctrl,
-                                       SlotArray& slots, ReadSlot& read,
-                                       std::size_t& live) {
-    const std::uint64_t capacity = source.u64();
-    if ((capacity & (capacity - 1)) != 0 || (capacity != 0 && capacity < probe::kGroupWidth)) {
-      source.corrupt("FlatHashMap::deserialize: capacity must be 0 or a power of two >= 16");
-    }
-    // The ctrl array alone takes `capacity` bytes of input.
-    if (capacity > source.remaining()) {
-      source.corrupt("FlatHashMap::deserialize: capacity exceeds the input");
-    }
-    if (capacity == 0) return 0;
-    std::vector<std::uint8_t> read_ctrl(static_cast<std::size_t>(capacity));
-    source.byte_block(read_ctrl.data(), read_ctrl.size());
-    std::size_t used = 0;
-    for (const std::uint8_t c : read_ctrl) {
-      if (c > kTombstone) source.corrupt("FlatHashMap::deserialize: bad ctrl byte");
-      if (c != kEmpty) ++used;
-    }
-    // A probe for an absent key ends at an empty slot.
-    if (used == capacity) source.corrupt("FlatHashMap::deserialize: no empty slot");
-    // Every full slot is constructed before the first entry is read, so a
-    // read that throws leaves a table its destructor can tear down.
-    slots.allocate(read_ctrl.size());
-    for (std::size_t i = 0; i < read_ctrl.size(); ++i) {
-      if (read_ctrl[i] == kFull) construct_slot(slots, i, K{});
-    }
-    ctrl = std::move(read_ctrl);
-    for (std::size_t i = 0; i < ctrl.size(); ++i) {
-      if (ctrl[i] != kFull) continue;
-      read(source, slots[i].key, slots[i].value);
-      ++live;
-    }
-    return used;
-  }
-
   static constexpr std::size_t kNpos = static_cast<std::size_t>(-1);
 
   [[nodiscard]] bool migrating() const noexcept { return migrating_; }
@@ -658,8 +584,8 @@ class FlatHashMap {
   // table the first (partial) group's bytes are re-examined as part of the
   // final full group; that re-examination is benign — any hit or
   // terminating empty among them would have ended the scan a lap earlier.
-  // Every table holds at least one group: each grow path starts at 16
-  // slots, and deserialize() refuses less.
+  // Every table holds at least one group: every table is built by the
+  // grow paths here (reserve included), and each starts at 16 slots.
 
   [[nodiscard]] static std::size_t group_find(const std::vector<std::uint8_t>& ctrl,
                                               const SlotArray& slots,
@@ -896,7 +822,7 @@ class FlatHashMap {
   std::size_t used_ = 0;  // active-table live entries + tombstones
   /// Cached !old_ctrl_.empty(): the fast paths branch on one byte instead
   /// of recomputing vector emptiness per call (maintained by
-  /// start_migration / release_old_table / swap / deserialize).
+  /// start_migration / release_old_table / swap).
   bool migrating_ = false;
 };
 
@@ -933,17 +859,6 @@ class FlatHashSet {
   template <class F>
   bool for_each_until(F&& f) const {
     return map_.for_each_until([&](const K& key, const Empty&) { return f(key); });
-  }
-
-  /// Exact-layout round-trip, like FlatHashMap::serialize; `write(sink,
-  /// key)` / `read(source, key&)` encode the elements.
-  template <class Sink, class WriteKey>
-  void serialize(Sink& sink, WriteKey&& write) const {
-    map_.serialize(sink, [&](Sink& s, const K& key, const Empty&) { write(s, key); });
-  }
-  template <class Source, class ReadKey>
-  void deserialize(Source& source, ReadKey&& read) {
-    map_.deserialize(source, [&](Source& s, K& key, Empty&) { read(s, key); });
   }
 
   /// Some element (unspecified which); the set must be non-empty. The pick

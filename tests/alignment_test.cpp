@@ -53,7 +53,7 @@ TEST(AlignedShrink, NegativeTimelineWorks) {
 }
 
 TEST(AlignedShrink, RejectsEmptyWindow) {
-  EXPECT_THROW(aligned_shrink(Window{3, 3}), ContractViolation);
+  EXPECT_THROW((void)aligned_shrink(Window{3, 3}), ContractViolation);
 }
 
 TEST(AlignedShrink, DeterministicLeftmost) {

@@ -29,6 +29,7 @@
 #include <vector>
 
 #include "core/reservation_scheduler.hpp"
+#include "durability/scheduler_persist.hpp"
 #include "durability/snapshot.hpp"
 #include "durability/wal.hpp"
 #include "service/sharded_scheduler.hpp"
@@ -86,14 +87,14 @@ struct Field {
   std::string name;
 };
 
-/// Where one FlatHashMap's active table sits: its capacity field, ctrl
-/// bytes and, per full slot, the byte range of the entry.
+/// Where one hash table sits: its entry-count field and, per entry, the
+/// byte range of the entry.
 struct Table {
   std::string name;
-  std::size_t at = 0;  // the capacity field
-  std::uint64_t capacity = 0;
+  std::size_t at = 0;   // the count field
+  std::size_t end = 0;  // one past the last entry
   struct Entry {
-    std::size_t slot = 0, begin = 0, end = 0;
+    std::size_t begin = 0, end = 0;
   };
   std::vector<Entry> entries;
 };
@@ -111,23 +112,18 @@ struct Walker {
     pos += static_cast<std::size_t>(width);
     return v;
   }
-  /// A FlatHashMap's serialize(): active table, retiring table (capacity
-  /// u64, capacity ctrl bytes, one entry per full slot), migrate position.
+  /// A FlatHashMap's serialize(): the entry count, then the entries.
   template <class Entry>
   void table(const std::string& name, Entry&& entry) {
-    for (int t = 0; t < 2; ++t) {
-      Table active{name, pos, take(8, name + " capacity"), {}};
-      const std::size_t ctrl = pos;
-      pos += active.capacity;
-      for (std::uint64_t i = 0; i < active.capacity; ++i) {
-        if (bytes[ctrl + i] != 1) continue;  // kFull
-        const std::size_t begin = pos;
-        entry();
-        active.entries.push_back({i, begin, pos});
-      }
-      if (t == 0) tables.push_back(std::move(active));
+    Table t{name, pos, 0, {}};
+    const std::uint64_t count = take(8, name + " count");
+    for (std::uint64_t i = 0; i < count; ++i) {
+      const std::size_t begin = pos;
+      entry();
+      t.entries.push_back({begin, pos});
     }
-    take(8, name + " migrate position");
+    t.end = pos;
+    tables.push_back(std::move(t));
   }
   template <class Entry>
   void dense(const std::string& name, Entry&& entry) {
@@ -161,15 +157,10 @@ void walk_image(Walker& w, std::size_t end, const std::vector<unsigned>& classes
     w.take(8, "job slot");
     w.take(1, "job parked");
   });
-  w.table("occupancy", [&] {
-    w.take(8, "occupied slot");
-    w.take(8, "occupant");
-  });
   const std::uint64_t levels = w.take(8, "level count");
   for (std::uint64_t level = 0; level < levels; ++level) {
     const std::string at = "L" + std::to_string(level) + " ";
-    const std::uint64_t intervals = w.take(8, at + "interval count");
-    for (std::uint64_t n = 0; n < intervals; ++n) {
+    w.table(at + "intervals", [&] {
       w.take(8, at + "interval base");
       w.take(4, at + "lower count");
       w.take(4, at + "assigned count");
@@ -183,8 +174,7 @@ void walk_image(Walker& w, std::size_t end, const std::vector<unsigned>& classes
           w.take(1, at + "owner span");
         }
       }
-    }
-    w.table(at + "interval shell", [&] { w.take(8, at + "shell base"); });
+    });
     w.table(at + "window ledger", [&] {
       w.take(8, at + "window key start");
       w.take(1, at + "window key span");
@@ -244,55 +234,6 @@ std::vector<Field> walk_wal(const Bytes& file) {
     }
   }
   return w.fields;
-}
-
-/// `payload` with `table` laid out again as a table of `capacity` slots:
-/// each entry, in slot order, then each of `extra` (an entry's bytes), at
-/// the first free slot from its key's home (`home` reads the key from an
-/// entry's bytes), and every other slot `filler` (kEmpty = 0, kTombstone
-/// = 2). Lookups find every entry, so only what the decoder checks beyond
-/// the table's shape can refuse it.
-Bytes relaid(const Bytes& payload, const Table& table, std::uint64_t capacity,
-             const std::function<std::size_t(const Bytes&)>& home, std::uint8_t filler = 0,
-             std::vector<Bytes> extra = {}) {
-  std::vector<Bytes> entries;
-  for (const Table::Entry& e : table.entries) {
-    entries.emplace_back(payload.begin() + static_cast<long>(e.begin),
-                         payload.begin() + static_cast<long>(e.end));
-  }
-  entries.insert(entries.end(), extra.begin(), extra.end());
-  std::vector<std::uint8_t> ctrl(capacity, filler);
-  std::vector<const Bytes*> at_slot(capacity, nullptr);
-  for (const Bytes& entry : entries) {
-    std::size_t slot = home(entry) & (capacity - 1);
-    while (at_slot[slot] != nullptr) slot = (slot + 1) & (capacity - 1);
-    at_slot[slot] = &entry;
-    ctrl[slot] = 1;  // kFull
-  }
-  const std::size_t end = table.entries.empty() ? table.at + 8 + table.capacity
-                                                : table.entries.back().end;
-  Bytes out(payload.begin(), payload.begin() + static_cast<long>(table.at));
-  out.resize(out.size() + 8);
-  put_le(out, table.at, 8, capacity);
-  out.insert(out.end(), ctrl.begin(), ctrl.end());
-  for (const Bytes* entry : at_slot) {
-    if (entry != nullptr) out.insert(out.end(), entry->begin(), entry->end());
-  }
-  out.insert(out.end(), payload.begin() + static_cast<long>(end), payload.end());
-  return out;
-}
-
-/// Home of a window-ledger entry (key: start i64, span_log u8).
-std::size_t window_home(const Bytes& entry) {
-  WindowKey key;
-  key.start = static_cast<Time>(get_le(entry, 0, 8));
-  key.span_log = entry[8];
-  return FlatHash<WindowKey>{}(key);
-}
-
-/// Home of an interval-shell entry (key: base i64).
-std::size_t base_home(const Bytes& entry) {
-  return FlatHash<Time>{}(static_cast<Time>(get_le(entry, 0, 8)));
 }
 
 // ------------------------------------------------------------- sealing
@@ -513,13 +454,15 @@ std::vector<Request> churn(std::uint64_t seed, unsigned machines, std::size_t re
 
 // ---------------------------------------------------- service snapshots
 
-/// A durability directory with one snapshot and the full log, kept as
-/// bytes so that every case starts from the same files.
+/// A durability directory with two snapshots and the full log, kept as
+/// bytes so that every case starts from the same files. Cases damage the
+/// newest snapshot; a refused one falls back to the older.
 struct SnapshotRig {
   unsigned machines = 1;
   TempDir dir;
   DurabilityPolicy policy;
   std::uint64_t csn = 0;
+  std::uint64_t older_csn = 0;
   std::string snapshot_path;
   Bytes payload;  // the snapshot without its trailer
   Bytes wal;
@@ -529,7 +472,7 @@ struct SnapshotRig {
   explicit SnapshotRig(unsigned m, std::uint64_t seed) : machines(m) {
     policy.dir = dir.path;
     policy.snapshot_every = 100;
-    policy.keep_snapshots = 1;
+    policy.keep_snapshots = 2;
     {
       Service writer(machines, writer_options(), policy);
       for (const Request& r : churn(seed, machines, 300)) {
@@ -541,9 +484,10 @@ struct SnapshotRig {
       }
     }
     const std::vector<std::uint64_t> snaps = durability::list_snapshots(dir.path);
-    EXPECT_EQ(snaps.size(), 1u);
-    if (snaps.empty()) return;
+    EXPECT_EQ(snaps.size(), 2u);
+    if (snaps.size() < 2) return;
     csn = snaps[0];
+    older_csn = snaps[1];
     snapshot_path = durability::snapshot_path(dir.path, csn);
     const Bytes file = read_bytes(snapshot_path);
     payload.assign(file.begin(), file.end() - 12);
@@ -571,7 +515,8 @@ struct SnapshotRig {
     }
     const durability::RecoveryReport& report = loaded->service->recovery_report();
     const bool took = report.snapshot_csn == csn;
-    EXPECT_TRUE(took || (report.snapshots_skipped == 1 && report.snapshot_csn == 0)) << where;
+    EXPECT_TRUE(took || (report.snapshots_skipped == 1 && report.snapshot_csn == older_csn))
+        << where;
     audits_and_serves(*loaded, seed, where);
     return took;
   }
@@ -603,26 +548,36 @@ struct SnapshotRig {
     EXPECT_FALSE(recover(sealed_snapshot(changed), 7, where)) << where << " loaded";
   }
 
-  /// The first table named `name` with `lo`..`hi` entries.
-  const Table& table(const std::string& name, std::size_t lo = 1, std::size_t hi = SIZE_MAX) {
+  /// The first table named `name` that has entries.
+  const Table& table(const std::string& name) {
     for (const Table& t : tables) {
-      if (t.name == name && t.entries.size() >= lo && t.entries.size() <= hi) return t;
+      if (t.name == name && !t.entries.empty()) return t;
     }
-    ADD_FAILURE() << "layout assumption: a " << name << " table with " << lo << ".." << hi
-                  << " entries";
+    ADD_FAILURE() << "layout assumption: a " << name << " table with entries";
     return tables.front();
   }
 
+  /// The payload with one more entry at the end of table `name`: a copy
+  /// of its first entry, changed by `edit` (which sees the entry's bytes).
+  Bytes with_extra_entry(const std::string& name, const std::function<void(Bytes&)>& edit) {
+    const Table& t = table(name);
+    Bytes extra(payload.begin() + static_cast<long>(t.entries.front().begin),
+                payload.begin() + static_cast<long>(t.entries.front().end));
+    edit(extra);
+    Bytes changed = payload;
+    changed.insert(changed.begin() + static_cast<long>(t.end), extra.begin(), extra.end());
+    put_le(changed, t.at, 8, t.entries.size() + 1);
+    return resized(std::move(changed), t);
+  }
+
   /// Window ledger `name` with one more entry: a copy of its first one
-  /// under the key {start, span_log}, where a lookup of that key finds it.
-  /// No job names the new window, so only the decoder and I2 see it.
+  /// under the key {start, span_log}. No job names the new window, so only
+  /// the decoder and I2 see it.
   Bytes with_extra_window(const std::string& name, Time start, std::uint8_t span_log) {
-    const Table& ledger = table(name);
-    Bytes extra(payload.begin() + static_cast<long>(ledger.entries.front().begin),
-                payload.begin() + static_cast<long>(ledger.entries.front().end));
-    put_le(extra, 0, 8, static_cast<std::uint64_t>(start));
-    extra[8] = span_log;
-    return resized(relaid(payload, ledger, ledger.capacity, window_home, 0, {extra}), ledger);
+    return with_extra_entry(name, [&](Bytes& entry) {
+      put_le(entry, 0, 8, static_cast<std::uint64_t>(start));
+      entry[8] = span_log;
+    });
   }
 
   /// `changed`, a copy of the payload whose `table` grew or shrank, with
@@ -665,9 +620,7 @@ TEST(DecoderFuzz, SlotFlagBitsBeyondTheTwoKnownAreRefused) {
 TEST(DecoderFuzz, WindowKeyOutsideTheLevelClassesIsRefused) {
   // A window-ledger key whose span is no class of its level would index
   // the audit's per-class census out of range; the decoder refuses it.
-  // Each key is placed where a lookup finds it, so the table itself is
-  // well formed. Level 1's classes are spans 2^6..2^8, level 2's are
-  // 2^9..2^62.
+  // Level 1's classes are spans 2^6..2^8, level 2's are 2^9..2^62.
   SnapshotRig rig(3, 103);
   rig.expect_refused(rig.with_extra_window("L1 window ledger", 0, 5), "L1 key span 2^5");
   rig.expect_refused(rig.with_extra_window("L1 window ledger", 0, 9), "L1 key span 2^9");
@@ -682,53 +635,81 @@ TEST(DecoderFuzz, ScalarsAndBasesTheAuditOwnsAreRefused) {
   // Fields the decoder takes as they come, because the audit judges them:
   // n* (a zero n* divides by zero in the trim, one that is no power of two
   // trims to unaligned windows, a huge one overflows the trim span), and
-  // an interval base moved off its alignment in payload and shell alike.
+  // an interval base moved off its alignment.
   SnapshotRig rig(1, 101);
   const auto any = [](std::uint64_t) { return true; };
   rig.expect_refused("n*", any, 0);
   rig.expect_refused("n*", any, 24);
   rig.expect_refused("n*", any, std::uint64_t{1} << 61);
   // An interval with no slot entries, its base moved to the top of Time:
-  // unaligned, and the audit's walk over its slots would overflow. Its
-  // payload precedes the shell, so the payload offsets hold across the
-  // shell's new layout. (Level 1 payload: base 8, lower 4, assigned 4,
-  // mask 8, three class counts 12, then the entry count.)
+  // unaligned, and the audit's walk over its slots would overflow. (Level
+  // 1 entry: base 8, lower 4, assigned 4, mask 8, three class counts 12,
+  // then the slot-entry count.)
   const Field* entries = find_field(rig.fields, rig.payload, "L1 slot entries",
                                     [](std::uint64_t v) { return v == 0; });
   ASSERT_NE(entries, nullptr) << "layout assumption: an interval without slot entries";
-  const std::size_t base_at = entries->at - 36;
-  const std::uint64_t base = get_le(rig.payload, base_at, 8);
-  const Table& shell = rig.table("L1 interval shell");
   Bytes changed = rig.payload;
-  put_le(changed, base_at, 8, INT64_MAX - 1);
-  for (const Table::Entry& e : shell.entries) {
-    if (get_le(changed, e.begin, 8) == base) put_le(changed, e.begin, 8, INT64_MAX - 1);
-  }
-  rig.expect_refused(relaid(changed, shell, shell.capacity, base_home),
-                     "empty interval at the top of Time");
+  put_le(changed, entries->at - 36, 8, INT64_MAX - 1);
+  rig.expect_refused(changed, "empty interval at the top of Time");
 }
 
-TEST(DecoderFuzz, TableShapesNoWriterMakesAreRefused) {
-  // Every table a writer makes has at least one 16-slot probe group and
-  // an empty slot; the probe kernels rely on both.
-  SnapshotRig rig(1, 101);
-  {
-    const Table& small = rig.table("L2 window ledger", 1, 6);
-    rig.expect_refused(rig.resized(relaid(rig.payload, small, 8, window_home), small),
-                       "a table of 8 slots");
+/// Decodes machine 0's image of a service payload on its own and returns
+/// why SchedulerPersist::load refused it ("" if it loaded).
+std::string image_refusal(const SnapshotRig& rig, const Bytes& payload) {
+  const Field* length = find_field(rig.fields, rig.payload, "image length",
+                                   [](std::uint64_t) { return true; });
+  EXPECT_NE(length, nullptr);
+  if (length == nullptr) return "";
+  const auto* image = reinterpret_cast<const std::byte*>(payload.data() + length->at + 8);
+  durability::ByteSource source(image, get_le(payload, length->at, 8));
+  ReservationScheduler machine(writer_options());
+  try {
+    durability::SchedulerPersist::load(machine, source);
+  } catch (const CorruptInput& e) {
+    return e.what();
   }
-  const Table& ledger = rig.table("L1 window ledger");
-  rig.expect_refused(relaid(rig.payload, ledger, ledger.capacity, window_home, 2),
-                     "a table of tombstones and entries");
-  // The same layout with empty filler and a writer's capacity loads, and
-  // so does one at twice the capacity.
-  EXPECT_TRUE(rig.recover(
-      sealed_snapshot(relaid(rig.payload, ledger, ledger.capacity, window_home)), 7,
-      "a re-laid ledger"));
-  EXPECT_TRUE(rig.recover(sealed_snapshot(rig.resized(
-                              relaid(rig.payload, ledger, 2 * ledger.capacity, window_home),
-                              ledger)),
-                          7, "a ledger at twice its capacity"));
+  return "";
+}
+
+TEST(DecoderFuzz, TablesHoldEachKeyOnceWithinTheInput) {
+  // Each hash table is a count, then its entries, loaded through the
+  // table's own insert path. The decoder refuses a count beyond the input,
+  // a key listed twice and two jobs on one slot; recovery falls back to
+  // the older snapshot.
+  SnapshotRig rig(1, 101);
+  const auto refused_for = [&](const Bytes& changed, const std::string& reason,
+                               const std::string& where) {
+    EXPECT_NE(image_refusal(rig, changed).find(reason), std::string::npos)
+        << where << ": refused for \"" << image_refusal(rig, changed) << "\"";
+    rig.expect_refused(changed, where);
+  };
+  const auto any = [](std::uint64_t) { return true; };
+  for (const char* count : {"job table count", "L1 intervals count", "L2 window ledger count"}) {
+    const Field* field = find_field(rig.fields, rig.payload, count, any);
+    ASSERT_NE(field, nullptr) << "layout assumption: a " << count << " field";
+    for (const std::uint64_t huge : {rig.payload.size(), std::uint64_t{1} << 40}) {
+      Bytes changed = rig.payload;
+      put_le(changed, field->at, 8, huge);
+      refused_for(changed, "count exceeds the input",
+                  std::string(count) + " := " + std::to_string(huge));
+    }
+  }
+  const auto unchanged = [](Bytes&) {};
+  refused_for(rig.with_extra_entry("job table", unchanged), "duplicate key", "a job id twice");
+  refused_for(rig.with_extra_entry("L1 intervals", unchanged), "duplicate key",
+              "an interval base twice");
+  refused_for(rig.with_extra_entry("L1 window ledger", unchanged), "duplicate key",
+              "a window key twice");
+  // A copy of job 0 under a fresh id: a second job on job 0's slot.
+  refused_for(rig.with_extra_entry("job table",
+                                   [](Bytes& entry) { put_le(entry, 0, 8, 1ULL << 50); }),
+              "two jobs on one slot", "two jobs on one slot");
+  // An image of the exact-layout format (state version 2).
+  const Field* version = find_field(rig.fields, rig.payload, "state version", any);
+  ASSERT_NE(version, nullptr);
+  Bytes v2 = rig.payload;
+  put_le(v2, version->at, 4, 2);
+  refused_for(v2, "unsupported state version", "state version 2");
 }
 
 // ---------------------------------------------------------------- WAL

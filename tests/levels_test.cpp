@@ -32,7 +32,7 @@ TEST(LevelTable, LevelOfSpans) {
 
 TEST(LevelTable, LevelOfRejectsOutOfRange) {
   const LevelTable table = LevelTable::paper();
-  EXPECT_THROW(table.level_of(0), ContractViolation);
+  EXPECT_THROW((void)table.level_of(0), ContractViolation);
   EXPECT_THROW((void)table.level_of(pow2(62) + 1), ContractViolation);
 }
 
@@ -68,7 +68,7 @@ TEST(LevelTable, CustomTowerReachesDeepLevels) {
 
 TEST(LevelTable, IntervalSizeUndefinedForLevel0) {
   const LevelTable table = LevelTable::paper();
-  EXPECT_THROW(table.interval_size(0), ContractViolation);
+  EXPECT_THROW((void)table.interval_size(0), ContractViolation);
 }
 
 }  // namespace
