@@ -140,6 +140,17 @@ ReservationScheduler::Interval* ReservationScheduler::find_interval(unsigned lev
   return levels_[level].intervals.find(base);
 }
 
+bool ReservationScheduler::assigned_to(unsigned level, const WindowKey& w,
+                                       Time slot) const {
+  // A class names w only in w's own intervals.
+  if (!w.window().contains(slot)) return false;
+  const auto& ls = levels_[level];
+  const Interval* interval = ls.intervals.find(interval_base_of(level, slot));
+  if (interval == nullptr) return false;
+  const SlotInfo& info = interval->slots[static_cast<std::size_t>(slot - interval->base)];
+  return info.assigned && info.cls == ls.class_of(w);
+}
+
 void ReservationScheduler::compute_fulfillment_into(unsigned level,
                                                     const Interval& interval,
                                                     std::vector<FulRow>& rows) const {
@@ -265,14 +276,11 @@ void ReservationScheduler::assign_slot(unsigned level, Interval& interval, Time 
   const unsigned cls = levels_[level].class_of(w);
   info.assigned = true;
   info.cls = static_cast<std::uint8_t>(cls);
-  ++interval.assigned_count;
   ++interval.assigned_by_class[cls];
   interval.assigned_class_mask |= u64{1} << cls;
-  auto& window = levels_[level].windows.at(w);
-  window.assigned_slots.insert(slot);
   // A freshly claimed slot never carries a job of this level (such slots are
   // either lower-flagged or already assigned), so it is free by definition.
-  window.free_assigned.insert(slot);
+  levels_[level].windows.at(w).free_assigned.insert(slot);
 }
 
 void ReservationScheduler::unassign_slot(unsigned level, Interval& interval, Time slot) {
@@ -282,15 +290,12 @@ void ReservationScheduler::unassign_slot(unsigned level, Interval& interval, Tim
   const WindowKey owner = levels_[level].window_of_class(interval.base, cls);
   mark_interval_dirty(level, interval.base);
   mark_window_dirty(level, owner);
-  auto& window = levels_[level].windows.at(owner);
-  RS_CHECK(window.assigned_slots.erase(slot) == 1, "unassign_slot: ledger mismatch");
-  window.free_assigned.erase(slot);
+  levels_[level].windows.at(owner).free_assigned.erase(slot);
   if (--interval.assigned_by_class[cls] == 0) {
     interval.assigned_class_mask &= ~(u64{1} << cls);
   }
   info.assigned = false;
   info.cls = 0;
-  --interval.assigned_count;
 }
 
 void ReservationScheduler::reconcile(unsigned level, Time interval_base,
@@ -469,11 +474,11 @@ void ReservationScheduler::occupy(JobId id, Time slot, bool parked_placement,
   // own window; that slot stops being "free".
   if (!parked_placement && job.level >= 1) {
     const WindowKey w(job.window);
-    auto& window = levels_[job.level].windows.at(w);
-    RS_CHECK(window.assigned_slots.contains(slot),
+    RS_CHECK(assigned_to(job.level, w, slot),
              "occupy: reserved placement on a slot not assigned to the window");
-    window.free_assigned.erase(slot);
+    levels_[job.level].windows.at(w).free_assigned.erase(slot);
     mark_window_dirty(job.level, w);
+    mark_interval_dirty(job.level, interval_base_of(job.level, slot));
   }
 
   // The slot becomes blocked ("occupied by a lower-level job") for levels in
@@ -530,13 +535,12 @@ void ReservationScheduler::vacate(JobId id) {
     // The slot keeps its reservation; it is once again a free fulfilled
     // slot of the window (if still assigned — a release may have detached
     // it just before a MOVE).
-    auto& ls = levels_[job.level];
     const WindowKey w(job.window);
-    if (ActiveWindow* window = ls.windows.find(w); window != nullptr) {
-      if (window->assigned_slots.contains(slot)) {
-        window->free_assigned.insert(slot);
-        mark_window_dirty(job.level, w);
-      }
+    if (ActiveWindow* window = levels_[job.level].windows.find(w);
+        window != nullptr && assigned_to(job.level, w, slot)) {
+      window->free_assigned.insert(slot);
+      mark_window_dirty(job.level, w);
+      mark_interval_dirty(job.level, interval_base_of(job.level, slot));
     }
   }
 }
@@ -558,8 +562,8 @@ void ReservationScheduler::swap_ancestor_bookkeeping(Time s1, Time s2,
     if (a.assigned) mark_window_dirty(level, owner(a));
     if (b.assigned) mark_window_dirty(level, owner(b));
     if (a.assigned && b.assigned && a.cls == b.cls) {
-      // Same owner on both slots: set membership is unchanged; only the
-      // free/occupied status may differ and follows the physical swap.
+      // Same owner on both slots: only the free/occupied status may differ,
+      // and it follows the physical swap.
       auto& window = levels_[level].windows.at(owner(a));
       const bool free1 = window.free_assigned.contains(s1);
       const bool free2 = window.free_assigned.contains(s2);
@@ -573,19 +577,19 @@ void ReservationScheduler::swap_ancestor_bookkeeping(Time s1, Time s2,
         }
       }
     } else {
-      const auto transfer = [&](SlotInfo& info, Time from, Time to) {
+      // The cell swap below moves ownership; a free slot's place in its
+      // owner's free set moves with it.
+      const auto transfer = [&](const SlotInfo& info, Time from, Time to) {
         if (!info.assigned) return;
-        auto& window = levels_[level].windows.at(owner(info));
-        RS_CHECK(window.assigned_slots.erase(from) == 1, "swap: ledger mismatch");
-        window.assigned_slots.insert(to);
-        if (window.free_assigned.erase(from) > 0) window.free_assigned.insert(to);
+        auto& free = levels_[level].windows.at(owner(info)).free_assigned;
+        if (free.erase(from) > 0) free.insert(to);
       };
       transfer(a, s1, s2);
       transfer(b, s2, s1);
     }
-    // Both slots live in this interval, so lower_count, assigned_count and
-    // the per-class assignment counts are all preserved by the swap — the
-    // fulfillment cache stays valid.
+    // Both slots live in this interval, so lower_count and the per-class
+    // assignment counts are preserved by the swap — the fulfillment cache
+    // stays valid.
     std::swap(a, b);
   }
 }
@@ -638,10 +642,10 @@ void ReservationScheduler::move_job(JobId id, std::vector<JobId>& pending) {
   }
   mark_job_dirty(id);
 
-  auto& window = levels_[job.level].windows.at(w);
-  RS_CHECK(window.assigned_slots.contains(to), "move_job: target lost its reservation");
-  window.free_assigned.erase(to);
+  RS_CHECK(assigned_to(job.level, w, to), "move_job: target lost its reservation");
+  levels_[job.level].windows.at(w).free_assigned.erase(to);
   mark_window_dirty(job.level, w);
+  mark_interval_dirty(job.level, interval_base_of(job.level, to));
   job.slot = to;
   count_move(job);
 }
@@ -847,9 +851,12 @@ void ReservationScheduler::erase_body(JobId id) {
     if (window->jobs == 0) {
       // Deactivate: all concrete slots return to the free pool; promotions
       // of longer windows' waitlisted reservations need no job movement.
+      // With no job left, every assigned slot of the window is free: the
+      // only same-level job that can sit on one is the window's own reserved
+      // job, since a parked job lower-flags its own level.
       std::vector<Time> slots;
-      slots.reserve(window->assigned_slots.size());
-      window->assigned_slots.for_each([&](Time slot) { slots.push_back(slot); });
+      slots.reserve(window->free_assigned.size());
+      window->free_assigned.for_each([&](Time slot) { slots.push_back(slot); });
       for (const Time slot : slots) {
         Interval* interval = find_interval(state.level, interval_base_of(state.level, slot));
         RS_CHECK(interval != nullptr, "erase_impl: assigned slot in missing interval");
@@ -894,7 +901,6 @@ bool ReservationScheduler::emergency_reschedule(const JobId* exclude) {
     ls.intervals.clear();
     ls.arena.reset();  // O(1); interval blocks are reclaimed wholesale
     ls.windows.for_each([](const WindowKey&, ActiveWindow& window) {
-      window.assigned_slots.clear();
       window.free_assigned.clear();
       window.claim_cursor = 0;
     });
@@ -1318,11 +1324,10 @@ bool ReservationScheduler::audit_job_body(const JobId& id, const JobState& job) 
   RS_CHECK(options_.levels.level_of(static_cast<u64>(job.window.span())) == job.level,
            "audit: level mismatch");
   if (!job.parked && job.level >= 1) {
-    const auto& ls = levels_[job.level];
-    const ActiveWindow* window = ls.windows.find(WindowKey(job.window));
+    const WindowKey key(job.window);
+    const ActiveWindow* window = levels_[job.level].windows.find(key);
     RS_CHECK(window != nullptr, "audit: reserved job without active window");
-    RS_CHECK(window->assigned_slots.contains(job.slot),
-             "audit: reserved job on unassigned slot");
+    RS_CHECK(assigned_to(job.level, key, job.slot), "audit: reserved job on unassigned slot");
     RS_CHECK(!window->free_assigned.contains(job.slot),
              "audit: occupied slot marked free");
   }
@@ -1350,21 +1355,12 @@ void ReservationScheduler::check_jobs_and_occupancy() const {
 
 void ReservationScheduler::audit_window_body(unsigned level, const WindowKey& key,
                                              const ActiveWindow& window) const {
-  const auto& ls = levels_[level];
-  window.assigned_slots.for_each([&](Time slot) {
-    RS_CHECK(key.window().contains(slot), "audit: assigned slot outside window");
-    // Anti-orphan: every ledger slot must be backed by a matching interval
-    // assignment (the reverse direction - every interval assignment present
-    // in the ledger - is the interval check's job).
-    const Interval* interval = ls.intervals.find(align_down(slot, ls.interval_size));
-    RS_CHECK(interval != nullptr, "audit: ledger slot in an unmaterialized interval");
-    const SlotInfo& info =
-        interval->slots[static_cast<std::size_t>(slot - interval->base)];
-    RS_CHECK(info.assigned && ls.window_of_class(interval->base, info.cls) == key,
-             "audit: ledger slot not backed by an interval assignment");
-  });
   window.free_assigned.for_each([&](Time slot) {
-    RS_CHECK(window.assigned_slots.contains(slot), "audit: free slot not assigned");
+    // Anti-orphan: every free slot must be one of the window's assigned
+    // cells (the reverse direction - every such cell with no job of the
+    // level on it present here - is the interval check's job).
+    RS_CHECK(assigned_to(level, key, slot),
+             "audit: free slot not backed by an interval assignment");
     const JobId* occupant = occ_.find(slot);
     RS_CHECK(occupant == nullptr || jobs_.at(*occupant).level != level,
              "audit: free_assigned slot holds a same-level job");
@@ -1409,7 +1405,6 @@ void ReservationScheduler::audit_interval_body(unsigned level, Time base,
                interval.assigned_by_class != nullptr,
            "audit: interval not backed by an arena block");
   std::uint32_t lower = 0;
-  std::uint32_t assigned = 0;
   std::vector<std::uint32_t> per_class(ls.class_count(), 0);
   for (std::size_t off = 0; off < ls.interval_size; ++off) {
     const SlotInfo& info = interval.slots[off];
@@ -1424,14 +1419,15 @@ void ReservationScheduler::audit_interval_body(unsigned level, Time base,
       RS_CHECK(info.cls < ls.class_count(), "audit: slot owner class out of range");
       const ActiveWindow* window = ls.windows.find(ls.window_of_class(base, info.cls));
       RS_CHECK(window != nullptr, "audit: slot owned by inactive window");
-      RS_CHECK(window->assigned_slots.contains(slot),
-               "audit: owner ledger missing slot");
-      ++assigned;
+      // One record per reservation: the cell. The owner's free set holds
+      // the slot exactly when no job of this level sits on it.
+      const bool free = occupant == nullptr || jobs_.at(*occupant).level != level;
+      RS_CHECK(window->free_assigned.contains(slot) == free,
+               "audit: owner free set disagrees with the slot's occupant");
       ++per_class[info.cls];
     }
   }
   RS_CHECK(lower == interval.lower_count, "audit: lower_count mismatch");
-  RS_CHECK(assigned == interval.assigned_count, "audit: assigned_count mismatch");
   u64 mask = 0;
   for (unsigned cls = 0; cls < ls.class_count(); ++cls) {
     RS_CHECK(per_class[cls] == interval.assigned_by_class[cls],
@@ -1492,12 +1488,13 @@ void ReservationScheduler::register_invariants(audit::InvariantTable& table) con
             "and parked census agree",
             [this] { check_jobs_and_occupancy(); });
   table.add("rs.I2.window-ledgers", component,
-            "window job counts match the active set; ledger slots backed by "
-            "interval assignments; census/active-bound exact",
+            "window job counts match the active set; free-set slots backed by "
+            "the window's assigned cells; census/active-bound exact",
             [this] { check_window_ledgers(); });
   table.add("rs.I3.interval-assignment-bound", component,
-            "interval slot tables match ground truth; counters exact; "
-            "a(W,I) <= f(W,I) against a cold recomputation",
+            "interval slot tables match ground truth; counters exact; an "
+            "assigned cell is free in its owner iff no job of its level sits "
+            "on it; a(W,I) <= f(W,I) against a cold recomputation",
             [this] { check_interval_assignment_bound(); });
   table.add("rs.I4.fulfillment-cache", component,
             "every cached fulfillment table matches a cold recomputation "
@@ -1740,13 +1737,12 @@ bool ReservationScheduler::corrupt_for_test(Corruption kind) {
         bool done = false;
         levels_[level].windows.for_each([&](const WindowKey& key, ActiveWindow& window) {
           if (done) return;
-          // A slot inside the window that no interval assignment backs: the
-          // window's first slot is as good as any - if it happens to be
-          // genuinely assigned, the duplicate insert is a no-op and we keep
-          // probing forward.
+          // A free-set slot the cells do not back as free: the window's
+          // first slot not already in the set - either no assigned cell of
+          // the window backs it, or a job of this level sits on it.
           for (Time slot = key.start;
                slot < key.start + static_cast<Time>(ls.interval_size); ++slot) {
-            if (window.assigned_slots.insert(slot)) {
+            if (window.free_assigned.insert(slot)) {
               mark_window_dirty(level, key);
               done = true;
               return;

@@ -47,12 +47,14 @@
 //
 //  * Concrete slot assignment is lazy. A window's *assigned* slots (the
 //    slots backing its fulfilled reservations) are materialized on demand,
-//    maintaining a(W,I) <= f(W,I). Claims always succeed under that
-//    invariant (free allowance >= Σf - Σa). Releases — the "waitlist a
-//    fulfilled reservation" arrow in Figure 1 — happen whenever a
-//    recomputation finds a(W,I) > f(W,I), and may force a MOVE of a job
-//    sitting on a released slot. Per-interval assignment counts are kept
-//    per span class, so detecting over-assignment needs no slot scan.
+//    maintaining a(W,I) <= f(W,I). The slot cell is the one record of an
+//    assignment; the window keeps only its free subset. Claims always
+//    succeed under that invariant (free allowance >= Σf - Σa). Releases —
+//    the "waitlist a fulfilled reservation" arrow in Figure 1 — happen
+//    whenever a recomputation finds a(W,I) > f(W,I), and may force a MOVE
+//    of a job sitting on a released slot. Per-interval assignment counts
+//    are kept per span class, so detecting over-assignment needs no slot
+//    scan.
 //
 //  * MOVE is a pure swap. When job j moves from slot s to its window's
 //    fulfilled empty slot s', both slots lie in the same ancestor interval
@@ -264,7 +266,7 @@ class ReservationScheduler final : public IReallocScheduler {
   enum class Corruption : std::uint8_t {
     kFlipLowerOccupied,  ///< flip a lower_occupied bit in a slot table
     kDesyncLowerCount,   ///< bump an interval's lower_count
-    kOrphanLedgerSlot,   ///< window ledger slot with no interval backing
+    kOrphanLedgerSlot,   ///< window free-set slot the cells do not back
     kDesyncWindowJobs,   ///< bump an ActiveWindow::jobs count
     kDesyncParkedCount,  ///< bump parked_count_
   };
@@ -296,11 +298,11 @@ class ReservationScheduler final : public IReallocScheduler {
     bool parked = false;  // placed outside the reservation system
   };
 
-  /// One slot of an interval's table: one byte. An assigned slot stores
-  /// only its owner's span class (span_log - min_span_log, < 64 by the
-  /// constructor's check): exactly one aligned window of each class
-  /// contains the interval, so the class names the owner
-  /// (LevelState::window_of_class).
+  /// One slot of an interval's table: one byte, and the only record of the
+  /// slot's assignment. An assigned slot stores only its owner's span class
+  /// (span_log - min_span_log, < 64 by the constructor's check): exactly
+  /// one aligned window of each class contains the interval, so the class
+  /// names the owner (LevelState::window_of_class).
   struct SlotInfo {
     std::uint8_t lower_occupied : 1 = 0;  // occupied by a job "below" this level
     std::uint8_t assigned : 1 = 0;        // concrete fulfilled reservation
@@ -354,12 +356,11 @@ class ReservationScheduler final : public IReallocScheduler {
     /// tracked inputs). Written through a const Interval (cache refresh),
     /// which is well-formed for a pointee.
     FulRow* ful_cache = nullptr;
-    /// Concrete assignments per span class — the a(W,I) side of the lazy
+    /// Assigned cells per span class — the a(W,I) side of the lazy
     /// invariant, maintained incrementally so reconcile needs no slot scan
     /// to detect over-assignment. class_count counters.
     std::uint32_t* assigned_by_class = nullptr;
     std::uint32_t lower_count = 0;
-    std::uint32_t assigned_count = 0;
     /// Bit c set iff assigned_by_class[c] > 0 — lets reconcile visit only
     /// the classes that can possibly be over-assigned (class_count is
     /// checked <= 64 at construction).
@@ -368,16 +369,17 @@ class ReservationScheduler final : public IReallocScheduler {
     mutable unsigned ful_bound = 0;
   };
 
+  /// A window's ledger. Which slots back its fulfilled reservations is not
+  /// stored here: the slot cells say it (assigned, cls == class_of(w)), so
+  /// each reservation has one record (assigned_to).
   struct ActiveWindow {
     std::uint64_t jobs = 0;  // x
-    /// All concrete fulfilled slots of this window (global coordinates).
-    /// Dense sets: iteration is insertion-ordered and layout-independent,
-    /// so the acquire_slot fast-path pick never depends on table layout
+    /// The window's assigned slots (global coordinates) with no job of this
+    /// level on them — the slots Invariant 6 / Lemma 8 hand out. (They may
+    /// hold a higher-level job, which placement will displace.) A dense
+    /// set: iteration is insertion-ordered and layout-independent, so the
+    /// acquire_slot fast-path pick never depends on table layout
     /// (util/flat_hash.hpp, DenseHashSet).
-    DenseHashSet<Time> assigned_slots;
-    /// Subset of assigned_slots with no job of this level on them — the
-    /// slots Invariant 6 / Lemma 8 hand out. (They may hold a higher-level
-    /// job, which placement will displace.)
     DenseHashSet<Time> free_assigned;
     std::uint64_t claim_cursor = 0;  // round-robin claim-scan position
   };
@@ -456,6 +458,9 @@ class ReservationScheduler final : public IReallocScheduler {
   static void carve_interval_block(LevelState& ls, Interval& interval);
   Interval& get_or_create_interval(unsigned level, Time base);
   [[nodiscard]] Interval* find_interval(unsigned level, Time base);
+  /// Whether `slot` backs one of `w`'s fulfilled reservations: it lies in
+  /// w, and its cell in the level's interval is assigned to w's span class.
+  [[nodiscard]] bool assigned_to(unsigned level, const WindowKey& w, Time slot) const;
   /// Recomputation straight off the ledgers into `out`, reusing its
   /// capacity (seed behavior when cold; also the reference the cache is
   /// validated against).
@@ -581,7 +586,8 @@ class ReservationScheduler final : public IReallocScheduler {
   void audit_interval_scoped(unsigned level, Time base) const;
   void audit_globals_scoped() const;
   /// Per-interval body of full-sweep §3: ground-truth slot scan, counter
-  /// agreement, a ≤ f against a cold recomputation.
+  /// agreement, each assigned cell in its owner's free set iff no job of
+  /// the level sits on it, a ≤ f against a cold recomputation.
   void audit_interval_body(unsigned level, Time base, const Interval& interval) const;
   /// Per-interval body of full-sweep §4: the cached fulfillment table vs a
   /// cold recomputation. Returns 1 when a (non-invalid) cache was verified.
@@ -591,7 +597,8 @@ class ReservationScheduler final : public IReallocScheduler {
   /// agreement, own-level ledger membership). Returns true iff parked.
   bool audit_job_body(const JobId& id, const JobState& job) const;
   /// Per-window local body shared by full-sweep §2 and the scoped check:
-  /// slot containment, interval backing (anti-orphan), free-set sanity.
+  /// every free slot lies in the window, is backed by one of its assigned
+  /// cells (anti-orphan) and holds no job of the level.
   void audit_window_body(unsigned level, const WindowKey& key,
                          const ActiveWindow& window) const;
   /// audit() minus the full_sweeps_ count: how the snapshot loader checks.

@@ -10,7 +10,7 @@ namespace {
 constexpr std::uint64_t kStateMagic = 0x5253534E41503031ULL;  // "RSSNAP01"
 // Bumped on any change to the encoding. A snapshot of another version is
 // refused, and recovery falls back to an older snapshot or a WAL replay.
-constexpr std::uint32_t kStateVersion = 3;
+constexpr std::uint32_t kStateVersion = 4;
 
 void put_window_key(ByteSink& sink, const WindowKey& w) {
   sink.i64(w.start);
@@ -79,16 +79,12 @@ void SchedulerPersist::save(const ReservationScheduler& s, ByteSink& sink) {
 
   sink.u64(s.levels_.size());
   for (const auto& ls : s.levels_) {
-    const unsigned class_count = ls.interval_size > 0 ? ls.class_count() : 0;
     ls.intervals.serialize(sink, [&](ByteSink& out, const Time& base,
                                      const ReservationScheduler::Interval& interval) {
       out.i64(base);
-      out.u32(interval.lower_count);
-      out.u32(interval.assigned_count);
-      out.u64(interval.assigned_class_mask);
-      for (unsigned c = 0; c < class_count; ++c) out.u32(interval.assigned_by_class[c]);
-      // Sparse slot table: only slots carrying state. The fulfillment
-      // cache is skipped — kInvalid on load, recomputed on first touch.
+      // Sparse slot table: only slots carrying state. The counters and the
+      // fulfillment cache are skipped — the first are recounted from the
+      // cells on load, the second reloads kInvalid.
       std::uint32_t interesting = 0;
       for (u64 i = 0; i < ls.interval_size; ++i) {
         const auto& slot = interval.slots[i];
@@ -101,8 +97,7 @@ void SchedulerPersist::save(const ReservationScheduler& s, ByteSink& sink) {
         out.u32(static_cast<std::uint32_t>(i));
         out.u8(static_cast<std::uint8_t>((slot.lower_occupied ? 1 : 0) |
                                          (slot.assigned ? 2 : 0)));
-        // Cells hold the owner's span class; the image keeps the full key.
-        if (slot.assigned) put_window_key(out, ls.window_of_class(base, slot.cls));
+        if (slot.assigned) out.u8(slot.cls);
       }
     });
 
@@ -111,15 +106,9 @@ void SchedulerPersist::save(const ReservationScheduler& s, ByteSink& sink) {
       put_window_key(out, key);
       out.u64(window.jobs);
       out.u64(window.claim_cursor);
-      window.assigned_slots.serialize(out,
-                                      [](ByteSink& o, const Time& t) { o.i64(t); });
       window.free_assigned.serialize(out,
                                      [](ByteSink& o, const Time& t) { o.i64(t); });
     });
-
-    sink.u64(ls.active_per_class.size());
-    for (const std::uint32_t census : ls.active_per_class) sink.u32(census);
-    sink.u32(ls.active_bound);
   }
 }
 
@@ -159,73 +148,60 @@ void SchedulerPersist::load(ReservationScheduler& s, ByteSource& source) {
   if (level_count != s.levels_.size()) {
     throw CorruptInput("snapshot: level-count mismatch");
   }
-  for (auto& ls : s.levels_) {
-    const unsigned class_count = ls.interval_size > 0 ? ls.class_count() : 0;
-    // A key's span must be a class of its level (level 0 has none):
-    // class_of indexes by it, and window_of_class shifts by it.
-    const auto class_key = [&ls](ByteSource& in) {
-      const WindowKey key = get_window_key(in);
-      if (ls.interval_size == 0 || key.span_log < ls.min_span_log ||
-          key.span_log > ls.max_span_log) {
-        throw CorruptInput("snapshot: window key is not a class of its level");
-      }
-      return key;
-    };
-    ls.intervals.deserialize(source, [&](ByteSource& in, Time& base,
-                                         ReservationScheduler::Interval& interval) {
+  for (unsigned level = 0; level < s.levels_.size(); ++level) {
+    auto& ls = s.levels_[level];
+    ls.intervals.deserialize(source, [&ls](ByteSource& in, Time& base,
+                                           ReservationScheduler::Interval& interval) {
       base = in.i64();
       interval.base = base;
-      interval.lower_count = in.u32();
-      interval.assigned_count = in.u32();
-      interval.assigned_class_mask = in.u64();
       if (ls.interval_size == 0) {
         throw CorruptInput("snapshot: interval on a level without intervals");
       }
       ReservationScheduler::carve_interval_block(ls, interval);
-      for (unsigned c = 0; c < class_count; ++c) interval.assigned_by_class[c] = in.u32();
+      // The counters are the cells', recounted as they load; each cell is
+      // listed once, in ascending offset order.
       const std::uint32_t interesting = in.u32();
-      for (std::uint32_t e = 0; e < interesting; ++e) {
+      for (std::uint32_t e = 0, next = 0; e < interesting; ++e) {
         const std::uint32_t offset = in.u32();
         if (offset >= ls.interval_size) {
           throw CorruptInput("snapshot: slot offset out of range");
         }
+        if (offset < next) throw CorruptInput("snapshot: slot offsets not ascending");
+        next = offset + 1;
         const std::uint8_t flags = in.u8();
         if (flags > 3) throw CorruptInput("snapshot: unknown slot flag bits");
         auto& slot = interval.slots[offset];
         slot.lower_occupied = (flags & 1) != 0;
         slot.assigned = (flags & 2) != 0;
+        if (slot.lower_occupied) ++interval.lower_count;
         if (!slot.assigned) continue;
-        // A cell keeps only the owner's span class, so the stored key must
-        // be the one window of that class containing this interval.
-        const WindowKey owner = class_key(in);
-        slot.cls = static_cast<std::uint8_t>(ls.class_of(owner));
-        if (ls.window_of_class(base, slot.cls) != owner) {
-          throw CorruptInput("snapshot: slot owner window does not contain its interval");
-        }
+        // The class names the one window of its span holding the interval;
+        // it indexes the per-class counters.
+        const std::uint8_t cls = in.u8();
+        if (cls >= ls.class_count()) throw CorruptInput("snapshot: slot class out of range");
+        slot.cls = cls;
+        ++interval.assigned_by_class[cls];
+        interval.assigned_class_mask |= u64{1} << cls;
       }
     });
 
-    ls.windows.deserialize(
-        source, [&class_key](ByteSource& in, WindowKey& key,
-                             ReservationScheduler::ActiveWindow& window) {
-          key = class_key(in);
-          window.jobs = in.u64();
-          window.claim_cursor = in.u64();
-          window.assigned_slots.deserialize(
-              in, [](ByteSource& i, Time& t) { t = i.i64(); });
-          window.free_assigned.deserialize(
-              in, [](ByteSource& i, Time& t) { t = i.i64(); });
-        });
-
-    const std::uint64_t census_size = source.u64();
-    if (census_size != ls.active_per_class.size()) {
-      throw CorruptInput("snapshot: census size mismatch");
-    }
-    for (auto& census : ls.active_per_class) census = source.u32();
-    ls.active_bound = source.u32();
-    if (ls.active_bound > census_size) {
-      throw CorruptInput("snapshot: active bound out of range");
-    }
+    ls.windows.deserialize(source, [&ls](ByteSource& in, WindowKey& key,
+                                         ReservationScheduler::ActiveWindow& window) {
+      key = get_window_key(in);
+      // A key's span must be a class of its level (level 0 has none):
+      // class_of indexes the census by it.
+      if (ls.interval_size == 0 || key.span_log < ls.min_span_log ||
+          key.span_log > ls.max_span_log) {
+        throw CorruptInput("snapshot: window key is not a class of its level");
+      }
+      window.jobs = in.u64();
+      window.claim_cursor = in.u64();
+      window.free_assigned.deserialize(in, [](ByteSource& i, Time& t) { t = i.i64(); });
+    });
+    // The active-window census is the window keys'.
+    ls.windows.for_each([&](const WindowKey& key, const ReservationScheduler::ActiveWindow&) {
+      s.note_window_activated(level, ls.class_of(key));
+    });
   }
   if (!source.exhausted()) throw CorruptInput("snapshot: trailing bytes");
 

@@ -1,16 +1,21 @@
 // Deep logical-state serialization of a ReservationScheduler — the payload
 // of every snapshot file (DESIGN.md §9).
 //
-// What is saved is the scheduler's *behavior-relevant* state, exactly:
-// the job table, every level's interval slot tables and window ledgers
-// (insertion order of the per-window dense sets included — that order
-// feeds acquire_slot's pick), the active-window census, and the scalar
-// counters (n*, parked count, audit cadence position). Each hash table is
-// written as its entry count followed by its entries, never as table
-// memory: capacity, tombstones and an in-flight rehash feed no decision,
-// so a table is loaded by its own insert path (util/flat_hash.hpp).
+// What is saved is the scheduler's *behavior-relevant* state, once: the
+// job table, every level's interval slot cells (an assigned cell writes
+// its owner's span class, the one record of who owns the slot) and window
+// ledgers (job count, claim cursor and the free set, whose insertion order
+// feeds acquire_slot's pick), and the scalar counters (n*, parked count,
+// audit cadence position). Each hash table is written as its entry count
+// followed by its entries, never as table memory: capacity, tombstones and
+// an in-flight rehash feed no decision, so a table is loaded by its own
+// insert path (util/flat_hash.hpp).
 //
-// What is deliberately NOT saved, because it is recomputable or inert:
+// What is deliberately NOT saved, because it is derived or inert:
+//   * each interval's counters (lower_count, assigned_by_class and its
+//     class mask) — recounted from the cells as they load;
+//   * the active-window census and active bound — counted from the window
+//     keys;
 //   * fulfillment caches — a pure function of the ledgers (Observation 7);
 //     every interval reloads as kInvalid and recomputes on first touch;
 //   * the occupancy map and its run index — the inverse of the job
@@ -21,14 +26,13 @@
 //
 // Loading is decode, then audit. The decode checks only what it needs to
 // stay memory-safe and exact: magic, version and options fingerprint (an
-// image of another format or configuration); the level and census counts
-// and each table's entry count within the input (the sizes it allocates
-// by); no key twice in one table and no two jobs on one slot (the maps
-// hold one entry per key); a slot offset inside its interval and its
-// flag bits (the cells it writes); a window key whose span is a class of
-// its level (class_of indexes by it); a slot owner that is the window of
-// its class holding the interval (the cell keeps only the class);
-// active_bound within the census (the audit reads the class below it);
+// image of another format or configuration); the level count and each
+// table's entry count within the input (the sizes it allocates by); no key
+// twice in one table and no two jobs on one slot (the maps hold one entry
+// per key); slot offsets inside their interval and ascending (each cell
+// written and counted once), and known flag bits; a slot class below its
+// level's class count (it indexes the per-class counters); a window key
+// whose span is a class of its level (class_of indexes the census by it);
 // and no trailing bytes. Whether the decoded state is one the scheduler
 // could have reached — I1–I5 — is the scheduler's own audit's call, as it
 // is at run time: a failed audit refuses the image as CorruptInput, and

@@ -132,17 +132,8 @@ struct Walker {
   }
 };
 
-/// Span classes per level, as the image writes its per-class counters.
-std::vector<unsigned> class_counts(const LevelTable& levels) {
-  std::vector<unsigned> counts{0};
-  for (unsigned level = 1; level < levels.level_count(); ++level) {
-    counts.push_back(floor_log2(levels.max_span(level)) - levels.interval_size_log(level));
-  }
-  return counts;
-}
-
 /// SchedulerPersist::save's layout, field by field.
-void walk_image(Walker& w, std::size_t end, const std::vector<unsigned>& classes) {
+void walk_image(Walker& w, std::size_t end) {
   w.take(8, "state magic");
   w.take(4, "state version");
   for (const char* name : {"options fingerprint", "n*", "parked count", "audit index"}) {
@@ -162,17 +153,10 @@ void walk_image(Walker& w, std::size_t end, const std::vector<unsigned>& classes
     const std::string at = "L" + std::to_string(level) + " ";
     w.table(at + "intervals", [&] {
       w.take(8, at + "interval base");
-      w.take(4, at + "lower count");
-      w.take(4, at + "assigned count");
-      w.take(8, at + "class mask");
-      for (unsigned c = 0; c < classes[level]; ++c) w.take(4, at + "class count");
       const std::uint64_t entries = w.take(4, at + "slot entries");
       for (std::uint64_t e = 0; e < entries; ++e) {
         w.take(4, at + "slot offset");
-        if ((w.take(1, at + "slot flags") & 2) != 0) {
-          w.take(8, at + "owner start");
-          w.take(1, at + "owner span");
-        }
+        if ((w.take(1, at + "slot flags") & 2) != 0) w.take(1, at + "slot class");
       }
     });
     w.table(at + "window ledger", [&] {
@@ -180,25 +164,21 @@ void walk_image(Walker& w, std::size_t end, const std::vector<unsigned>& classes
       w.take(1, at + "window key span");
       w.take(8, at + "window jobs");
       w.take(8, at + "claim cursor");
-      w.dense(at + "assigned slots", [&] { w.take(8, at + "assigned slot"); });
       w.dense(at + "free slots", [&] { w.take(8, at + "free slot"); });
     });
-    const std::uint64_t census = w.take(8, at + "census size");
-    for (std::uint64_t c = 0; c < census; ++c) w.take(4, at + "census");
-    w.take(4, at + "active bound");
   }
   ASSERT_EQ(w.pos, end) << "image layout walked off its length";
 }
 
 /// ShardedScheduler::save_state's layout: magic, machine count, each
 /// machine's image behind its length, then the BalanceLedger.
-Walker walk_service_payload(const Bytes& payload, const std::vector<unsigned>& classes) {
+Walker walk_service_payload(const Bytes& payload) {
   Walker w{payload, 0, {}, {}};
   w.take(8, "service magic");
   const std::uint64_t machines = w.take(4, "machine count");
   for (std::uint64_t m = 0; m < machines; ++m) {
     const std::uint64_t length = w.take(8, "image length");
-    walk_image(w, w.pos + length, classes);
+    walk_image(w, w.pos + length);
   }
   const std::uint64_t windows = w.take(8, "ledger windows");
   for (std::uint64_t i = 0; i < windows; ++i) {
@@ -492,7 +472,7 @@ struct SnapshotRig {
     const Bytes file = read_bytes(snapshot_path);
     payload.assign(file.begin(), file.end() - 12);
     wal = read_bytes(durability::wal_path(dir.path));
-    Walker walked = walk_service_payload(payload, class_counts(writer_options().levels));
+    Walker walked = walk_service_payload(payload);
     fields = std::move(walked.fields);
     tables = std::move(walked.tables);
     // Recovery never writes a snapshot of its own.
@@ -567,7 +547,7 @@ struct SnapshotRig {
     Bytes changed = payload;
     changed.insert(changed.begin() + static_cast<long>(t.end), extra.begin(), extra.end());
     put_le(changed, t.at, 8, t.entries.size() + 1);
-    return resized(std::move(changed), t);
+    return resized(std::move(changed), t.at);
   }
 
   /// Window ledger `name` with one more entry: a copy of its first one
@@ -580,12 +560,12 @@ struct SnapshotRig {
     });
   }
 
-  /// `changed`, a copy of the payload whose `table` grew or shrank, with
-  /// the length of the image holding the table corrected to match.
-  Bytes resized(Bytes changed, const Table& table) const {
+  /// `changed`, a copy of the payload that grew or shrank at byte `at`,
+  /// with the length of the image holding that byte corrected to match.
+  Bytes resized(Bytes changed, std::size_t at) const {
     const Field* length = nullptr;
     for (const Field& f : fields) {
-      if (f.name == "image length" && f.at < table.at) length = &f;
+      if (f.name == "image length" && f.at < at) length = &f;
     }
     EXPECT_NE(length, nullptr);
     if (length != nullptr) {
@@ -642,14 +622,13 @@ TEST(DecoderFuzz, ScalarsAndBasesTheAuditOwnsAreRefused) {
   rig.expect_refused("n*", any, 24);
   rig.expect_refused("n*", any, std::uint64_t{1} << 61);
   // An interval with no slot entries, its base moved to the top of Time:
-  // unaligned, and the audit's walk over its slots would overflow. (Level
-  // 1 entry: base 8, lower 4, assigned 4, mask 8, three class counts 12,
-  // then the slot-entry count.)
+  // unaligned, and the audit's walk over its slots would overflow. (An
+  // interval entry is its base, 8 bytes, then the slot-entry count.)
   const Field* entries = find_field(rig.fields, rig.payload, "L1 slot entries",
                                     [](std::uint64_t v) { return v == 0; });
   ASSERT_NE(entries, nullptr) << "layout assumption: an interval without slot entries";
   Bytes changed = rig.payload;
-  put_le(changed, entries->at - 36, 8, INT64_MAX - 1);
+  put_le(changed, entries->at - 8, 8, INT64_MAX - 1);
   rig.expect_refused(changed, "empty interval at the top of Time");
 }
 
@@ -704,12 +683,60 @@ TEST(DecoderFuzz, TablesHoldEachKeyOnceWithinTheInput) {
   refused_for(rig.with_extra_entry("job table",
                                    [](Bytes& entry) { put_le(entry, 0, 8, 1ULL << 50); }),
               "two jobs on one slot", "two jobs on one slot");
-  // An image of the exact-layout format (state version 2).
+  // An image of the owner-key format (state version 3).
   const Field* version = find_field(rig.fields, rig.payload, "state version", any);
   ASSERT_NE(version, nullptr);
-  Bytes v2 = rig.payload;
-  put_le(v2, version->at, 4, 2);
-  refused_for(v2, "unsupported state version", "state version 2");
+  Bytes v3 = rig.payload;
+  put_le(v3, version->at, 4, 3);
+  refused_for(v3, "unsupported state version", "state version 3");
+  // A slot cell listed twice: a copy of an interval's first cell entry
+  // right after it.
+  const Field* cells = find_field(rig.fields, rig.payload, "L1 slot entries",
+                                  [](std::uint64_t v) { return v > 0; });
+  ASSERT_NE(cells, nullptr) << "layout assumption: an interval with slot entries";
+  const std::size_t first = cells->at + 4;
+  const std::size_t width = (rig.payload[first + 4] & 2) != 0 ? 6 : 5;
+  Bytes twice = rig.payload;
+  put_le(twice, cells->at, 4, get_le(twice, cells->at, 4) + 1);
+  twice.insert(twice.begin() + static_cast<long>(first + width),
+               rig.payload.begin() + static_cast<long>(first),
+               rig.payload.begin() + static_cast<long>(first + width));
+  refused_for(rig.resized(std::move(twice), cells->at), "slot offsets not ascending",
+              "a slot cell twice");
+}
+
+TEST(DecoderFuzz, SlotClassOutsideTheLevelIsRefused) {
+  // An assigned cell stores its owner's span class, which indexes the
+  // interval's per-class counters: one at or past the level's class count
+  // (3 at level 1, 54 at level 2) is refused by the decoder. An in-range
+  // class other than the owner's decodes, and the audit refuses it.
+  SnapshotRig rig(3, 103);
+  const auto is = [](std::uint64_t want) {
+    return [want](std::uint64_t v) { return v == want; };
+  };
+  rig.expect_refused("L1 slot class", is(0), 3);
+  rig.expect_refused("L2 slot class", is(0), 54);
+  rig.expect_refused("L2 slot class", is(0), 0xFF);
+  rig.expect_refused("L1 slot class", is(0), 2);
+}
+
+TEST(DecoderFuzz, FreeSetMissingAFreeSlotIsRefused) {
+  // A window's free set must hold exactly its assigned cells that no job
+  // of the level sits on. An image whose free set leaves one of them out
+  // decodes, and the audit refuses it; recovery falls back.
+  SnapshotRig rig(1, 101);
+  const Field* count = find_field(rig.fields, rig.payload, "L1 free slots count",
+                                  [](std::uint64_t v) { return v > 0; });
+  ASSERT_NE(count, nullptr) << "layout assumption: a window with a free slot";
+  const std::uint64_t n = get_le(rig.payload, count->at, 8);
+  Bytes changed = rig.payload;
+  put_le(changed, count->at, 8, n - 1);
+  const auto last = changed.begin() + static_cast<long>(count->at + 8 * n);
+  changed.erase(last, last + 8);
+  changed = rig.resized(std::move(changed), count->at);
+  EXPECT_NE(image_refusal(rig, changed).find("free set disagrees"), std::string::npos)
+      << "refused for \"" << image_refusal(rig, changed) << "\"";
+  rig.expect_refused(changed, "a free slot left out");
 }
 
 // ---------------------------------------------------------------- WAL

@@ -1417,11 +1417,13 @@ TEST(ServiceSnapshot, LedgerListingAJobTwiceIsRefused) {
 }
 
 TEST(ServiceSnapshot, SlotOwnerOutsideItsClassWindowIsRefused) {
-  // A slot cell keeps only its owner's span class, so the image's stored
-  // owner key is checked against the one window of that class containing
-  // the slot's interval. Each re-sealed image with one owner key changed
-  // is refused, and recovery falls back to the older snapshot and matches
-  // a twin that never crashed.
+  // A slot cell keeps only its owner's span class, and the image writes
+  // just that byte. A class at or past the level's class count is refused
+  // by the decoder (it indexes the per-class counters); another in-range
+  // class decodes and fails the audit that ends the load; a cell listed
+  // twice is refused by the decoder. Each re-sealed image is refused, and
+  // recovery falls back to the older snapshot and matches a twin that
+  // never crashed.
   TempDir dir;
   DurabilityPolicy policy;
   policy.dir = dir.path;
@@ -1453,46 +1455,70 @@ TEST(ServiceSnapshot, SlotOwnerOutsideItsClassWindowIsRefused) {
   ASSERT_GT(intact.size(), 12u);
   const std::vector<char> payload(intact.begin(), intact.end() - 12);
 
-  // Job 3 sits on a slot assigned to [64, 128). Its slot-table entry is
-  // offset u32 | flags u8 (2 = assigned) | owner start i64 | owner span_log u8.
-  // Job 4 may sit at the same offset of the window's other interval, so
-  // the first match is either job's entry; both hold a class-0 owner.
+  // Walk to job 3's cell. Service payload: magic u64 | machine count u32 |
+  // image length u64 | image. Image: magic u64 | version u32 | fingerprint,
+  // n*, parked count, audit index u64 | job table (count u64, 53 B per
+  // job) | level count u64 | per level: intervals (count u64; base i64 |
+  // cell count u32 | cells: offset u32, flags u8, class u8 if assigned),
+  // then windows. Level 0 has neither.
   const Time slot = live.find(JobId{3})->slot;
   ASSERT_TRUE(Window(64, 128).contains(slot));
-  std::vector<char> entry;
-  const auto put = [&entry](std::uint64_t v, int bytes) {
-    for (int i = 0; i < bytes; ++i) entry.push_back(static_cast<char>(v >> (8 * i)));
-  };
-  put(static_cast<std::uint64_t>(slot % 32), 4);
-  put(2, 1);
-  put(64, 8);
-  put(6, 1);
-  const auto found = std::search(payload.begin(), payload.end(), entry.begin(), entry.end());
-  ASSERT_NE(found, payload.end()) << "layout assumption: the owner entry is in the image";
-  const std::size_t owner_at = static_cast<std::size_t>(found - payload.begin()) + 5;
-
-  const auto recovers_from_older = [&](std::int64_t start, std::uint8_t span_log,
-                                       const char* where) {
-    std::vector<char> damaged = payload;
-    for (int i = 0; i < 8; ++i) {
-      damaged[owner_at + i] = static_cast<char>(static_cast<std::uint64_t>(start) >> (8 * i));
+  constexpr std::size_t kImageLengthAt = 12;
+  std::size_t at = kImageLengthAt + 8 + 44;
+  at += 8 + 53 * get_u64(payload, at);
+  ASSERT_EQ(get_u64(payload, at), 3u) << "layout assumption: three levels";
+  ASSERT_EQ(get_u64(payload, at + 8), 0u) << "layout assumption: no level-0 intervals";
+  ASSERT_EQ(get_u64(payload, at + 16), 0u) << "layout assumption: no level-0 windows";
+  at += 24;
+  std::size_t count_at = 0;  // the cell count of the interval holding `slot`
+  std::size_t cell_at = 0;   // the cell of `slot`
+  const std::uint64_t intervals = get_u64(payload, at);
+  at += 8;
+  for (std::uint64_t i = 0; i < intervals && cell_at == 0; ++i) {
+    const bool holds = static_cast<Time>(get_u64(payload, at)) == slot - slot % 32;
+    const std::uint64_t cells = get_u64(payload, at + 8) & 0xFFFFFFFF;
+    if (holds) count_at = at + 8;
+    at += 12;
+    for (std::uint64_t c = 0; c < cells; ++c) {
+      if (holds && (get_u64(payload, at) & 0xFFFFFFFF) == static_cast<std::uint64_t>(slot % 32)) {
+        cell_at = at;
+      }
+      at += (payload[at + 4] & 2) != 0 ? 6 : 5;
     }
-    damaged[owner_at + 8] = static_cast<char>(span_log);
-    write_file(newest, sealed(damaged));
+  }
+  ASSERT_NE(cell_at, 0u) << "layout assumption: the cell is in the image";
+  ASSERT_EQ(payload[cell_at + 4], 2) << "layout assumption: an assigned cell";
+  ASSERT_EQ(payload[cell_at + 5], 0) << "layout assumption: a class-0 owner";
+
+  const auto recovers_from_older = [&](std::vector<char> damaged, const char* where) {
+    write_file(newest, sealed(std::move(damaged)));
     DurableService recovered(policy, base_options());
     EXPECT_EQ(recovered.service.recovery_report().snapshot_csn, snaps[1]) << where;
     EXPECT_EQ(recovered.service.csn(), trace.size()) << where;
     expect_identical_schedules(twin.snapshot(), recovered.service.snapshot(), where);
     recovered.machine().audit();
   };
-  // The neighbouring window of the same class: it does not hold the slot.
-  recovers_from_older(128, 6, "neighbouring window");
-  // A span that is no class of level 1.
-  recovers_from_older(64, 5, "span below the level");
-  // The class-7 window that does contain the interval: a valid owner, but
-  // the per-class counts no longer match the cells, which the audit that
-  // ends the load finds.
-  recovers_from_older(0, 7, "another class");
+  const auto with_class = [&](std::uint8_t cls) {
+    std::vector<char> damaged = payload;
+    damaged[cell_at + 5] = static_cast<char>(cls);
+    return damaged;
+  };
+  // Level 1 has three classes (spans 2^6..2^8).
+  recovers_from_older(with_class(3), "class past the level");
+  // The class-1 window containing the interval: in range, but not the
+  // owner of the job on the slot.
+  recovers_from_older(with_class(1), "another class");
+  // The cell listed twice; the interval's cell count and the image length
+  // grow to match.
+  std::vector<char> twice = payload;
+  twice.insert(twice.begin() + static_cast<long>(cell_at + 6), payload.begin() + cell_at,
+               payload.begin() + cell_at + 6);
+  ++twice[count_at];
+  ASSERT_NE(twice[count_at], 0) << "layout assumption: a small cell count";
+  twice[kImageLengthAt] = static_cast<char>(twice[kImageLengthAt] + 6);
+  ASSERT_EQ(get_u64(twice, kImageLengthAt), get_u64(payload, kImageLengthAt) + 6)
+      << "layout assumption: the image length's low byte does not carry";
+  recovers_from_older(twice, "a cell twice");
   // The intact image still loads.
   write_file(newest, intact);
   DurableService recovered(policy, base_options());
